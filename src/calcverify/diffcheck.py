@@ -64,6 +64,12 @@ def one_sided_diff(f: Callable[[float], float], a: float, h: float) -> float:
     return (_eval_finite(f, a + h) - _eval_finite(f, a)) / h
 
 
+def _check_tolerance(name: str, tol: float) -> None:
+    # a negative (or NaN) tolerance would make every verdict "fail"
+    if not tol >= 0:
+        raise DomainError(f"{name} must be nonnegative, got {tol!r}")
+
+
 def verify_derivative(
     f: Callable[[float], float],
     fprime: Callable[[float], float],
@@ -73,6 +79,8 @@ def verify_derivative(
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> DerivativeReport:
     """Compare an analytic derivative against the central-difference estimate."""
+    _check_tolerance("tol_abs", tol_abs)
+    _check_tolerance("tol_rel", tol_rel)
     numeric = central_diff(f, a, h)
     analytic = _eval_finite(fprime, a)
     abs_diff = abs(analytic - numeric)
@@ -98,6 +106,7 @@ def verify_antiderivative(
     tol: float = DEFAULT_TOL_ABS,
 ) -> AntiderivativeReport:
     """Check F(b) - F(a) against the n-point quadrature value of f on [a, b]."""
+    _check_tolerance("tol", tol)
     if not a < b:
         raise DomainError(f"lower bound {a!r} is not below upper bound {b!r}")
     ftc_value = _eval_finite(antiderivative, b) - _eval_finite(antiderivative, a)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import CapabilityError, DomainError, NumericError
 
@@ -25,10 +25,13 @@ GRAM_SCHMIDT_MAX_DEGREE = 64
 _NEWTON_MAX_ITERS = 100
 _NEWTON_STEP_TOL = 1e-15
 
-# Roots are polished to this fixed-point precision (~36 digits) so that
-# downstream quantities (the closed-form weights in particular) round
-# correctly to double precision.
-_HP_SCALE = 1 << 120
+# Roots are polished in fixed point at scale S = 2^_FIXED_BITS and rounded
+# to multiples of 2^-_GRID_BITS (~36 digits), so that downstream
+# quantities (the closed-form weights in particular) round correctly to
+# doubles.
+_FIXED_BITS = 240
+_GRID_BITS = 120
+_GRID_SHIFT = _FIXED_BITS - _GRID_BITS
 
 
 @dataclass(frozen=True)
@@ -194,37 +197,61 @@ def _newton_root(n: int, guess: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def exact_coefficients(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Exact rational coefficients of (P_n, P_n')."""
-    p = _recurrence_exact(n)[n]
-    d = tuple((i + 1) * c for i, c in enumerate(p[1:])) or (Fraction(0),)
-    return tuple(p), d
+def integer_coefficients(n: int) -> tuple[int, ...]:
+    """Coefficients of 2^n P_n, which are integers; entry i multiplies x^i.
+
+    The coefficient of x^(n-2k) is (-1)^k C(n, k) C(2n-2k, n); the odd
+    (for even n) or even (for odd n) powers vanish.
+    """
+    coeffs = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        coeffs[n - 2 * k] = (-1) ** k * math.comb(n, k) * math.comb(2 * n - 2 * k, n)
+    return tuple(coeffs)
 
 
-def _horner_exact(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _horner_fixed(n: int, x: int) -> tuple[int, int]:
+    # (S 2^n P_n(x/S), S 2^n P_n'(x/S)) by one Horner pass that carries the
+    # value and the derivative together.  Each product is truncated back to
+    # scale S, which costs ~n units of 2^-240, far below the 2^-120 grid.
+    coeffs = integer_coefficients(n)
+    p, d = coeffs[n] << _FIXED_BITS, 0
+    for c in reversed(coeffs[:n]):
+        d = ((d * x) >> _FIXED_BITS) + p
+        p = ((p * x) >> _FIXED_BITS) + (c << _FIXED_BITS)
+    return p, d
 
 
 @lru_cache(maxsize=None)
-def positive_roots_hp(n: int) -> tuple[Fraction, ...]:
-    """Ascending positive roots of P_n to ~36 significant digits.
+def positive_roots_fixed(n: int) -> tuple[int, ...]:
+    """Ascending positive roots of P_n as integer multiples of 2^-120.
 
     Float Newton (initial guesses cos(pi (4k-1) / (4n+2))) lands within
-    an ulp; one exact Newton step in rational arithmetic then squares
-    the accuracy far past double precision.
+    an ulp; one Newton step in fixed point at scale 2^240 then squares
+    the accuracy far past double precision before the root is rounded
+    to the 2^-120 grid.
     """
-    pcoeffs, dcoeffs = exact_coefficients(n)
     out = []
     for k in range(1, n // 2 + 1):
-        x = _newton_root(n, math.cos(math.pi * (4 * k - 1) / (4 * n + 2)))
-        xq = Fraction(x)
-        xq -= _horner_exact(pcoeffs, xq) / _horner_exact(dcoeffs, xq)
-        out.append(Fraction(round(xq * _HP_SCALE), _HP_SCALE))
+        guess = math.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+        x = int(_newton_root(n, guess) * 2.0**_FIXED_BITS)
+        p, d = _horner_fixed(n, x)
+        x -= (p << _FIXED_BITS) // d
+        out.append((x + (1 << (_GRID_SHIFT - 1))) >> _GRID_SHIFT)
     out.sort()
     return tuple(out)
+
+
+def gauss_weight(n: int, root: int) -> float:
+    """Gauss weight w = 2 / ((1 - x^2) P_n'(x)^2) at x = root / 2^120.
+
+    ``root`` is 0 or one of ``positive_roots_fixed(n)``.  With X = S x and
+    D = S 2^n P_n'(x) the weight is 2 4^n S^4 / ((S^2 - X^2) D^2): one
+    int/int division, which Python rounds correctly.  X is exact and D
+    is off by ~n parts in 2^240, so the double is rounded once.
+    """
+    x = root << _GRID_SHIFT
+    _, d = _horner_fixed(n, x)
+    return (2 << (2 * n + 4 * _FIXED_BITS)) / (((1 << (2 * _FIXED_BITS)) - x * x) * d * d)
 
 
 def legendre_roots(n: int) -> RootSet:
@@ -236,7 +263,7 @@ def legendre_roots(n: int) -> RootSet:
     """
     if n < 1:
         raise DomainError("root count must be a positive integer")
-    positive = [float(x) for x in positive_roots_hp(n)]
+    positive = [x / (1 << _GRID_BITS) for x in positive_roots_fixed(n)]
     roots = [-r for r in reversed(positive)]
     if n % 2 == 1:
         roots.append(0.0)
@@ -253,9 +280,3 @@ def analytic_inner_product(p: Polynomial, q: Polynomial) -> float:
                 terms.append(a * b * (2.0 / (i + j + 1)))
     return math.fsum(terms)
 
-
-def coerce_nodes(nodes: RootSet | Sequence[float]) -> tuple[float, ...]:
-    """Accept a RootSet or any sequence of abscissas."""
-    if isinstance(nodes, RootSet):
-        return nodes.roots
-    return tuple(float(x) for x in nodes)

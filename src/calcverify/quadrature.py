@@ -1,8 +1,9 @@
 """Gauss-Legendre rules and their application on intervals and boxes.
 
 Weights come from two independent routes: the closed form
-w_i = 2 / ((1 - x_i^2) P_n'(x_i)^2) and the Vandermonde moment system
-(rows of node powers, right-hand side the monomial moments).
+w_i = 2 / ((1 - x_i^2) P_n'(x_i)^2), evaluated in integer fixed point,
+and the Vandermonde moment system (rows of node powers, right-hand side
+the monomial moments), solved exactly over the rationals.
 """
 
 from __future__ import annotations
@@ -14,20 +15,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import CapabilityError, DomainError, NumericError
-from .legendre import (
-    RootSet,
-    _horner_exact,
-    coerce_nodes,
-    exact_coefficients,
-    positive_roots_hp,
-)
+from .legendre import RootSet, gauss_weight, legendre_roots, positive_roots_fixed
 
 MAX_POINTS = 64
-# Monomial Vandermonde systems are ill-conditioned; the closed form is
-# authoritative above this cap.
+# The exact moment-system solve slows steeply with the node count (its
+# rationals grow); the closed form is authoritative above this cap.
 LINEAR_SYSTEM_MAX_POINTS = 20
 
 Integrand = Callable[..., float]
@@ -69,26 +62,14 @@ class Box:
         return len(self.lo)
 
 
-def _closed_form_weight(n: int, x: Fraction) -> float:
-    # w = 2 / ((1 - x^2) P_n'(x)^2), evaluated exactly and rounded once
-    _, dcoeffs = exact_coefficients(n)
-    d = _horner_exact(dcoeffs, x)
-    return float(2 / ((1 - x * x) * d * d))
-
-
 @lru_cache(maxsize=None)
 def _rule_data(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    positive = positive_roots_hp(n)
-    pos_nodes = [float(x) for x in positive]
-    pos_weights = [_closed_form_weight(n, x) for x in positive]
-    nodes = [-x for x in reversed(pos_nodes)]
+    pos_weights = [gauss_weight(n, x) for x in positive_roots_fixed(n)]
     weights = list(reversed(pos_weights))
     if n % 2 == 1:
-        nodes.append(0.0)
-        weights.append(_closed_form_weight(n, Fraction(0)))
-    nodes.extend(pos_nodes)
+        weights.append(gauss_weight(n, 0))
     weights.extend(pos_weights)
-    return tuple(nodes), tuple(weights)
+    return legendre_roots(n).roots, tuple(weights)
 
 
 def gauss_rule(n: int) -> QuadratureRule:
@@ -108,10 +89,12 @@ def gauss_weights_linear_system(nodes: RootSet | Sequence[float]) -> tuple[float
     """Weights from the moment system V w = m, V[i][j] = nodes[j]^i.
 
     The right-hand side is the monomial moments 2/(i+1) for even i and 0
-    for odd i.  One iterative-refinement step (residual accumulated with
-    fsum) recovers the accuracy the Vandermonde conditioning eats.
+    for odd i.  The system is solved exactly over the rationals the
+    float nodes stand for, by the Bjorck-Pereyra elimination for
+    Vandermonde systems (Math. Comp. 24 (1970) 893-903), and each weight
+    is rounded once, so the Vandermonde conditioning costs no accuracy.
     """
-    xs = coerce_nodes(nodes)
+    xs = nodes.roots if isinstance(nodes, RootSet) else tuple(float(x) for x in nodes)
     n = len(xs)
     if n == 0:
         raise DomainError("at least one node is required")
@@ -120,21 +103,21 @@ def gauss_weights_linear_system(nodes: RootSet | Sequence[float]) -> tuple[float
             f"linear-system route supports at most {LINEAR_SYSTEM_MAX_POINTS} nodes "
             f"(got {n}); use gauss_rule instead"
         )
+    if not all(math.isfinite(x) for x in xs):
+        raise DomainError("nodes must be finite")
     if len(set(xs)) != n:
         raise NumericError("nodes must be distinct (singular moment system)")
-    vand = np.vander(np.asarray(xs, dtype=float), increasing=True).T
-    moments = np.array([2.0 / (i + 1) if i % 2 == 0 else 0.0 for i in range(n)])
-    try:
-        w = np.linalg.solve(vand, moments)
-        residual = np.array(
-            [
-                math.fsum(vand[i, j] * w[j] for j in range(n)) - moments[i]
-                for i in range(n)
-            ]
-        )
-        w = w - np.linalg.solve(vand, residual)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"moment system is singular: {exc}") from exc
+    x = [Fraction(v) for v in xs]
+    w = [Fraction(2, i + 1) if i % 2 == 0 else Fraction(0) for i in range(n)]
+    # the two sweeps apply the lower, then the upper bidiagonal factors of V^-1
+    for k in range(n - 1):
+        for i in range(n - 1, k, -1):
+            w[i] -= x[k] * w[i - 1]
+    for k in range(n - 2, -1, -1):
+        for i in range(k + 1, n):
+            w[i] /= x[i] - x[i - k - 1]
+        for i in range(k, n - 1):
+            w[i] -= w[i + 1]
     return tuple(float(v) for v in w)
 
 

@@ -54,6 +54,8 @@ def newton_solve(
     """
     if not tol > 0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be at least 1, got {max_iters!r}")
     g = _residual_fn(f, c)
     x = float(x0)
     r = g(x)
@@ -85,6 +87,8 @@ def secant_solve(
     """Secant iteration with the finite slope through the last two iterates."""
     if not tol > 0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be at least 1, got {max_iters!r}")
     if x0 == x1:
         raise DomainError("secant starts x0 and x1 must differ")
     g = _residual_fn(f, c)

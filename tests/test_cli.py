@@ -184,3 +184,37 @@ def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["integrate"]) == 2
+
+
+def test_integrate_rebuilds_cached_rule_that_is_not_gauss(capsys, tmp_path):
+    # passes the cheap table invariants, but x^2 on [-1, 1] would come out 0.5
+    cache = tmp_path / "bad.gausstab"
+    cache.write_text("GAUSSTAB 1\nN 2\n-0.5 1\n0.5 1\n")
+    argv = ("integrate", "x^2", "x", "-1", "1", "--n", "2", "--cache", str(cache))
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert float(out) == pytest.approx(2 / 3, rel=1e-9)
+    assert "warning" in err and "not a Gauss rule" in err
+    assert load_tables(cache)[2] == gauss_rule(2)
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (("solve", "x^2 - 2", "--x0", "1", "--max-iters", "-3"), "max_iters"),
+        (("solve", "x^2 - 2", "--x0", "1", "--max-iters", "0"), "max_iters"),
+        (
+            ("solve", "x^2 - 2", "--method", "secant", "--x0", "1", "--x1", "2", "--max-iters", "-3"),
+            "max_iters",
+        ),
+        (("solve", "x^2 - 2", "--x0", "1", "--tol", "-0.001"), "tolerance"),
+        (("diffcheck", "x^2", "2*x", "7", "--tol-abs", "-1"), "tol_abs"),
+        (("diffcheck", "x^2", "2*x", "7", "--tol-rel", "-1"), "tol_rel"),
+        (("antideriv", "2*x", "x^2", "0", "3", "--tol", "-1"), "tol"),
+    ],
+)
+def test_negative_numeric_options_rejected(capsys, argv, needle):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and needle in err

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,12 @@ from calcverify import (
     poly_derivative,
     poly_eval,
 )
-from calcverify.legendre import analytic_inner_product, legendre_value
+from calcverify.legendre import (
+    _recurrence_exact,
+    analytic_inner_product,
+    integer_coefficients,
+    legendre_value,
+)
 
 
 def test_gram_schmidt_low_degrees():
@@ -38,6 +44,14 @@ def test_routes_agree():
         assert pg.degree == pr.degree
         for a, b in zip(pg.coeffs, pr.coeffs):
             assert abs(a - b) <= 1e-10
+
+
+def test_integer_coefficients_match_exact_recurrence():
+    # the closed form (-1)^k C(n,k) C(2n-2k,n) against 2^n times the
+    # three-term recurrence carried out in exact rationals
+    exact = _recurrence_exact(64)
+    for n in range(65):
+        assert [Fraction(c) for c in integer_coefficients(n)] == [2**n * c for c in exact[n]]
 
 
 def test_gram_schmidt_range_errors():

@@ -72,14 +72,20 @@ def test_linear_system_errors():
         gauss_weights_linear_system([k / 22.0 for k in range(21)])
     with pytest.raises(DomainError):
         gauss_weights_linear_system([])
+    with pytest.raises(DomainError):
+        gauss_weights_linear_system([0.0, float("inf")])
+    with pytest.raises(DomainError):
+        gauss_weights_linear_system([float("nan"), 0.5])
 
 
 def test_route_equivalence_to_20():
+    # the moment system is solved exactly at the float nodes, so the two
+    # routes differ only by where the nodes were rounded
     for n in range(1, 21):
         closed = gauss_rule(n).weights
         system = gauss_weights_linear_system(legendre_roots(n))
         for a, b in zip(closed, system):
-            assert abs(a - b) <= 1e-10
+            assert abs(a - b) <= 1e-15
 
 
 def test_integrate_examples():

@@ -3,8 +3,20 @@ import os
 import pytest
 
 import calcverify.quadrature
-from calcverify import TableError, gauss_rule, get_or_build, load_tables, save_tables
-from calcverify.tables import default_cache_path, dumps_tables
+from calcverify import (
+    QuadratureRule,
+    TableError,
+    gauss_rule,
+    get_or_build,
+    load_tables,
+    save_tables,
+)
+from calcverify.tables import default_cache_path, dumps_tables, gauss_violation, rule_violation
+
+# Passes every invariant of rule_violation (weights sum to 2, zero first
+# moment, symmetric) but is not the 2-point Gauss rule: it integrates x^2
+# over [-1, 1] to 0.5 instead of 2/3.
+NOT_GAUSS_2 = "GAUSSTAB 1\nN 2\n-0.5 1\n0.5 1\n"
 
 
 def test_round_trip_bit_exact_all_orders(tmp_path):
@@ -153,6 +165,37 @@ def test_get_or_build_recovers_from_binary_garbage(tmp_path, capsys):
     assert rule == gauss_rule(4)
     assert "warning" in capsys.readouterr().err
     assert load_tables(path)[4] == gauss_rule(4)
+
+
+def test_gauss_violation_accepts_every_built_rule():
+    for n in range(1, 65):
+        assert gauss_violation(gauss_rule(n)) is None
+
+
+def test_gauss_violation_rejects_wrong_nodes_and_weights(tmp_path):
+    path = tmp_path / "rules.gausstab"
+    path.write_text(NOT_GAUSS_2)
+    rule = load_tables(path)[2]
+    assert rule_violation(rule) is None
+    assert "not a root of P_2" in gauss_violation(rule)
+    # shift weight between the two symmetric pairs of the 4-point rule:
+    # the sum, the first moment and the symmetry all still hold
+    good = gauss_rule(4)
+    d = 1e-10
+    weights = (good.weights[0] + d, good.weights[1] - d, good.weights[2] - d, good.weights[3] + d)
+    bad = QuadratureRule(n=4, nodes=good.nodes, weights=weights)
+    assert rule_violation(bad) is None
+    assert "is not 2 / ((1 - x^2) P_4'(x)^2)" in gauss_violation(bad)
+
+
+def test_get_or_build_rebuilds_a_cached_rule_that_is_not_gauss(tmp_path, capsys):
+    path = tmp_path / "cache.gausstab"
+    path.write_text(NOT_GAUSS_2)
+    rule = get_or_build(path, 2)
+    assert rule == gauss_rule(2)
+    err = capsys.readouterr().err
+    assert "warning" in err and "not a Gauss rule" in err
+    assert load_tables(path)[2] == gauss_rule(2)
 
 
 def test_default_cache_path(monkeypatch):

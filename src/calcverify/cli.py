@@ -10,45 +10,38 @@ digits in plain mode and 17 in --json mode.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import cordic, diffcheck, expr, quadrature, solvers, tables
 from .errors import CapabilityError, DomainError, NumericError, TableError
 
 
 class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+    """A usage error caught after argument parsing (exit status 2)."""
 
 
 def _caret(source: str, offset: int, message: str) -> str:
     offset = max(0, min(offset, len(source)))
-    return f"error: {message}\n  {source}\n  {' ' * offset}^"
+    return f"{message}\n  {source}\n  {' ' * offset}^"
 
 
-def _compile(
-    text: str,
-    variables: Sequence[str],
-    functions: Optional[Mapping[str, Callable[[float], float]]] = None,
-) -> Callable[..., float]:
+def _compile(text: str, variables: Sequence[str]) -> Callable[..., float]:
     try:
-        tree = expr.parse(text, variables)
+        f = expr.as_function(expr.parse(text, variables), variables)
     except expr.ParseError as pe:
-        raise _CliError(2, _caret(text, pe.offset, str(pe))) from None
-    names = tuple(variables)
+        raise _CliError(_caret(text, pe.offset, str(pe))) from None
 
-    def f(*values: float) -> float:
+    def checked(*values: float) -> float:
         try:
-            return expr.evaluate(tree, dict(zip(names, values)), functions)
+            return f(*values)
         except expr.EvalDomainError as ee:
-            raise _CliError(2, _caret(text, ee.offset, str(ee))) from None
+            raise _CliError(_caret(text, ee.offset, str(ee))) from None
 
-    return f
+    return checked
 
 
 def _json_scalar(v) -> str:
@@ -75,20 +68,14 @@ def _emit(fields: dict, as_json: bool) -> None:
             print(f"{k} {'true' if v else 'false'}")
         elif isinstance(v, float):
             print(f"{k} {v:.10g}")
-        elif isinstance(v, (list, tuple)):
-            print(f"{k} " + " ".join(f"{x:.10g}" for x in v))
         else:
             print(f"{k} {v}")
-
-
-def _cache_path(args) -> str:
-    return args.cache if args.cache else tables.default_cache_path()
 
 
 def _cmd_integrate(args) -> int:
     triplets = args.axes
     if len(triplets) % 3 != 0 or not 1 <= len(triplets) // 3 <= 3:
-        raise _CliError(2, "error: expected 1 to 3 axis triplets: VAR LO HI")
+        raise _CliError("expected 1 to 3 axis triplets: VAR LO HI")
     names, lo, hi = [], [], []
     for k in range(0, len(triplets), 3):
         names.append(triplets[k])
@@ -96,9 +83,9 @@ def _cmd_integrate(args) -> int:
             lo.append(float(triplets[k + 1]))
             hi.append(float(triplets[k + 2]))
         except ValueError:
-            raise _CliError(2, f"error: bounds for {triplets[k]!r} are not numbers") from None
+            raise _CliError(f"bounds for {triplets[k]!r} are not numbers") from None
     f = _compile(args.expression, names)
-    rule = tables.get_or_build(_cache_path(args), args.n)
+    rule = tables.get_or_build(args.cache or tables.default_cache_path(), args.n)
     if len(names) == 1:
         value = quadrature.apply_rule(rule, f, lo[0], hi[0])
     else:
@@ -116,18 +103,7 @@ def _cmd_diffcheck(args) -> int:
     report = diffcheck.verify_derivative(
         f, fprime, args.point, h=args.h, tol_abs=args.tol_abs, tol_rel=args.tol_rel
     )
-    _emit(
-        {
-            "point": report.point,
-            "h": report.h,
-            "analytic": report.analytic,
-            "numeric": report.numeric,
-            "abs_diff": report.abs_diff,
-            "rel_diff": report.rel_diff,
-            "verdict": report.verdict,
-        },
-        args.json,
-    )
+    _emit(dataclasses.asdict(report), args.json)
     return 0 if report.verdict == "pass" else 1
 
 
@@ -135,18 +111,7 @@ def _cmd_antideriv(args) -> int:
     f = _compile(args.function, [args.var])
     antideriv = _compile(args.antiderivative, [args.var])
     report = diffcheck.verify_antiderivative(f, antideriv, args.a, args.b, n=args.n, tol=args.tol)
-    _emit(
-        {
-            "a": report.a,
-            "b": report.b,
-            "ftc_value": report.ftc_value,
-            "quad_value": report.quad_value,
-            "n": report.n,
-            "abs_diff": report.abs_diff,
-            "verdict": report.verdict,
-        },
-        args.json,
-    )
+    _emit(dataclasses.asdict(report), args.json)
     return 0 if report.verdict == "pass" else 1
 
 
@@ -159,19 +124,11 @@ def _cmd_solve(args) -> int:
         )
     else:
         if args.x1 is None:
-            raise _CliError(2, "error: the secant method requires --x1")
+            raise _CliError("the secant method requires --x1")
         result = solvers.secant_solve(
             f, args.c, args.x0, args.x1, tol=args.tol, max_iters=args.max_iters
         )
-    _emit(
-        {
-            "root": result.root,
-            "residual": result.residual,
-            "iterations": result.iterations,
-            "converged": result.converged,
-        },
-        args.json,
-    )
+    _emit(dataclasses.asdict(result), args.json)
     if not result.converged:
         print(
             f"did not converge in {result.iterations} iterations; "
@@ -185,10 +142,7 @@ def _cmd_solve(args) -> int:
 def _cmd_nodes(args) -> int:
     rule = quadrature.gauss_rule(args.n)
     if args.json:
-        _emit(
-            {"n": rule.n, "nodes": list(rule.nodes), "weights": list(rule.weights)},
-            True,
-        )
+        _emit(dataclasses.asdict(rule), True)
     else:
         sys.stdout.write(tables.dumps_tables([rule]))
     return 0
@@ -292,13 +246,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exit_.code) if exit_.code else 0
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(exc.message, file=sys.stderr)
-        return exc.code
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, CapabilityError) as exc:
+    except (DomainError, CapabilityError, _CliError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TableError as exc:
@@ -311,3 +262,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .errors import CapabilityError, DomainError
@@ -39,6 +40,7 @@ class SinCos(NamedTuple):
     cos: float
 
 
+@lru_cache(maxsize=None)
 def cordic_table(iters: int = DEFAULT_ITERATIONS) -> CordicTable:
     """Table of angles arctan(2**-k), k < iters, and the gain product.
 
@@ -72,16 +74,6 @@ def pseudo_rotate(x, y, z, angles):
     return x, y, z
 
 
-_default_table: Optional[CordicTable] = None
-
-
-def _get_default_table() -> CordicTable:
-    global _default_table
-    if _default_table is None:
-        _default_table = cordic_table(DEFAULT_ITERATIONS)
-    return _default_table
-
-
 def cordic_sincos(theta: float, table: Optional[CordicTable] = None) -> SinCos:
     """Sine and cosine of theta (radians) by K pseudo-rotations.
 
@@ -98,7 +90,7 @@ def cordic_sincos(theta: float, table: Optional[CordicTable] = None) -> SinCos:
             f"|theta| > {_MAX_ARGUMENT:g}: quadrant folding would lose all precision"
         )
     if table is None:
-        table = _get_default_table()
+        table = cordic_table()
     half_turns = round(theta / math.pi)
     reduced = (theta - half_turns * _PI_HI) - half_turns * _PI_LO
     x, y, _ = pseudo_rotate(table.gain, 0.0, reduced, table.angles)

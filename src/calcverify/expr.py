@@ -9,6 +9,7 @@ Grammar (whitespace insignificant):
                                              2^3^2 = 512 and -x^2 = -(x^2)
     atom   := number | name | name '(' expr ')' | '(' expr ')'
     number := digits ['.' digits] [('e'|'E') ['+'|'-'] digits]
+    digits := one or more ASCII 0-9; the literal must be a finite double
 
 A name followed by '(' must be one of the builtins sin, cos, tan, exp,
 ln, sqrt, abs; any other name is a variable and must be declared.
@@ -24,6 +25,8 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 from .errors import CalcVerifyError, DomainError
 
 BUILTIN_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
+# str.isdigit() also accepts '²', which float() rejects, and '١', which it reads as 1
+_DIGITS = "0123456789"
 
 _DEFAULT_IMPLS: dict[str, Callable[[float], float]] = {
     "sin": math.sin,
@@ -112,22 +115,22 @@ def _tokenize(source: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and source[i] in _DIGITS:
                 i += 1
             if i < n and source[i] == ".":
                 i += 1
-                while i < n and source[i].isdigit():
+                while i < n and source[i] in _DIGITS:
                     i += 1
             if i < n and source[i] in "eE":
                 j = i + 1
                 if j < n and source[j] in "+-":
                     j += 1
-                if j >= n or not source[j].isdigit():
+                if j >= n or source[j] not in _DIGITS:
                     raise ParseError("malformed number", start, "digits in the exponent")
                 i = j
-                while i < n and source[i].isdigit():
+                while i < n and source[i] in _DIGITS:
                     i += 1
             tokens.append(_Token("NUMBER", source[start:i], start))
             continue
@@ -206,7 +209,10 @@ class _Parser:
         tok = self.cur
         if tok.kind == "NUMBER":
             self._advance()
-            return Num(float(tok.text), tok.offset)
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError("number literal overflows", tok.offset, "a finite number")
+            return Num(value, tok.offset)
         if tok.kind == "NAME":
             self._advance()
             if self._at_op("("):

@@ -155,16 +155,6 @@ def legendre_recurrence(n: int) -> list[Polynomial]:
     return _to_polynomials(_recurrence_exact(n))
 
 
-def legendre_value(n: int, x: float) -> float:
-    """P_n(x) by the value recurrence (stable at any degree)."""
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
-    return cur
-
-
 def legendre_value_and_derivative(n: int, x: float) -> tuple[float, float]:
     """(P_n(x), P_n'(x)) by the value recurrence."""
     if n == 0:

@@ -218,3 +218,21 @@ def test_negative_numeric_options_rejected(capsys, argv, needle):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and needle in err
+
+
+@pytest.mark.parametrize(
+    "text, offset, message",
+    [
+        ("²", 0, "unexpected character"),
+        ("2²", 1, "unexpected character"),
+        ("١", 0, "unexpected character"),
+        ("x^1e999", 2, "number literal overflows"),
+        ("1e999", 0, "number literal overflows"),
+    ],
+)
+def test_integrate_bad_literal_renders_caret(capsys, text, offset, message):
+    code, out, err = run(capsys, "integrate", text, "x", "0", "1")
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0].startswith("error: ") and message in lines[0]
+    assert lines[2] == "  " + " " * offset + "^"

@@ -76,6 +76,11 @@ def test_variable_named_like_builtin():
         ("x + ", 4),
         ("sin x", 4),
         ("2x", 1),
+        ("²", 0),  # superscript two: str.isdigit() is true, float() rejects it
+        ("2²", 1),
+        ("١", 0),  # Arabic-Indic one: float() would read it as 1
+        ("1e999", 0),
+        ("x^1e999", 2),
     ],
 )
 def test_parse_errors_carry_offsets(text, invalid_at):

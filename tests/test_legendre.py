@@ -17,7 +17,7 @@ from calcverify.legendre import (
     _recurrence_exact,
     analytic_inner_product,
     integer_coefficients,
-    legendre_value,
+    legendre_value_and_derivative,
 )
 
 
@@ -106,7 +106,7 @@ def test_root_invariants(n):
     assert rs.n == n and len(rs.roots) == n
     for r in rs.roots:
         assert -1.0 < r < 1.0
-        assert abs(legendre_value(n, r)) <= 1e-13
+        assert abs(legendre_value_and_derivative(n, r)[0]) <= 1e-13
     for a, b in zip(rs.roots, rs.roots[1:]):
         assert a < b
     # mirrored construction makes symmetry exact

@@ -81,6 +81,8 @@ def verify_derivative(
     """Compare an analytic derivative against the central-difference estimate."""
     _check_tolerance("tol_abs", tol_abs)
     _check_tolerance("tol_rel", tol_rel)
+    if not math.isfinite(a):
+        raise DomainError(f"point a must be finite, got {a!r}")
     numeric = central_diff(f, a, h)
     analytic = _eval_finite(fprime, a)
     abs_diff = abs(analytic - numeric)

@@ -13,18 +13,25 @@ Grammar (whitespace insignificant):
 
 A name followed by '(' must be one of the builtins sin, cos, tan, exp,
 ln, sqrt, abs; any other name is a variable and must be declared.
-Implicit multiplication is rejected: write 2*x, not 2x.
+Implicit multiplication is rejected: write 2*x, not 2x.  Each '(',
+call, unary '-' and '^' exponent nests one level; past 100 levels the
+parser raises ParseError.  Evaluation and printing use an explicit
+stack, so they work at any depth.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import CalcVerifyError, DomainError
 
 BUILTIN_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
+# the parser recurses a few frames per level; this keeps it far from
+# Python's default recursion limit of 1000
+_MAX_NESTING = 100
 # str.isdigit() also accepts '²', which float() rejects, and '١', which it reads as 1
 _DIGITS = "0123456789"
 
@@ -156,6 +163,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables = frozenset(variables)
+        self.depth = 0  # open '(', calls, unary minus and '^' exponents
 
     @property
     def cur(self) -> _Token:
@@ -192,10 +200,17 @@ class _Parser:
         return left
 
     def _factor(self) -> Expr:
+        # every recursive path passes through here
+        if self.depth > _MAX_NESTING:
+            raise ParseError("expression nested too deeply", self.cur.offset)
+        self.depth += 1
         if self._at_op("-"):
             tok = self._advance()
-            return Neg(self._factor(), tok.offset)
-        return self._power()
+            e: Expr = Neg(self._factor(), tok.offset)
+        else:
+            e = self._power()
+        self.depth -= 1
+        return e
 
     def _power(self) -> Expr:
         base = self._atom()
@@ -265,6 +280,23 @@ def parse(source: str, variables: Sequence[str]) -> Expr:
     return _Parser(_tokenize(source), variables).parse()
 
 
+def _postorder(e: Expr) -> list[Expr]:
+    # children before parents, left before right, without recursion
+    order, todo = [], [e]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        if isinstance(node, BinOp):
+            todo += (node.left, node.right)
+        elif isinstance(node, (Neg, Call)):
+            todo.append(node.operand if isinstance(node, Neg) else node.arg)
+    return order[::-1]
+
+
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": math.pow}
+_lowered: tuple = (None, [])  # (tree, post-order) of evaluate's latest tree, so as_function lowers once
+
+
 def evaluate(
     e: Expr,
     bindings: Mapping[str, float],
@@ -277,55 +309,49 @@ def evaluate(
     raise EvalDomainError instead of propagating NaN/inf.  ``functions``
     can swap builtin implementations (e.g. CORDIC-backed sin/cos).
     """
+    global _lowered
+    lowered = _lowered  # one read: another thread may replace it
+    if lowered[0] is not e:
+        lowered = _lowered = (e, _postorder(e))
     impls = _DEFAULT_IMPLS if functions is None else {**_DEFAULT_IMPLS, **functions}
-
-    def check(v: float, offset: int) -> float:
-        if not math.isfinite(v):
-            raise EvalDomainError("non-finite result", offset)
-        return v
-
-    def ev(node: Expr) -> float:
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
+    stack: list[float] = []
+    push, pop = stack.append, stack.pop
+    for node in lowered[1]:
+        kind = type(node)
+        if kind is Num:
+            push(node.value)
+        elif kind is Var:
             try:
-                return float(bindings[node.name])
+                push(float(bindings[node.name]))
             except KeyError:
                 raise EvalDomainError(f"unbound variable '{node.name}'", node.offset) from None
-        if isinstance(node, Neg):
-            return -ev(node.operand)
-        if isinstance(node, BinOp):
-            a = ev(node.left)
-            b = ev(node.right)
+        elif kind is Neg:
+            stack[-1] = -stack[-1]
+        elif kind is BinOp:
+            b, a = pop(), stack[-1]
             try:
-                if node.op == "+":
-                    v = a + b
-                elif node.op == "-":
-                    v = a - b
-                elif node.op == "*":
-                    v = a * b
-                elif node.op == "/":
-                    v = a / b
-                else:
-                    v = math.pow(a, b)
+                v = _BINOPS[node.op](a, b)
             except ZeroDivisionError:
                 raise EvalDomainError("division by zero", node.offset) from None
             except ValueError:
                 raise EvalDomainError(f"power {a!r} ^ {b!r} leaves the reals", node.offset) from None
             except OverflowError:
                 raise EvalDomainError("overflow", node.offset) from None
-            return check(v, node.offset)
-        assert isinstance(node, Call)
-        arg = ev(node.arg)
-        try:
-            v = impls[node.func](arg)
-        except ValueError:
-            raise EvalDomainError(f"{node.func}({arg!r}) is outside the real domain", node.offset) from None
-        except OverflowError:
-            raise EvalDomainError(f"{node.func}({arg!r}) overflows", node.offset) from None
-        return check(v, node.offset)
-
-    return ev(e)
+            if not math.isfinite(v):
+                raise EvalDomainError("non-finite result", node.offset)
+            stack[-1] = v
+        else:
+            a = stack[-1]
+            try:
+                v = impls[node.func](a)
+            except ValueError:
+                raise EvalDomainError(f"{node.func}({a!r}) is outside the real domain", node.offset) from None
+            except OverflowError:
+                raise EvalDomainError(f"{node.func}({a!r}) overflows", node.offset) from None
+            if not math.isfinite(v):
+                raise EvalDomainError("non-finite result", node.offset)
+            stack[-1] = v
+    return stack[0]
 
 
 def as_function(
@@ -346,37 +372,24 @@ _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _NEG_PREC = 25
 
 
-def _node_prec(node: Expr) -> int:
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _NEG_PREC
-    return 100
+def _operand(text: str, prec: int, outer: int, tight: bool) -> str:
+    return f"({text})" if prec < outer or (prec == outer and tight) else text
 
 
 def to_string(e: Expr) -> str:
     """Render with the fewest parentheses that reparse to the same tree."""
-
-    def wrap(node: Expr, outer: int, tight: bool) -> str:
-        p = _node_prec(node)
-        s = render(node)
-        if p < outer or (p == outer and tight):
-            return f"({s})"
-        return s
-
-    def render(node: Expr) -> str:
+    stack: list[tuple[str, int]] = []  # (text, precedence of its top node)
+    for node in _postorder(e):
         if isinstance(node, Num):
-            return repr(node.value) if node.value >= 0 else f"({node.value!r})"
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Neg):
-            return "-" + wrap(node.operand, _NEG_PREC, False)
-        if isinstance(node, BinOp):
-            p = _PREC[node.op]
-            if node.op == "^":
-                return wrap(node.left, p, True) + "^" + wrap(node.right, p, False)
-            return wrap(node.left, p, False) + node.op + wrap(node.right, p, True)
-        assert isinstance(node, Call)
-        return f"{node.func}({render(node.arg)})"
-
-    return render(e)
+            stack.append((repr(node.value) if node.value >= 0 else f"({node.value!r})", 100))
+        elif isinstance(node, Var):
+            stack.append((node.name, 100))
+        elif isinstance(node, Neg):
+            stack.append(("-" + _operand(*stack.pop(), _NEG_PREC, False), _NEG_PREC))
+        elif isinstance(node, BinOp):
+            p, tight = _PREC[node.op], node.op == "^"  # ^ groups right, the others left
+            right, left = stack.pop(), stack.pop()
+            stack.append((_operand(*left, p, tight) + node.op + _operand(*right, p, not tight), p))
+        else:
+            stack.append((f"{node.func}({stack.pop()[0]})", 100))
+    return stack[0][0]

@@ -121,19 +121,19 @@ def gauss_weights_linear_system(nodes: RootSet | Sequence[float]) -> tuple[float
     return tuple(float(v) for v in w)
 
 
-def _affine_image(f: Integrand, a: float, b: float) -> Callable[[float], float]:
-    # maps the integrand onto [-1, 1]; (b - a)/2 is the Jacobian
-    jac = (b - a) / 2.0
-    mid = (b + a) / 2.0
+def _term_error(v: float, node) -> NumericError:
+    # a non-finite value makes its weighted term non-finite, so checking
+    # the term alone covers both, at one check per point
+    if not math.isfinite(v):
+        return NumericError(f"integrand returned non-finite value {v!r} at node {node!r}")
+    return NumericError(f"weighted integrand value {v!r} overflows at node {node!r}")
 
-    def g(x: float) -> float:
-        u = jac * x + mid
-        v = f(u)
-        if not math.isfinite(v):
-            raise NumericError(f"integrand returned non-finite value {v!r} at node {u!r}")
-        return jac * v
 
-    return g
+def _fsum(terms) -> float:
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise NumericError("the sum of the weighted integrand values overflows") from None
 
 
 def apply_rule(rule: QuadratureRule, f: Integrand, a: float, b: float) -> float:
@@ -142,8 +142,18 @@ def apply_rule(rule: QuadratureRule, f: Integrand, a: float, b: float) -> float:
         raise DomainError("bounds must be finite")
     if not a < b:
         raise DomainError(f"lower bound {a!r} is not below upper bound {b!r}")
-    g = _affine_image(f, a, b)
-    return math.fsum(w * g(x) for x, w in zip(rule.nodes, rule.weights))
+    # maps the integrand onto [-1, 1]; (b - a)/2 is the Jacobian
+    jac = (b - a) / 2.0
+    mid = (b + a) / 2.0
+    terms = []
+    for x, w in zip(rule.nodes, rule.weights):
+        u = jac * x + mid
+        v = f(u)
+        term = w * (jac * v)
+        if not math.isfinite(term):
+            raise _term_error(v, u)
+        terms.append(term)
+    return _fsum(terms)
 
 
 def integrate_1d(f: Integrand, a: float, b: float, n: int) -> float:
@@ -166,10 +176,11 @@ def apply_rule_box(rule: QuadratureRule, f: Integrand, box: Box) -> float:
     for combo in itertools.product(*axes):
         point = tuple(c[0] for c in combo)
         v = f(*point)
-        if not math.isfinite(v):
-            raise NumericError(f"integrand returned non-finite value {v!r} at node {point!r}")
-        terms.append(math.prod(c[1] for c in combo) * v)
-    return math.fsum(terms)
+        term = math.prod(c[1] for c in combo) * v
+        if not math.isfinite(term):
+            raise _term_error(v, point)
+        terms.append(term)
+    return _fsum(terms)
 
 
 def integrate_box(f: Integrand, box: Box, n_per_axis: int) -> float:

@@ -29,6 +29,13 @@ class SolveResult:
     converged: bool
 
 
+def _check_finite(**values: float) -> None:
+    # a NaN or infinite start or target is an input error, not a failed iteration
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v!r}")
+
+
 def _residual_fn(f: Callable[[float], float], c: float) -> Callable[[float], float]:
     def g(x: float) -> float:
         r = f(x) - c
@@ -58,6 +65,7 @@ def newton_solve(
         raise DomainError(f"max_iters must be at least 1, got {max_iters!r}")
     g = _residual_fn(f, c)
     x = float(x0)
+    _check_finite(c=c, x0=x)
     r = g(x)
     if abs(r) <= tol:
         return SolveResult(root=x, residual=abs(r), iterations=0, converged=True)
@@ -93,6 +101,7 @@ def secant_solve(
         raise DomainError("secant starts x0 and x1 must differ")
     g = _residual_fn(f, c)
     prev, cur = float(x0), float(x1)
+    _check_finite(c=c, x0=prev, x1=cur)
     r_prev, r_cur = g(prev), g(cur)
     if abs(r_cur) <= tol:
         return SolveResult(root=cur, residual=abs(r_cur), iterations=0, converged=True)

@@ -236,3 +236,60 @@ def test_integrate_bad_literal_renders_caret(capsys, text, offset, message):
     lines = err.splitlines()
     assert lines[0].startswith("error: ") and message in lines[0]
     assert lines[2] == "  " + " " * offset + "^"
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("(" * 3000 + "x" + ")" * 3000, 101),
+        ("-" * 3000 + "x", 101),
+        ("2^" * 3000 + "x", 202),
+        ("sin(" * 3000 + "x" + ")" * 3000, 404),
+    ],
+    ids=["parens", "minus", "power", "call"],
+)
+def test_integrate_nesting_past_the_cap_renders_caret(capsys, text, offset):
+    code, out, err = run(capsys, "integrate", "--", text, "x", "0", "1")
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0] == f"error: expression nested too deeply at offset {offset}"
+    assert lines[2] == "  " + " " * offset + "^"
+    assert "Traceback" not in err
+
+
+def test_integrate_flat_sum_of_3000_terms(capsys):
+    code, out, err = run(capsys, "integrate", "+".join(["x"] * 3000), "x", "0", "1")
+    assert (code, err) == (0, "")
+    assert float(out) == 1500.0
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (("--n", "2", "x*1e8", "x", "0", "1e300"), "overflows at node"),
+        (("--n", "2", "x*y*1e8", "x", "0", "1e300", "y", "0", "1"), "overflows at node"),
+        (("--n", "2", "--", "x*1e8", "x", "-1e300", "1e300"), "overflows at node"),
+        (("--n", "2", "1.5e308", "x", "0", "2"), "sum of the weighted integrand values overflows"),
+        (("--n", "2", "1.5e308", "x", "0", "1", "y", "0", "2"), "sum of the weighted integrand values overflows"),
+    ],
+)
+def test_integrate_scaled_overflow_is_numeric_error(capsys, argv, needle):
+    code, out, err = run(capsys, "integrate", *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("numeric error: ") and needle in err
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (("diffcheck", "x", "1", "nan"), "point a must be finite"),
+        (("diffcheck", "x", "1", "inf"), "point a must be finite"),
+        (("solve", "x", "--x0", "nan"), "x0 must be finite"),
+        (("solve", "x", "--method", "secant", "--x0", "1", "--x1", "nan"), "x1 must be finite"),
+        (("solve", "x", "--c", "nan", "--x0", "1"), "c must be finite"),
+    ],
+)
+def test_non_finite_point_or_start_rejected(capsys, argv, needle):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and needle in err

@@ -176,3 +176,12 @@ def test_directional_derivative_scale_invariance():
 def test_directional_derivative_rejects_zero_direction():
     with pytest.raises(DomainError):
         directional_derivative(lambda x, y: x + y, (0.0, 0.0), (0.0, 0.0), 1e-6)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_verify_derivative_rejects_non_finite_point(bad):
+    def f(x):
+        raise AssertionError("evaluated")
+
+    with pytest.raises(DomainError, match="point a must be finite"):
+        verify_derivative(f, f, bad)

@@ -5,6 +5,7 @@ import pytest
 
 from calcverify import (
     DomainError,
+    as_function,
     EvalDomainError,
     ParseError,
     cordic_sincos,
@@ -244,3 +245,52 @@ def test_round_trip_printing():
                 continue
             assert evaluate(again, bindings) == expected
             binding_sets += 1
+
+
+# --- depth ----------------------------------------------------------------
+
+
+def test_flat_sum_of_100000_terms_evaluates_and_prints():
+    e = Var("x", 0)
+    for i in range(1, 100000):  # the left-deep tree parse builds for x+x+...+x
+        e = BinOp("+", e, Var("x", 2 * i), 2 * i - 1)
+    assert evaluate(e, {"x": 1.0}) == 100000.0
+    assert as_function(e, ["x"])(0.5) == 50000.0
+    assert to_string(e) == "+".join(["x"] * 100000)
+
+
+def test_deep_negation_chain_built_from_nodes():
+    e = Var("x", 0)
+    for _ in range(5000):
+        e = Neg(e, 0)
+    assert evaluate(e, {"x": 3.0}) == 3.0
+    assert as_function(e, ["x"])(3.0) == 3.0
+    assert to_string(e) == "-" * 5000 + "x"
+
+
+@pytest.mark.parametrize("prefix, suffix", [("(", ")"), ("-", ""), ("2^", ""), ("sin(", ")")])
+def test_nesting_cap(prefix, suffix):
+    parse(prefix * 100 + "x" + suffix * 100, ["x"])
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(prefix * 101 + "x" + suffix * 101, ["x"])
+
+
+def test_as_function_with_too_few_values_is_unbound_variable():
+    f = as_function(parse("x + y", ["x", "y"]), ["x", "y"])
+    with pytest.raises(EvalDomainError, match="unbound variable 'y' at offset 4"):
+        f(1.0)
+
+
+def test_first_error_from_the_left_wins():
+    e = parse("1/0 + ln(0-1)", ["x"])
+    with pytest.raises(EvalDomainError, match="division by zero at offset 1"):
+        evaluate(e, {"x": 0.0})
+    e = parse("y + 1/0", ["x", "y"])
+    with pytest.raises(EvalDomainError, match="unbound variable 'y' at offset 0"):
+        as_function(e, ["x"])(0.0)
+
+
+def test_zero_division_in_a_swapped_function_is_not_a_domain_error():
+    e = parse("1 + sin(x)", ["x"])
+    with pytest.raises(ZeroDivisionError):
+        evaluate(e, {"x": 0.0}, functions={"sin": lambda t: 1 / t})

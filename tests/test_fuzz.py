@@ -35,3 +35,31 @@ def test_every_expression_ends_in_a_documented_exit_status(cache, command, text)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv_for(command, text, cache))
     assert code in (0, 1, 2), (code, err.getvalue())
+
+
+WRAPPERS = [("(", ")"), ("-", ""), ("2^", ""), ("sin(", ")")]
+
+
+def deep_argv(command, text, cache):
+    # "--" keeps argparse from reading a leading '-' as an option
+    if command == "integrate":
+        return ["integrate", "--n", "2", "--cache", cache, "--", text, "x", "0", "1"]
+    if command == "diffcheck":
+        return ["diffcheck", "--", text, text, "0.5"]
+    return ["solve", "--x0", "0.5", "--", text]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    command=st.sampled_from(["integrate", "diffcheck", "solve"]),
+    wrapper=st.sampled_from(WRAPPERS),
+    depth=st.integers(1, 5000),
+    core=EXPRESSIONS,
+)
+def test_deep_nesting_ends_in_a_documented_exit_status(cache, command, wrapper, depth, core):
+    text = wrapper[0] * depth + core + wrapper[1] * depth
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(deep_argv(command, text, cache))
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -228,3 +228,17 @@ def test_convergence_table_validation():
         convergence_table(math.exp, 0.0, 1.0, [], 1.0)
     with pytest.raises(DomainError):
         convergence_table(math.exp, 0.0, 1.0, [4, 2], 1.0)
+
+
+def test_weighted_term_and_sum_overflow_are_numeric_errors():
+    # each value is finite; its weighted term, or the sum of the terms, is not
+    with pytest.raises(NumericError, match="overflows at node"):
+        integrate_1d(lambda x: x * 1e8, 0.0, 1e300, 2)
+    with pytest.raises(NumericError, match="overflows at node"):
+        integrate_box(lambda x, y: x * y * 1e8, Box((0, 0), (1e300, 1)), 2)
+    with pytest.raises(NumericError, match="sum of the weighted integrand values overflows"):
+        integrate_1d(lambda x: 1.5e308, 0.0, 2.0, 2)
+    with pytest.raises(NumericError, match="sum of the weighted integrand values overflows"):
+        integrate_box(lambda x, y: 1.5e308, Box((0, 0), (1, 2)), 2)
+    with pytest.raises(NumericError, match="non-finite value inf"):
+        integrate_1d(lambda x: float("inf"), 0.0, 1e300, 2)

@@ -123,3 +123,18 @@ def test_shift_by_c_matches_shifted_function_bitwise():
     a = secant_solve(f, 0.75, 1.2, 1.9)
     b = secant_solve(shifted, 0.0, 1.2, 1.9)
     assert a.root == b.root and a.iterations == b.iterations
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_start_or_target_rejected_before_evaluating(bad):
+    def f(x):
+        raise AssertionError("evaluated")
+
+    with pytest.raises(DomainError, match="x0 must be finite"):
+        newton_solve(f, 0.0, bad)
+    with pytest.raises(DomainError, match="c must be finite"):
+        newton_solve(f, bad, 1.0)
+    with pytest.raises(DomainError, match="x1 must be finite"):
+        secant_solve(f, 0.0, 1.0, bad)
+    with pytest.raises(DomainError, match="c must be finite"):
+        secant_solve(f, bad, 1.0, 2.0)

@@ -20,10 +20,6 @@ from . import cordic, diffcheck, expr, quadrature, solvers, tables
 from .errors import CapabilityError, DomainError, NumericError, TableError
 
 
-class _CliError(Exception):
-    """A usage error caught after argument parsing (exit status 2)."""
-
-
 def _caret(source: str, offset: int, message: str) -> str:
     offset = max(0, min(offset, len(source)))
     return f"{message}\n  {source}\n  {' ' * offset}^"
@@ -33,29 +29,23 @@ def _compile(text: str, variables: Sequence[str]) -> Callable[..., float]:
     try:
         f = expr.as_function(expr.parse(text, variables), variables)
     except expr.ParseError as pe:
-        raise _CliError(_caret(text, pe.offset, str(pe))) from None
+        raise DomainError(_caret(text, pe.offset, str(pe))) from None
 
     def checked(*values: float) -> float:
         try:
             return f(*values)
         except expr.EvalDomainError as ee:
-            raise _CliError(_caret(text, ee.offset, str(ee))) from None
+            raise DomainError(_caret(text, ee.offset, str(ee))) from None
 
     return checked
 
 
 def _json_scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
     if isinstance(v, float):
         return f"{v:.17g}"
-    if isinstance(v, str):
-        return json.dumps(v)
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_scalar(x) for x in v) + "]"
-    raise TypeError(f"unsupported json value {v!r}")
+    return json.dumps(v)
 
 
 def _emit(fields: dict, as_json: bool) -> None:
@@ -75,7 +65,7 @@ def _emit(fields: dict, as_json: bool) -> None:
 def _cmd_integrate(args) -> int:
     triplets = args.axes
     if len(triplets) % 3 != 0 or not 1 <= len(triplets) // 3 <= 3:
-        raise _CliError("expected 1 to 3 axis triplets: VAR LO HI")
+        raise DomainError("expected 1 to 3 axis triplets: VAR LO HI")
     names, lo, hi = [], [], []
     for k in range(0, len(triplets), 3):
         names.append(triplets[k])
@@ -83,7 +73,7 @@ def _cmd_integrate(args) -> int:
             lo.append(float(triplets[k + 1]))
             hi.append(float(triplets[k + 2]))
         except ValueError:
-            raise _CliError(f"bounds for {triplets[k]!r} are not numbers") from None
+            raise DomainError(f"bounds for {triplets[k]!r} are not numbers") from None
     f = _compile(args.expression, names)
     rule = tables.get_or_build(args.cache or tables.default_cache_path(), args.n)
     if len(names) == 1:
@@ -124,7 +114,7 @@ def _cmd_solve(args) -> int:
         )
     else:
         if args.x1 is None:
-            raise _CliError("the secant method requires --x1")
+            raise DomainError("the secant method requires --x1")
         result = solvers.secant_solve(
             f, args.c, args.x0, args.x1, tol=args.tol, max_iters=args.max_iters
         )
@@ -249,7 +239,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, CapabilityError, _CliError) as exc:
+    except (DomainError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TableError as exc:

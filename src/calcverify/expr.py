@@ -8,7 +8,7 @@ Grammar (whitespace insignificant):
     power  := atom ('^' factor)?          -- right-associative, so
                                              2^3^2 = 512 and -x^2 = -(x^2)
     atom   := number | name | name '(' expr ')' | '(' expr ')'
-    number := digits ['.' digits] [('e'|'E') ['+'|'-'] digits]
+    number := (digits ['.' [digits]] | '.' digits) [('e'|'E') ['+'|'-'] digits]
     digits := one or more ASCII 0-9; the literal must be a finite double
 
 A name followed by '(' must be one of the builtins sin, cos, tan, exp,
@@ -237,14 +237,7 @@ class _Parser:
                         tok.offset,
                         "one of " + ", ".join(BUILTIN_FUNCTIONS),
                     )
-                self._advance()
-                arg = self._expr()
-                if not self._at_op(")"):
-                    raise ParseError(
-                        "unbalanced parenthesis", self.cur.offset, "')'"
-                    )
-                self._advance()
-                return Call(tok.text, arg, tok.offset)
+                return Call(tok.text, self._parenthesized(), tok.offset)
             if tok.text not in self.variables:
                 raise ParseError(
                     f"unknown variable '{tok.text}'",
@@ -253,17 +246,21 @@ class _Parser:
                 )
             return Var(tok.text, tok.offset)
         if self._at_op("("):
-            self._advance()
-            e = self._expr()
-            if not self._at_op(")"):
-                raise ParseError("unbalanced parenthesis", self.cur.offset, "')'")
-            self._advance()
-            return e
+            return self._parenthesized()
         raise ParseError(
             "expected a value",
             tok.offset,
             "a number, variable, function call, or '('",
         )
+
+    def _parenthesized(self) -> Expr:
+        # reads '(' expr ')' from the current '('
+        self._advance()
+        e = self._expr()
+        if not self._at_op(")"):
+            raise ParseError("unbalanced parenthesis", self.cur.offset, "')'")
+        self._advance()
+        return e
 
 
 def parse(source: str, variables: Sequence[str]) -> Expr:
@@ -372,24 +369,36 @@ _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _NEG_PREC = 25
 
 
-def _operand(text: str, prec: int, outer: int, tight: bool) -> str:
-    return f"({text})" if prec < outer or (prec == outer and tight) else text
-
-
 def to_string(e: Expr) -> str:
-    """Render with the fewest parentheses that reparse to the same tree."""
-    stack: list[tuple[str, int]] = []  # (text, precedence of its top node)
-    for node in _postorder(e):
+    """Render with the fewest parentheses that reparse to the same tree.
+
+    One top-down pass without recursion: the stack holds literal text
+    and (node, outer precedence, parenthesize on a tie) items, and each
+    piece of output is appended once, so the time is linear in the size.
+    """
+    out: list[str] = []
+    todo: list = [(e, 0, False)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, outer, tie = item
+        prec = _PREC[node.op] if isinstance(node, BinOp) else _NEG_PREC if isinstance(node, Neg) else 100
+        if prec < outer or (prec == outer and tie):
+            out.append("(")
+            todo.append(")")
         if isinstance(node, Num):
-            stack.append((repr(node.value) if node.value >= 0 else f"({node.value!r})", 100))
+            out.append(repr(node.value) if node.value >= 0 else f"({node.value!r})")
         elif isinstance(node, Var):
-            stack.append((node.name, 100))
+            out.append(node.name)
         elif isinstance(node, Neg):
-            stack.append(("-" + _operand(*stack.pop(), _NEG_PREC, False), _NEG_PREC))
+            out.append("-")
+            todo.append((node.operand, _NEG_PREC, False))
         elif isinstance(node, BinOp):
-            p, tight = _PREC[node.op], node.op == "^"  # ^ groups right, the others left
-            right, left = stack.pop(), stack.pop()
-            stack.append((_operand(*left, p, tight) + node.op + _operand(*right, p, not tight), p))
+            groups_right = node.op == "^"  # the others group left
+            todo += ((node.right, prec, not groups_right), node.op, (node.left, prec, groups_right))
         else:
-            stack.append((f"{node.func}({stack.pop()[0]})", 100))
-    return stack[0][0]
+            out.append(node.func + "(")
+            todo += (")", (node.arg, 0, False))
+    return "".join(out)

@@ -74,8 +74,6 @@ def poly_eval(p: Polynomial, x: float) -> float:
 
 def poly_derivative(p: Polynomial) -> Polynomial:
     """Termwise derivative of ``p``."""
-    if p.degree == 0:
-        return Polynomial((0.0,))
     return Polynomial(tuple((i + 1) * c for i, c in enumerate(p.coeffs[1:])))
 
 

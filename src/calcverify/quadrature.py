@@ -63,15 +63,6 @@ class Box:
 
 
 @lru_cache(maxsize=None)
-def _rule_data(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    pos_weights = [gauss_weight(n, x) for x in positive_roots_fixed(n)]
-    weights = list(reversed(pos_weights))
-    if n % 2 == 1:
-        weights.append(gauss_weight(n, 0))
-    weights.extend(pos_weights)
-    return legendre_roots(n).roots, tuple(weights)
-
-
 def gauss_rule(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule via the closed-form weights.
 
@@ -81,8 +72,12 @@ def gauss_rule(n: int) -> QuadratureRule:
     """
     if not 1 <= n <= MAX_POINTS:
         raise CapabilityError(f"point count must be in 1..{MAX_POINTS}, got {n}")
-    nodes, weights = _rule_data(n)
-    return QuadratureRule(n=n, nodes=nodes, weights=weights)
+    pos_weights = [gauss_weight(n, x) for x in positive_roots_fixed(n)]
+    weights = list(reversed(pos_weights))
+    if n % 2 == 1:
+        weights.append(gauss_weight(n, 0))
+    weights.extend(pos_weights)
+    return QuadratureRule(n=n, nodes=legendre_roots(n).roots, weights=tuple(weights))
 
 
 def gauss_weights_linear_system(nodes: RootSet | Sequence[float]) -> tuple[float, ...]:
@@ -174,9 +169,9 @@ def apply_rule_box(rule: QuadratureRule, f: Integrand, box: Box) -> float:
         axes.append([(jac * x + mid, jac * w) for x, w in zip(rule.nodes, rule.weights)])
     terms = []
     for combo in itertools.product(*axes):
-        point = tuple(c[0] for c in combo)
+        point, weights = zip(*combo)
         v = f(*point)
-        term = math.prod(c[1] for c in combo) * v
+        term = math.prod(weights) * v
         if not math.isfinite(term):
             raise _term_error(v, point)
         terms.append(term)

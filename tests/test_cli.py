@@ -293,3 +293,23 @@ def test_non_finite_point_or_start_rejected(capsys, argv, needle):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and needle in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, needle",
+    [
+        # after "--" every token is positional, so '-' may start an expression or a bound
+        (("integrate", "--", "-x^2", "x", "0", "1"), 0, "-0.3333333333\n", ""),
+        (("integrate", "--", "x", "x", "-1e0", "1"), 0, "0\n", ""),
+        # an option value that starts with '-' goes in the '=' form
+        (("solve", "x^2 - 2", "--x0", "1", "--tol=-1e-10"), 2, "", "error: tolerance must be positive"),
+        # without them argparse reads the token as an option
+        (("integrate", "-x^2", "x", "0", "1"), 2, "", "unrecognized arguments: -x^2"),
+        (("integrate", "x", "x", "-1e0", "1"), 2, "", "unrecognized arguments: -1e0 1"),
+        (("solve", "x^2 - 2", "--x0", "1", "--tol", "-1e-10"), 2, "", "argument --tol: expected one argument"),
+    ],
+)
+def test_leading_minus_arguments(capsys, argv, code, out, needle):
+    got = run(capsys, *argv)
+    assert got[:2] == (code, out)
+    assert needle in got[2]

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -44,6 +45,9 @@ def test_numbers():
     assert ev("2.") == 2.0
     assert ev(".5") == 0.5
     assert ev("1e-3") == 0.001
+    assert ev("1.") == 1.0
+    assert ev("1.e1") == 10.0
+    assert ev(".5E+1") == 5.0
 
 
 def test_functions():
@@ -266,6 +270,22 @@ def test_deep_negation_chain_built_from_nodes():
     assert evaluate(e, {"x": 3.0}) == 3.0
     assert as_function(e, ["x"])(3.0) == 3.0
     assert to_string(e) == "-" * 5000 + "x"
+
+
+def test_printing_is_linear_in_the_tree_size():
+    n = 200000
+    flat = Var("x", 0)
+    for i in range(1, n):  # x+x+...+x, left-deep
+        flat = BinOp("+", flat, Var("x", 2 * i), 2 * i - 1)
+    chain = Var("x", 0)
+    for _ in range(n):  # 2^(2^(...x)), right-deep
+        chain = BinOp("^", Num(2.0, 0), chain, 0)
+    start = time.process_time()
+    assert to_string(flat) == "+".join(["x"] * n)
+    assert to_string(chain) == "".join(["2.0^"] * n) + "x"
+    # ~1 s of CPU in all when each piece of text is written once; a
+    # printer that re-copies the text built so far needs ~8 s
+    assert time.process_time() - start < 5.0
 
 
 @pytest.mark.parametrize("prefix, suffix", [("(", ")"), ("-", ""), ("2^", ""), ("sin(", ")")])

@@ -63,3 +63,38 @@ def test_deep_nesting_ends_in_a_documented_exit_status(cache, command, wrapper, 
         code = main(deep_argv(command, text, cache))
     assert code in (0, 1, 2), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+OPTIONS = [
+    "-h", "--help", "--json", "--n", "--cache", "--var", "--h", "--tol-abs", "--tol-rel",
+    "--tol", "--c", "--method", "--x0", "--x1", "--fprime", "--max-iters", "--iters",
+]
+NUMBERS = ["0", "-1", "-1e0", "64", "65", "1e308", "1e999", "nan", "inf", "1e-320"]
+WORDS = ["x", "y", "x^2 - 2", "-x^2", "1/x", "sin(x)*y", "newton", "secant"]
+# relative to the temporary directory the test runs in
+CACHES = ["cache.gausstab", "sub/cache.gausstab", ".", "nodes.txt/x"]
+ARGV_POOL = OPTIONS + ["--", "--n=3", "--tol=-1"] + NUMBERS + WORDS + CACHES
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    # every path the CLI may write, by --cache, a positional or the
+    # environment, lands in one temporary directory
+    root = tmp_path_factory.mktemp("argv")
+    (root / "nodes.txt").write_text("not a directory\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        mp.setenv("CALCVERIFY_CACHE", str(root / "env.gausstab"))
+        yield root
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    command=st.sampled_from(["integrate", "diffcheck", "antideriv", "solve", "nodes", "cordic"]),
+    tokens=st.lists(st.sampled_from(ARGV_POOL), max_size=8),
+)
+def test_every_argv_ends_in_a_documented_exit_status(argv_dir, command, tokens):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, *tokens])
+    assert code in (0, 1, 2), (code, err.getvalue())

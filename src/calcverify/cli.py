@@ -35,7 +35,9 @@ def _compile(text: str, variables: Sequence[str]) -> Callable[..., float]:
         try:
             return f(*values)
         except expr.EvalDomainError as ee:
-            raise DomainError(_caret(text, ee.offset, str(ee))) from None
+            # overflow and non-finite values are numeric failures (exit 1)
+            kind = NumericError if ee.overflow else DomainError
+            raise kind(_caret(text, ee.offset, str(ee))) from None
 
     return checked
 

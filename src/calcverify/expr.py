@@ -15,8 +15,15 @@ A name followed by '(' must be one of the builtins sin, cos, tan, exp,
 ln, sqrt, abs; any other name is a variable and must be declared.
 Implicit multiplication is rejected: write 2*x, not 2x.  Each '(',
 call, unary '-' and '^' exponent nests one level; past 100 levels the
-parser raises ParseError.  Evaluation and printing use an explicit
-stack, so they work at any depth.
+parser raises ParseError.  Printing and the checked evaluator use an
+explicit stack, so they work at any depth.
+
+``evaluate`` compiles each tree to one Python function the first time
+it sees the tree, in the manner of SymPy's ``lambdify``: one statement
+per node, so depth does not matter either.  The function is kept on the
+tree.  Trees over ``_MAX_COMPILED_NODES`` nodes, and any point where the
+compiled code raises or meets a non-finite value, run the checked
+interpreter, so values and errors are exactly the interpreter's.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import CalcVerifyError, DomainError
@@ -32,6 +40,9 @@ BUILTIN_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
 # the parser recurses a few frames per level; this keeps it far from
 # Python's default recursion limit of 1000
 _MAX_NESTING = 100
+# generating code costs ~10 us a node, so a tree past this size is
+# interpreted: a 100 000-term sum evaluated once would wait ~2 s for it
+_MAX_COMPILED_NODES = 1000
 # str.isdigit() also accepts '²', which float() rejects, and '١', which it reads as 1
 _DIGITS = "0123456789"
 
@@ -63,33 +74,56 @@ class ParseError(CalcVerifyError):
 
 
 class EvalDomainError(DomainError):
-    """Evaluation left the real domain; ``offset`` locates the culprit node."""
+    """Evaluation left the real domain; ``offset`` locates the culprit node.
 
-    def __init__(self, message: str, offset: int):
+    ``overflow`` is true when a value overflowed or came out non-finite,
+    a numeric failure rather than a point outside a function's domain.
+    """
+
+    def __init__(self, message: str, offset: int, overflow: bool = False):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
+        self.overflow = overflow
+
+
+class _Node:
+    # what evaluate derives from a tree, kept in the instance __dict__
+    # (which frozen dataclasses leave writable) and out of eq, hash and repr
+
+    @cached_property
+    def _order(self) -> list["Expr"]:
+        return _postorder(self)
+
+    @cached_property
+    def _program(self) -> Optional[Callable]:
+        order = self._order
+        return _generate(order) if len(order) <= _MAX_COMPILED_NODES else None
+
+    def __getstate__(self) -> dict:
+        # a generated function cannot be pickled; the fields are public names
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
     offset: int
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
     offset: int
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: "Expr"
     offset: int
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
@@ -97,7 +131,7 @@ class BinOp:
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     func: str
     arg: "Expr"
     offset: int
@@ -291,29 +325,13 @@ def _postorder(e: Expr) -> list[Expr]:
 
 
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": math.pow}
-_lowered: tuple = (None, [])  # (tree, post-order) of evaluate's latest tree, so as_function lowers once
 
 
-def evaluate(
-    e: Expr,
-    bindings: Mapping[str, float],
-    functions: Optional[Mapping[str, Callable[[float], float]]] = None,
-) -> float:
-    """Evaluate over real arithmetic.
-
-    Division by zero, ln of a non-positive value, sqrt of a negative,
-    0 raised to a negative power, and any non-finite intermediate all
-    raise EvalDomainError instead of propagating NaN/inf.  ``functions``
-    can swap builtin implementations (e.g. CORDIC-backed sin/cos).
-    """
-    global _lowered
-    lowered = _lowered  # one read: another thread may replace it
-    if lowered[0] is not e:
-        lowered = _lowered = (e, _postorder(e))
-    impls = _DEFAULT_IMPLS if functions is None else {**_DEFAULT_IMPLS, **functions}
+def _interpret(order: list[Expr], bindings: Mapping[str, float], impls: Mapping[str, Callable]) -> float:
+    # the checked evaluator: one stack loop over the post-order list
     stack: list[float] = []
     push, pop = stack.append, stack.pop
-    for node in lowered[1]:
+    for node in order:
         kind = type(node)
         if kind is Num:
             push(node.value)
@@ -333,9 +351,9 @@ def evaluate(
             except ValueError:
                 raise EvalDomainError(f"power {a!r} ^ {b!r} leaves the reals", node.offset) from None
             except OverflowError:
-                raise EvalDomainError("overflow", node.offset) from None
+                raise EvalDomainError("overflow", node.offset, overflow=True) from None
             if not math.isfinite(v):
-                raise EvalDomainError("non-finite result", node.offset)
+                raise EvalDomainError("non-finite result", node.offset, overflow=True)
             stack[-1] = v
         else:
             a = stack[-1]
@@ -344,11 +362,96 @@ def evaluate(
             except ValueError:
                 raise EvalDomainError(f"{node.func}({a!r}) is outside the real domain", node.offset) from None
             except OverflowError:
-                raise EvalDomainError(f"{node.func}({a!r}) overflows", node.offset) from None
+                raise EvalDomainError(f"{node.func}({a!r}) overflows", node.offset, overflow=True) from None
             if not math.isfinite(v):
-                raise EvalDomainError("non-finite result", node.offset)
+                raise EvalDomainError("non-finite result", node.offset, overflow=True)
             stack[-1] = v
     return stack[0]
+
+
+def _generate(order: list[Expr]) -> Optional[Callable]:
+    """Compile a post-order list to ``program(bindings, impls)``.
+
+    The program does the interpreter's arithmetic in the interpreter's
+    order, one statement per non-leaf node, and returns the value only
+    when every BinOp and Call result is finite; on any exception or a
+    failed check it returns None, and evaluate reruns the interpreter,
+    which raises the error.  Names, constants and function keys are
+    bound in the namespace, so no text from the tree reaches the source.
+    An operator outside the parser's set gets no program; the
+    interpreter raises KeyError when it reaches it.
+    """
+    ns: dict = {"_pow": math.pow, "_isfinite": math.isfinite}
+    loads: dict = {}  # variable name -> the local that holds its float
+    lines: list[str] = []
+    checked: list[str] = []
+    stack: list[str] = []  # the source of each value the interpreter's stack would hold
+    for i, node in enumerate(order):
+        kind = type(node)
+        if kind is Num:
+            ns[f"_c{i}"] = node.value
+            stack.append(f"_c{i}")
+            continue
+        if kind is Var:
+            if node.name not in loads:
+                j = len(loads)
+                loads[node.name] = f"_v{j}"
+                ns[f"_n{j}"] = node.name
+                lines.insert(j, f"_v{j} = float(_b[_n{j}])")
+            stack.append(loads[node.name])
+            continue
+        temp = f"_t{i}"
+        if kind is Neg:
+            lines.append(f"{temp} = -{stack.pop()}")
+        elif kind is BinOp:
+            if node.op not in _BINOPS:
+                return None
+            b, a = stack.pop(), stack.pop()
+            lines.append(f"{temp} = _pow({a}, {b})" if node.op == "^" else f"{temp} = {a} {node.op} {b}")
+            checked.append(temp)
+        else:
+            ns[f"_k{i}"] = node.func
+            lines.append(f"{temp} = _F[_k{i}]({stack.pop()})")
+            checked.append(temp)
+        stack.append(temp)
+    # a sum is non-finite when a term is; chunks keep compile() from nesting deeply
+    chunks = [" + ".join(checked[k : k + 64]) for k in range(0, len(checked), 64)]
+    if chunks:
+        lines.append("if " + " and ".join(f"_isfinite({c})" for c in chunks) + ":")
+        lines.append(f"    return {stack[0]}")
+    else:
+        lines.append(f"return {stack[0]}")
+    # on any exception the interpreter runs, and raises it again or the checked error
+    source = "def program(_b, _F):\n    try:\n" + "".join(f"        {line}\n" for line in lines)
+    exec(source + "    except Exception:\n        pass\n", ns)
+    return ns["program"]
+
+
+def evaluate(
+    e: Expr,
+    bindings: Mapping[str, float],
+    functions: Optional[Mapping[str, Callable[[float], float]]] = None,
+) -> float:
+    """Evaluate over real arithmetic.
+
+    Division by zero, ln of a non-positive value, sqrt of a negative,
+    0 raised to a negative power, and any non-finite intermediate all
+    raise EvalDomainError instead of propagating NaN/inf; for overflow
+    and a non-finite result its ``overflow`` is true.  ``functions`` can
+    swap builtin implementations (e.g. CORDIC-backed sin/cos).
+
+    Each tree is compiled to Python code on its first evaluation and
+    the code is kept on the tree, so trees evaluated in turn (f and f')
+    each compile once.  A point where the code fails, and every point of
+    a tree over the node cap, runs the checked interpreter.
+    """
+    impls = _DEFAULT_IMPLS if functions is None else {**_DEFAULT_IMPLS, **functions}
+    program = e._program
+    if program is not None:
+        value = program(bindings, impls)
+        if value is not None:
+            return value
+    return _interpret(e._order, bindings, impls)
 
 
 def as_function(

@@ -8,7 +8,6 @@ the monomial moments), solved exactly over the rationals.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -168,13 +167,36 @@ def apply_rule_box(rule: QuadratureRule, f: Integrand, box: Box) -> float:
         mid = (b + a) / 2.0
         axes.append([(jac * x + mid, jac * w) for x, w in zip(rule.nodes, rule.weights)])
     terms = []
-    for combo in itertools.product(*axes):
-        point, weights = zip(*combo)
-        v = f(*point)
-        term = math.prod(weights) * v
-        if not math.isfinite(term):
-            raise _term_error(v, point)
-        terms.append(term)
+    append, isfinite = terms.append, math.isfinite
+    # one loop per axis, with the weight products hoisted; math.prod
+    # multiplies ((1*wx)*wy)*wz and 1*wx is exactly wx, so the bits match it
+    if len(axes) == 1:
+        for x, wx in axes[0]:
+            v = f(x)
+            term = wx * v
+            if not isfinite(term):
+                raise _term_error(v, (x,))
+            append(term)
+    elif len(axes) == 2:
+        ax, ay = axes
+        for x, wx in ax:
+            for y, wy in ay:
+                v = f(x, y)
+                term = wx * wy * v
+                if not isfinite(term):
+                    raise _term_error(v, (x, y))
+                append(term)
+    else:
+        ax, ay, az = axes
+        for x, wx in ax:
+            for y, wy in ay:
+                wxy = wx * wy
+                for z, wz in az:
+                    v = f(x, y, z)
+                    term = wxy * wz * v
+                    if not isfinite(term):
+                        raise _term_error(v, (x, y, z))
+                    append(term)
     return _fsum(terms)
 
 

@@ -280,6 +280,31 @@ def test_integrate_scaled_overflow_is_numeric_error(capsys, argv, needle):
 
 
 @pytest.mark.parametrize(
+    "text, hi, message, offset",
+    [
+        ("1e300*1e300", "1", "non-finite result", 5),
+        ("exp(x)", "1000", "exp(755.4335009754136) overflows", 0),
+        ("1e308*x*10", "1", "non-finite result", 7),
+    ],
+)
+def test_integrand_overflow_is_numeric_error(capsys, text, hi, message, offset):
+    # README: a non-finite evaluation exits 1; the caret text is unchanged
+    code, out, err = run(capsys, "integrate", text, "x", "0", hi)
+    assert (code, out) == (1, "")
+    assert err == f"numeric error: {message} at offset {offset}\n  {text}\n  {' ' * offset}^\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("1/(x-x)", "division by zero"), ("ln(0-x)", "is outside the real domain"), ("(0-x)^0.5", "leaves the reals")],
+)
+def test_real_domain_violation_stays_exit_two(capsys, text, message):
+    code, out, err = run(capsys, "integrate", text, "x", "0", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err.splitlines()[0]
+
+
+@pytest.mark.parametrize(
     "argv, needle",
     [
         (("diffcheck", "x", "1", "nan"), "point a must be finite"),

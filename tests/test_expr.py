@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import time
 
@@ -12,9 +13,12 @@ from calcverify import (
     cordic_sincos,
     cordic_table,
     evaluate,
+    newton_solve,
     parse,
     to_string,
+    verify_derivative,
 )
+from calcverify import expr
 from calcverify.expr import BinOp, Call, Neg, Num, Var
 
 
@@ -314,3 +318,128 @@ def test_zero_division_in_a_swapped_function_is_not_a_domain_error():
     e = parse("1 + sin(x)", ["x"])
     with pytest.raises(ZeroDivisionError):
         evaluate(e, {"x": 0.0}, functions={"sin": lambda t: 1 / t})
+
+
+# --- compiled evaluation -------------------------------------------------
+
+
+def _outcome(call):
+    try:
+        v = call()
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return f"{type(exc).__name__} {exc}"
+    return f"{type(v).__name__} {float(v).hex()}"
+
+
+def test_compiled_evaluation_matches_the_interpreter():
+    # evaluate runs each tree's generated code and falls back to the
+    # interpreter per point; both routes must give the same bits or errors
+    swapped = {
+        "sin": math.cos,
+        "ln": math.log2,
+        "sqrt": lambda t: math.sqrt(t) if t < 2 else math.log(-t),
+        "abs": int,
+        "exp": lambda t: 1 / t,
+    }
+    odd = {"cos": lambda t: "text", "tan": lambda t: None}
+    rng = random.Random(6061)
+    compiled = values = 0
+    for _ in range(1000):
+        tree = random_tree(rng, 6)
+        order = expr._postorder(tree)
+        for bindings, functions in (
+            ({"x": rng.uniform(-3, 3), "y": rng.uniform(-3, 3)}, None),
+            ({"x": rng.uniform(-3, 3), "y": rng.uniform(-3, 3)}, swapped),
+            ({"x": rng.uniform(-3, 3), "y": rng.uniform(-3, 3)}, odd),
+            ({"x": 0.0, "y": -1.0}, None),
+            ({"x": 1e155, "y": -1e300}, None),
+            ({"x": 3, "y": "0.5"}, None),
+            ({"x": math.nan, "y": 2.0}, None),
+            ({"x": math.inf, "y": 2.0}, None),
+            ({"x": "abc", "y": 1.0}, None),
+            ({"x": 1.5}, None),
+        ):
+            impls = {**expr._DEFAULT_IMPLS, **(functions or {})}
+            expected = _outcome(lambda: expr._interpret(order, bindings, impls))
+            assert _outcome(lambda: evaluate(tree, bindings, functions)) == expected
+            if not expected.startswith(("float ", "int ")):
+                continue
+            values += 1
+            value = tree._program(bindings, impls)
+            if value is not None:
+                assert _outcome(lambda: value) == expected
+                compiled += 1
+    # most values come from the generated code, not the fallback
+    assert values > 3000 and compiled > 0.95 * values
+
+
+def test_alternating_trees_generate_code_once_each(monkeypatch):
+    generated = []
+    generate = expr._generate
+    monkeypatch.setattr(expr, "_generate", lambda order: generated.append(order) or generate(order))
+    f = as_function(parse("x^3 - 2*x", ["x"]), ["x"])
+    fprime = as_function(parse("3*x^2 - 2", ["x"]), ["x"])
+    trees = []
+    evaluate = expr.evaluate
+    monkeypatch.setattr(expr, "evaluate", lambda e, *rest: trees.append(e) or evaluate(e, *rest))
+    assert newton_solve(f, 1.0, 2.0, fprime=fprime).converged
+    verify_derivative(f, fprime, 0.7)
+    switches = sum(a is not b for a, b in zip(trees, trees[1:]))
+    assert len(generated) == 2 and switches > 4
+
+
+def test_variables_named_like_generated_names():
+    names = ["_F", "_b", "_v0", "_t1", "_c0", "float", "_n0", "_k1", "_pow", "_isfinite", "program"]
+    values = {name: 1.0 + i / 8 for i, name in enumerate(names)}
+    text = "_F*_b + _v0 - _t1/_c0 + float^2 + sin(_n0) - _k1*_pow + _isfinite/program + 0.5"
+    v = values
+    expected = (
+        v["_F"] * v["_b"] + v["_v0"] - v["_t1"] / v["_c0"] + math.pow(v["float"], 2.0)
+        + math.sin(v["_n0"]) - v["_k1"] * v["_pow"] + v["_isfinite"] / v["program"] + 0.5
+    )
+    tree = parse(text, names)
+    assert tree._program is not None
+    assert evaluate(tree, values) == expected
+    assert as_function(tree, names)(*values.values()) == expected
+
+
+def test_a_late_non_finite_temp_fails_the_chunked_check():
+    # 200 finite partial sums, then y*y overflows and 1/(y*y) is 0, so
+    # only the last chunk of the finiteness check can see it
+    text = "+".join(["x"] * 200) + " + 1/(y*y)"
+    tree = parse(text, ["x", "y"])
+    bindings = {"x": 1.0, "y": 1e200}
+    assert tree._program(bindings, expr._DEFAULT_IMPLS) is None
+    with pytest.raises(EvalDomainError, match=f"non-finite result at offset {text.index('*')}") as info:
+        evaluate(tree, bindings)
+    assert info.value.overflow
+    assert evaluate(tree, {"x": 1.0, "y": 2.0}) == 200.25
+
+
+def test_trees_past_the_node_cap_are_interpreted():
+    small = parse("+".join(["x"] * 400), ["x"])
+    large = parse("+".join(["x"] * 600), ["x"])
+    assert small._program is not None and large._program is None
+    assert evaluate(small, {"x": 0.5}) == 200.0 and evaluate(large, {"x": 0.5}) == 300.0
+
+
+def test_evaluated_trees_compare_hash_and_pickle_as_before():
+    text = "sin(x)*y - 2^x"
+    tree = parse(text, ["x", "y"])
+    before = (repr(tree), hash(tree))
+    value = evaluate(tree, {"x": 0.3, "y": 1.5})
+    assert (repr(tree), hash(tree)) == before
+    assert tree == parse(text, ["x", "y"])
+    copy = pickle.loads(pickle.dumps(tree))
+    assert copy == tree and evaluate(copy, {"x": 0.3, "y": 1.5}) == value
+
+
+def test_overflow_errors_are_marked():
+    for text, x in (("exp(x)", 1e3), ("x*x", 1e200), ("x+1", math.nan), ("x^x", 1e3)):
+        with pytest.raises(EvalDomainError) as info:
+            evaluate(parse(text, ["x"]), {"x": x})
+        assert info.value.overflow, text
+    for text, x in (("1/x", 0.0), ("ln(x)", -1.0), ("sqrt(x)", -1.0), ("x^0.5", -1.0), ("y", 1.0)):
+        with pytest.raises(EvalDomainError) as info:
+            evaluate(parse(text, ["x", "y"]), {"x": x})
+        assert not info.value.overflow, text

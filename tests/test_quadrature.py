@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,13 +9,17 @@ from calcverify import (
     CapabilityError,
     DomainError,
     NumericError,
+    apply_rule_box,
+    as_function,
     convergence_table,
     gauss_rule,
     gauss_weights_linear_system,
     integrate_1d,
     integrate_box,
     legendre_roots,
+    parse,
 )
+from calcverify.quadrature import _fsum, _term_error
 
 
 def test_rule_examples():
@@ -242,3 +247,50 @@ def test_weighted_term_and_sum_overflow_are_numeric_errors():
         integrate_box(lambda x, y: 1.5e308, Box((0, 0), (1, 2)), 2)
     with pytest.raises(NumericError, match="non-finite value inf"):
         integrate_1d(lambda x: float("inf"), 0.0, 1e300, 2)
+
+
+def _apply_rule_box_reference(rule, f, box):
+    # the itertools.product loop that the per-axis loops replaced
+    axes = []
+    for a, b in zip(box.lo, box.hi):
+        jac = (b - a) / 2.0
+        mid = (b + a) / 2.0
+        axes.append([(jac * x + mid, jac * w) for x, w in zip(rule.nodes, rule.weights)])
+    terms = []
+    for combo in itertools.product(*axes):
+        point, weights = zip(*combo)
+        v = f(*point)
+        term = math.prod(weights) * v
+        if not math.isfinite(term):
+            raise _term_error(v, point)
+        terms.append(term)
+    return _fsum(terms)
+
+
+def _result(call):
+    try:
+        return call().hex()
+    except NumericError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_apply_rule_box_matches_the_product_loop_bit_for_bit(dims):
+    rng = random.Random(4400 + dims)
+    names = ["x", "y", "z"][:dims]
+    integrands = [
+        lambda *p: math.prod(p) + 1.0,
+        lambda *p: math.sin(sum(p)) * math.exp(-p[0] / 3),
+        as_function(parse("x^2*sin(" + names[-1] + ") - exp(" + "*".join(names) + ")/3", names), names),
+        lambda *p: 1e300 * p[-1] * 1e8,  # weighted term overflows at one point
+        lambda *p: math.inf if p[0] > 0.2 else 1.0,  # non-finite value
+        lambda *p: 1.5e308,  # the sum overflows
+    ]
+    for n in (1, 2, 5, 16):
+        rule = gauss_rule(n)
+        for _ in range(4):
+            lo = [rng.uniform(-2, 1) for _ in range(dims)]
+            box = Box(tuple(lo), tuple(a + rng.uniform(0.1, 3) for a in lo))
+            for f in integrands:
+                expected = _result(lambda: _apply_rule_box_reference(rule, f, box))
+                assert _result(lambda: apply_rule_box(rule, f, box)) == expected

@@ -10,8 +10,6 @@ digits in plain mode and 17 in --json mode.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import sys
 from typing import Callable, Optional, Sequence
@@ -47,12 +45,18 @@ def _json_scalar(v) -> str:
         return f"{v:.17g}"
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_scalar(x) for x in v) + "]"
+    import json  # only --json output needs it, so a plain call never loads it
+
     return json.dumps(v)
+
+
+def _record_fields(record) -> dict:
+    return {name: getattr(record, name) for name in record._fields}
 
 
 def _emit(fields: dict, as_json: bool) -> None:
     if as_json:
-        body = ", ".join(f"{json.dumps(k)}: {_json_scalar(v)}" for k, v in fields.items())
+        body = ", ".join(f"{_json_scalar(k)}: {_json_scalar(v)}" for k, v in fields.items())
         print("{" + body + "}")
         return
     for k, v in fields.items():
@@ -95,7 +99,7 @@ def _cmd_diffcheck(args) -> int:
     report = diffcheck.verify_derivative(
         f, fprime, args.point, h=args.h, tol_abs=args.tol_abs, tol_rel=args.tol_rel
     )
-    _emit(dataclasses.asdict(report), args.json)
+    _emit(_record_fields(report), args.json)
     return 0 if report.verdict == "pass" else 1
 
 
@@ -103,7 +107,7 @@ def _cmd_antideriv(args) -> int:
     f = _compile(args.function, [args.var])
     antideriv = _compile(args.antiderivative, [args.var])
     report = diffcheck.verify_antiderivative(f, antideriv, args.a, args.b, n=args.n, tol=args.tol)
-    _emit(dataclasses.asdict(report), args.json)
+    _emit(_record_fields(report), args.json)
     return 0 if report.verdict == "pass" else 1
 
 
@@ -120,7 +124,7 @@ def _cmd_solve(args) -> int:
         result = solvers.secant_solve(
             f, args.c, args.x0, args.x1, tol=args.tol, max_iters=args.max_iters
         )
-    _emit(dataclasses.asdict(result), args.json)
+    _emit(_record_fields(result), args.json)
     if not result.converged:
         print(
             f"did not converge in {result.iterations} iterations; "
@@ -134,7 +138,7 @@ def _cmd_solve(args) -> int:
 def _cmd_nodes(args) -> int:
     rule = quadrature.gauss_rule(args.n)
     if args.json:
-        _emit(dataclasses.asdict(rule), True)
+        _emit(_record_fields(rule), True)
     else:
         sys.stdout.write(tables.dumps_tables([rule]))
     return 0

@@ -10,10 +10,10 @@ multiply is needed either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
+from ._record import Record
 from .errors import CapabilityError, DomainError
 
 MAX_ITERATIONS = 60
@@ -26,8 +26,7 @@ _PI_LO = 1.2246467991473532e-16
 _MAX_ARGUMENT = 1e15
 
 
-@dataclass(frozen=True)
-class CordicTable:
+class CordicTable(Record):
     """Precomputed arctangent ladder and the folded-in gain for K iterations."""
 
     iters: int

@@ -10,9 +10,9 @@ grows again, so h is fixed rather than auto-tuned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._record import Record
 from .errors import DomainError, NumericError
 from .quadrature import integrate_1d
 
@@ -21,8 +21,7 @@ DEFAULT_TOL_ABS = 1e-6
 DEFAULT_TOL_REL = 1e-6
 
 
-@dataclass(frozen=True)
-class DerivativeReport:
+class DerivativeReport(Record):
     point: float
     h: float
     analytic: float
@@ -32,8 +31,7 @@ class DerivativeReport:
     verdict: str  # "pass" | "fail"
 
 
-@dataclass(frozen=True)
-class AntiderivativeReport:
+class AntiderivativeReport(Record):
     a: float
     b: float
     ftc_value: float
@@ -50,18 +48,25 @@ def _eval_finite(f: Callable[[float], float], x: float) -> float:
     return v
 
 
+def _finite(v: float, quantity: str) -> float:
+    # differences of finite values can still overflow, and inf / inf is nan
+    if not math.isfinite(v):
+        raise NumericError(f"{quantity} is non-finite ({v!r})")
+    return v
+
+
 def central_diff(f: Callable[[float], float], a: float, h: float) -> float:
     """Slope of the secant through (a-h, f(a-h)) and (a+h, f(a+h))."""
     if not h > 0:
         raise DomainError(f"step h must be positive, got {h!r}")
-    return (_eval_finite(f, a + h) - _eval_finite(f, a - h)) / (2.0 * h)
+    return _finite((_eval_finite(f, a + h) - _eval_finite(f, a - h)) / (2.0 * h), "central difference")
 
 
 def one_sided_diff(f: Callable[[float], float], a: float, h: float) -> float:
     """Secant slope (f(a+h) - f(a)) / h; negative h gives the left secant."""
     if h == 0:
         raise DomainError("step h must be nonzero")
-    return (_eval_finite(f, a + h) - _eval_finite(f, a)) / h
+    return _finite((_eval_finite(f, a + h) - _eval_finite(f, a)) / h, "one-sided difference")
 
 
 def _check_tolerance(name: str, tol: float) -> None:
@@ -85,7 +90,7 @@ def verify_derivative(
         raise DomainError(f"point a must be finite, got {a!r}")
     numeric = central_diff(f, a, h)
     analytic = _eval_finite(fprime, a)
-    abs_diff = abs(analytic - numeric)
+    abs_diff = _finite(abs(analytic - numeric), "analytic - numeric")
     rel_diff = abs_diff / max(abs(analytic), 1.0)
     verdict = "pass" if (abs_diff <= tol_abs or rel_diff <= tol_rel) else "fail"
     return DerivativeReport(
@@ -111,9 +116,11 @@ def verify_antiderivative(
     _check_tolerance("tol", tol)
     if not a < b:
         raise DomainError(f"lower bound {a!r} is not below upper bound {b!r}")
-    ftc_value = _eval_finite(antiderivative, b) - _eval_finite(antiderivative, a)
+    ftc_value = _finite(
+        _eval_finite(antiderivative, b) - _eval_finite(antiderivative, a), "F(b) - F(a)"
+    )
     quad_value = integrate_1d(f, a, b, n)
-    abs_diff = abs(ftc_value - quad_value)
+    abs_diff = _finite(abs(ftc_value - quad_value), "F(b) - F(a) - quadrature value")
     return AntiderivativeReport(
         a=a,
         b=b,
@@ -151,7 +158,7 @@ def gradient(
             raise NumericError(
                 f"function returned non-finite value {v!r} bumping coordinate {k}"
             )
-        out.append((v - base) / h)
+        out.append(_finite((v - base) / h, f"difference quotient of coordinate {k}"))
     return tuple(out)
 
 

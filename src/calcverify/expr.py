@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
+from ._record import Record
 from .errors import CalcVerifyError, DomainError
 
 BUILTIN_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
@@ -86,9 +86,9 @@ class EvalDomainError(DomainError):
         self.overflow = overflow
 
 
-class _Node:
+class _Node(Record):
     # what evaluate derives from a tree, kept in the instance __dict__
-    # (which frozen dataclasses leave writable) and out of eq, hash and repr
+    # (which records leave writable) and out of eq, hash and repr
 
     @cached_property
     def _order(self) -> list["Expr"]:
@@ -104,25 +104,21 @@ class _Node:
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
-@dataclass(frozen=True)
 class Num(_Node):
     value: float
     offset: int
 
 
-@dataclass(frozen=True)
 class Var(_Node):
     name: str
     offset: int
 
 
-@dataclass(frozen=True)
 class Neg(_Node):
     operand: "Expr"
     offset: int
 
 
-@dataclass(frozen=True)
 class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
@@ -130,7 +126,6 @@ class BinOp(_Node):
     offset: int
 
 
-@dataclass(frozen=True)
 class Call(_Node):
     func: str
     arg: "Expr"
@@ -140,8 +135,7 @@ class Call(_Node):
 Expr = Union[Num, Var, Neg, BinOp, Call]
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUMBER | NAME | OP | END
     text: str
     offset: int

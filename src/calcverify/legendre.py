@@ -11,12 +11,14 @@ the emitted coefficients are correctly rounded regardless of degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
+from ._record import Record
 from .errors import CapabilityError, DomainError, NumericError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Monomial Gram-Schmidt is kept within a documented degree cap; the
 # recurrence route is authoritative beyond it.
@@ -34,8 +36,7 @@ _GRID_BITS = 120
 _GRID_SHIFT = _FIXED_BITS - _GRID_BITS
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Dense real polynomial; ``coeffs[i]`` multiplies ``x**i``.
 
     The trailing coefficient is nonzero unless the polynomial is
@@ -77,17 +78,12 @@ def poly_derivative(p: Polynomial) -> Polynomial:
     return Polynomial(tuple((i + 1) * c for i, c in enumerate(p.coeffs[1:])))
 
 
-def _moment(m: int) -> Fraction:
-    # integral of x^m over [-1, 1]
-    return Fraction(2, m + 1) if m % 2 == 0 else Fraction(0)
-
-
-def _inner_monomial(k: int, q: list[Fraction]) -> Fraction:
-    # <x^k, q> under the L2 inner product on [-1, 1]
-    return sum((c * _moment(i + k) for i, c in enumerate(q)), Fraction(0))
-
-
 def _gram_schmidt_exact(n: int) -> list[list[Fraction]]:
+    # the exact routes import fractions themselves, so a CLI start never does
+    from fractions import Fraction
+
+    # moment[m] is the integral of x^m over [-1, 1]
+    moment = [Fraction(2, m + 1) if m % 2 == 0 else Fraction(0) for m in range(2 * n + 1)]
     basis: list[list[Fraction]] = []
     norms: list[Fraction] = []
     for k in range(n + 1):
@@ -95,7 +91,8 @@ def _gram_schmidt_exact(n: int) -> list[list[Fraction]]:
         v[k] = Fraction(1)
         # project x^k onto each already-orthogonal predecessor
         for u, uu in zip(basis, norms):
-            coef = _inner_monomial(k, u) / uu
+            # <x^k, u> under the L2 inner product on [-1, 1]
+            coef = sum((c * moment[i + k] for i, c in enumerate(u)), Fraction(0)) / uu
             if coef:
                 for i, c in enumerate(u):
                     v[i] -= coef * c
@@ -104,7 +101,7 @@ def _gram_schmidt_exact(n: int) -> list[list[Fraction]]:
         basis.append(v)
         norms.append(
             sum(
-                (a * b * _moment(i + j) for i, a in enumerate(v) for j, b in enumerate(v)),
+                (a * b * moment[i + j] for i, a in enumerate(v) for j, b in enumerate(v)),
                 Fraction(0),
             )
         )
@@ -112,6 +109,8 @@ def _gram_schmidt_exact(n: int) -> list[list[Fraction]]:
 
 
 def _recurrence_exact(n: int) -> list[list[Fraction]]:
+    from fractions import Fraction
+
     polys = [[Fraction(1)]]
     if n >= 1:
         polys.append([Fraction(0), Fraction(1)])

@@ -9,11 +9,10 @@ the monomial moments), solved exactly over the rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
+from ._record import Record
 from .errors import CapabilityError, DomainError, NumericError
 from .legendre import RootSet, gauss_weight, legendre_roots, positive_roots_fixed
 
@@ -25,8 +24,7 @@ LINEAR_SYSTEM_MAX_POINTS = 20
 Integrand = Callable[..., float]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(Record):
     """An n-point rule on [-1, 1]: ascending interior nodes, positive weights."""
 
     n: int
@@ -34,8 +32,7 @@ class QuadratureRule:
     weights: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Axis-aligned integration domain in 1 to 3 dimensions."""
 
     lo: tuple[float, ...]
@@ -101,6 +98,8 @@ def gauss_weights_linear_system(nodes: RootSet | Sequence[float]) -> tuple[float
         raise DomainError("nodes must be finite")
     if len(set(xs)) != n:
         raise NumericError("nodes must be distinct (singular moment system)")
+    from fractions import Fraction  # the exact oracle alone needs it
+
     x = [Fraction(v) for v in xs]
     w = [Fraction(2, i + 1) if i % 2 == 0 else Fraction(0) for i in range(n)]
     # the two sweeps apply the lower, then the upper bidiagonal factors of V^-1

@@ -8,9 +8,9 @@ path as solving g(x) = 0 with g = f - c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ._record import Record
 from .diffcheck import central_diff
 from .errors import DomainError, NumericError
 
@@ -21,8 +21,7 @@ FD_STEP = 1e-7
 FLAT_SLOPE = 1e-14
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     root: float
     residual: float
     iterations: int

@@ -338,3 +338,18 @@ def test_leading_minus_arguments(capsys, argv, code, out, needle):
     got = run(capsys, *argv)
     assert got[:2] == (code, out)
     assert needle in got[2]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("diffcheck", "x", "1", "1", "--h", "1e308", "--json"), "central difference is non-finite (nan)"),
+        (("diffcheck", "x", "1", "1", "--h", "1e308"), "central difference is non-finite (nan)"),
+        (("antideriv", "0", "1e308*sin(x)", "-1.6", "1.6", "--json"), "F(b) - F(a) is non-finite (inf)"),
+        (("antideriv", "0", "1e308*sin(x)", "-1.6", "1.6"), "F(b) - F(a) is non-finite (inf)"),
+    ],
+)
+def test_overflowing_estimate_or_difference_is_numeric_error(capsys, argv, message):
+    # a bare nan or inf would be invalid JSON and a silently wrong number
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"numeric error: {message}\n")

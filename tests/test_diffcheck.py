@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -185,3 +186,30 @@ def test_verify_derivative_rejects_non_finite_point(bad):
 
     with pytest.raises(DomainError, match="point a must be finite"):
         verify_derivative(f, f, bad)
+
+
+def _step(x):
+    # finite everywhere, but its differences overflow
+    return 1e308 if x > 0 else -1e308
+
+
+@pytest.mark.parametrize(
+    "call, quantity",
+    [
+        (lambda: central_diff(lambda x: x, 1.0, 1e308), "central difference is non-finite (nan)"),
+        (lambda: central_diff(_step, 0.0, 1.0), "central difference is non-finite (inf)"),
+        (lambda: one_sided_diff(_step, -0.5, 1.0), "one-sided difference is non-finite (inf)"),
+        (lambda: gradient(lambda x, y: _step(y), (0.0, 0.0), 1.0), "quotient of coordinate 1 is non-finite"),
+        (lambda: verify_derivative(lambda x: x, lambda x: 1.0, 1.0, h=1e308), "central difference"),
+        (lambda: verify_derivative(lambda x: 1e308 * x, lambda x: -1e308, 1.0), "analytic - numeric"),
+        (lambda: verify_antiderivative(math.cos, lambda x: 1e308 * math.sin(x), -1.6, 1.6), "F(b) - F(a)"),
+        (
+            lambda: verify_antiderivative(lambda x: -1e308, lambda x: 1e308 * x, 0.0, 1.7),
+            "F(b) - F(a) - quadrature value is non-finite (inf)",
+        ),
+    ],
+)
+def test_non_finite_estimate_or_difference_is_numeric_error(call, quantity):
+    # a report never carries a bare inf or nan
+    with pytest.raises(NumericError, match=re.escape(quantity)):
+        call()

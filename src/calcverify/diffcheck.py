@@ -176,4 +176,8 @@ def directional_derivative(
     grad = gradient(f, point, h)
     if len(grad) != len(d):
         raise DomainError("direction and point dimensions differ")
-    return math.fsum(g * (v / norm) for g, v in zip(grad, d))
+    try:
+        # each term is finite, so fsum either returns a finite sum or raises
+        return math.fsum(g * (v / norm) for g, v in zip(grad, d))
+    except OverflowError:
+        raise NumericError("directional derivative overflows") from None

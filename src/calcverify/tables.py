@@ -48,6 +48,10 @@ def rule_violation(rule: QuadratureRule) -> str | None:
     for w in weights:
         if not w > 0.0:
             return f"non-positive weight {w!r}"
+        # positive weights summing to 2 each lie in (0, 2]; checked before
+        # the sums below, which a huge weight would overflow
+        if w > 2.0:
+            return f"weight {w!r} exceeds 2, the sum of all the weights"
     if abs(math.fsum(weights) - 2.0) > _SUM_TOL:
         return f"weights sum to {math.fsum(weights)!r}, not 2"
     if abs(math.fsum(w * x for w, x in zip(weights, nodes))) > _SUM_TOL:

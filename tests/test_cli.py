@@ -1,9 +1,10 @@
 import json
 import math
+import sys
 
 import pytest
 
-from calcverify import gauss_rule, load_tables
+from calcverify import expr, gauss_rule, load_tables
 from calcverify.cli import main
 
 
@@ -196,6 +197,31 @@ def test_integrate_rebuilds_cached_rule_that_is_not_gauss(capsys, tmp_path):
     assert float(out) == pytest.approx(2 / 3, rel=1e-9)
     assert "warning" in err and "not a Gauss rule" in err
     assert load_tables(cache)[2] == gauss_rule(2)
+
+
+def test_integrate_rebuilds_cache_whose_weights_overflow_a_sum(capsys, tmp_path):
+    cache = tmp_path / "huge.gausstab"
+    cache.write_text("GAUSSTAB 1\nN 2\n-0.5 1e308\n0.5 1e308\n")
+    code, out, err = run(capsys, "integrate", "x", "x", "0", "1", "--n", "2", "--cache", str(cache))
+    assert (code, out) == (0, "0.5\n")
+    assert err.startswith("warning: discarding corrupt rule cache") and "Traceback" not in err
+    assert load_tables(cache)[2] == gauss_rule(2)
+
+
+def test_one_closure_between_tensor_sum_and_evaluate(capsys, monkeypatch):
+    # the CLI's integrand calls expr.evaluate directly, so evaluate's
+    # caller is called straight from the tensor-product loop
+    real = expr.evaluate
+    callers = set()
+
+    def recorder(e, bindings, functions=None):
+        callers.add(sys._getframe(2).f_code.co_name)
+        return real(e, bindings, functions)
+
+    monkeypatch.setattr(expr, "evaluate", recorder)
+    code, out, _ = run(capsys, "integrate", "x*y", "x", "0", "1", "y", "0", "1", "--n", "3")
+    assert (code, out) == (0, "0.25\n")
+    assert callers == {"apply_rule_box"}
 
 
 @pytest.mark.parametrize(

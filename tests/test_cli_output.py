@@ -254,6 +254,37 @@ CASES = [
             "  ^\n"
         ),
     ),
+    # evaluation carets under the second expression of a command
+    (
+        ["diffcheck", "x", "1 + ln(x)", "-1"],
+        2,
+        "",
+        (
+            "error: ln(-1.0) is outside the real domain at offset 4\n"
+            "  1 + ln(x)\n"
+            "      ^\n"
+        ),
+    ),
+    (
+        ["antideriv", "x", "x + sqrt(x)", "-1", "1"],
+        2,
+        "",
+        (
+            "error: sqrt(-1.0) is outside the real domain at offset 4\n"
+            "  x + sqrt(x)\n"
+            "      ^\n"
+        ),
+    ),
+    (
+        ["solve", "x^2 - 2", "--x0", "1", "--fprime", "1/(x-1)"],
+        2,
+        "",
+        (
+            "error: division by zero at offset 1\n"
+            "  1/(x-1)\n"
+            "   ^\n"
+        ),
+    ),
 ]
 
 

@@ -213,3 +213,9 @@ def test_non_finite_estimate_or_difference_is_numeric_error(call, quantity):
     # a report never carries a bare inf or nan
     with pytest.raises(NumericError, match=re.escape(quantity)):
         call()
+
+
+def test_directional_derivative_overflowing_sum_is_numeric_error():
+    # every gradient component is finite, but their sum overflows fsum
+    with pytest.raises(NumericError, match="directional derivative overflows"):
+        directional_derivative(lambda x, y, z: 1.7e308 * max(x, y, z), (0, 0, 0), (1, 1, 1), 1.0)

@@ -1,4 +1,5 @@
-"""Fuzz the CLI exit-status contract: every input ends in 0, 1 or 2."""
+"""Fuzz the CLI exit-status contract (every input ends in 0, 1 or 2)
+and the rule cache (every hand-edited file yields the Gauss rule)."""
 
 import contextlib
 import io
@@ -8,8 +9,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from calcverify import gauss_rule, get_or_build
 from calcverify.cli import main
 from calcverify.expr import BUILTIN_FUNCTIONS
+from calcverify.tables import dumps_tables, gauss_violation
 
 PIECES = [*"0123456789.eE+-*/^()", " ", "x", "y", "²", "١", *BUILTIN_FUNCTIONS]
 EXPRESSIONS = st.lists(st.sampled_from(PIECES)).map("".join)
@@ -98,3 +101,37 @@ def test_every_argv_ends_in_a_documented_exit_status(argv_dir, command, tokens):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, *tokens])
     assert code in (0, 1, 2), (code, err.getvalue())
+
+
+CACHE_TOKENS = ["1e308", "-0", "nan", "inf", "1_0", "0.5", "-0.5", "1", "2"]
+
+
+def rule_rows(n):
+    return [line.split() for line in dumps_tables([gauss_rule(n)]).splitlines()[2:]]
+
+
+@st.composite
+def cache_texts(draw, k):
+    # blocks start as true rules and take edits of one cell or a whole
+    # column, so edited files get past the parser to the later checks
+    pool = CACHE_TOKENS + [token for row in rule_rows(k) for token in row]
+    lines = ["GAUSSTAB 1"]
+    for j in draw(st.lists(st.integers(1, 3), max_size=3)):
+        rows = rule_rows(j)
+        edit = st.tuples(st.integers(0, 1), st.none() | st.integers(0, j - 1), st.sampled_from(pool))
+        for column, row, token in draw(st.lists(edit, max_size=3)):
+            for r in range(j) if row is None else [row]:
+                rows[r][column] = token
+        lines += [f"N {j}", *(" ".join(row) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3))
+def test_every_hand_edited_cache_yields_the_gauss_rule(cache, data, k):
+    path = cache + ".edited"
+    with open(path, "w") as fh:
+        fh.write(data.draw(cache_texts(k)))
+    with contextlib.redirect_stderr(io.StringIO()):
+        rule = get_or_build(path, k)
+    assert rule.n == k and gauss_violation(rule) is None

@@ -105,6 +105,7 @@ def test_load_truncated_block_reports_line(tmp_path):
         ("N 1\n1.5 2\n", "interval"),
         ("N 2\n0.5 1\n-0.5 1\n", "ascending"),
         ("N 2\n-0.5 1.2\n0.6 0.8\n", "n=2"),
+        ("N 2\n-0.5 1e308\n0.5 1e308\n", "exceeds 2"),  # their sum overflows fsum
     ],
 )
 def test_load_invariant_violations(tmp_path, body, needle):

@@ -15,7 +15,7 @@ import sys
 from typing import Callable, Optional, Sequence
 
 from . import cordic, diffcheck, expr, quadrature, solvers, tables
-from .errors import CapabilityError, DomainError, NumericError, TableError
+from .errors import CapabilityError, DomainError, NumericError
 
 
 def _caret(source: str, offset: int, message: str) -> str:
@@ -250,9 +250,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (DomainError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TableError as exc:
-        print(f"table error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

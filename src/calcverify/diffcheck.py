@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 from ._record import Record
 from .errors import DomainError, NumericError
-from .quadrature import integrate_1d
+from .quadrature import _fsum, integrate_1d
 
 DEFAULT_H = 1e-4
 DEFAULT_TOL_ABS = 1e-6
@@ -55,10 +55,17 @@ def _finite(v: float, quantity: str) -> float:
     return v
 
 
-def central_diff(f: Callable[[float], float], a: float, h: float) -> float:
-    """Slope of the secant through (a-h, f(a-h)) and (a+h, f(a+h))."""
+def _check_step(h: float) -> None:
     if not h > 0:
         raise DomainError(f"step h must be positive, got {h!r}")
+    # an infinite step passes h > 0 but measures no slope
+    if h == math.inf:
+        raise DomainError(f"step h must be finite, got {h!r}")
+
+
+def central_diff(f: Callable[[float], float], a: float, h: float) -> float:
+    """Slope of the secant through (a-h, f(a-h)) and (a+h, f(a+h))."""
+    _check_step(h)
     return _finite((_eval_finite(f, a + h) - _eval_finite(f, a - h)) / (2.0 * h), "central difference")
 
 
@@ -66,13 +73,17 @@ def one_sided_diff(f: Callable[[float], float], a: float, h: float) -> float:
     """Secant slope (f(a+h) - f(a)) / h; negative h gives the left secant."""
     if h == 0:
         raise DomainError("step h must be nonzero")
+    if not math.isfinite(h):
+        raise DomainError(f"step h must be finite, got {h!r}")
     return _finite((_eval_finite(f, a + h) - _eval_finite(f, a)) / h, "one-sided difference")
 
 
 def _check_tolerance(name: str, tol: float) -> None:
-    # a negative (or NaN) tolerance would make every verdict "fail"
+    # a negative (or NaN) tolerance would make every verdict "fail", an infinite one "pass"
     if not tol >= 0:
         raise DomainError(f"{name} must be nonnegative, got {tol!r}")
+    if tol == math.inf:
+        raise DomainError(f"{name} must be finite, got {tol!r}")
 
 
 def verify_derivative(
@@ -142,8 +153,7 @@ def gradient(
     All components share one base evaluation f(point); component k uses
     f with only coordinate k bumped by +h.
     """
-    if not h > 0:
-        raise DomainError(f"step h must be positive, got {h!r}")
+    _check_step(h)
     p = tuple(float(v) for v in point)
     if len(p) < 1:
         raise DomainError("point must have at least one coordinate")
@@ -173,11 +183,9 @@ def directional_derivative(
     norm = math.hypot(*d)
     if norm == 0.0 or not math.isfinite(norm):
         raise DomainError("direction must have a nonzero finite norm")
-    grad = gradient(f, point, h)
-    if len(grad) != len(d):
+    if len(point) != len(d):
         raise DomainError("direction and point dimensions differ")
-    try:
-        # each term is finite, so fsum either returns a finite sum or raises
-        return math.fsum(g * (v / norm) for g, v in zip(grad, d))
-    except OverflowError:
-        raise NumericError("directional derivative overflows") from None
+    grad = gradient(f, point, h)
+    # each term is finite and no larger than its gradient component, so the
+    # sum is finite unless the exact sum overflows
+    return _fsum([g * (v / norm) for g, v in zip(grad, d)], "directional derivative")

@@ -122,11 +122,20 @@ def _term_error(v: float, node) -> NumericError:
     return NumericError(f"weighted integrand value {v!r} overflows at node {node!r}")
 
 
-def _fsum(terms) -> float:
+def _fsum(terms: list[float], subject: str = "the sum of the weighted integrand values") -> float:
     try:
         return math.fsum(terms)
     except OverflowError:
-        raise NumericError("the sum of the weighted integrand values overflows") from None
+        pass
+    # fsum raises when a partial sum overflows, though the exact sum may fit.
+    # Each finite term is an integer multiple of 2^-1074: sum those integers
+    # exactly and round once (scaling the floats by 2^-k instead would round
+    # terms below 2^(k-1022) and sums that cancel to such values).
+    exact = sum(n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, terms))
+    try:
+        return exact / (1 << 1074)
+    except OverflowError:
+        raise NumericError(f"{subject} overflows") from None
 
 
 def apply_rule(rule: QuadratureRule, f: Integrand, a: float, b: float) -> float:
@@ -216,6 +225,8 @@ def convergence_table(
         raise DomainError("orders must be nonempty")
     if any(n2 <= n1 for n1, n2 in zip(orders, orders[1:])):
         raise DomainError("orders must be strictly ascending")
+    if not math.isfinite(reference):
+        raise DomainError(f"reference must be finite, got {reference!r}")
     rows = []
     for n in orders:
         value = integrate_1d(f, a, b, n)

@@ -35,6 +35,15 @@ def _check_finite(**values: float) -> None:
             raise DomainError(f"{name} must be finite, got {v!r}")
 
 
+def _check_options(tol: float, max_iters: int) -> None:
+    if not tol > 0:
+        raise DomainError(f"tolerance must be positive, got {tol!r}")
+    # an infinite tolerance would call any start a root
+    _check_finite(tolerance=tol)
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be at least 1, got {max_iters!r}")
+
+
 def _residual_fn(f: Callable[[float], float], c: float) -> Callable[[float], float]:
     def g(x: float) -> float:
         r = f(x) - c
@@ -43,6 +52,28 @@ def _residual_fn(f: Callable[[float], float], c: float) -> Callable[[float], flo
         return r
 
     return g
+
+
+def _iterate(
+    g, slope, x: float, tol: float, max_iters: int, slope_name: str, method: str
+) -> SolveResult:
+    # x <- x - r / slope(x, r) from r = g(x): the methods differ only in the slope
+    r = g(x)
+    if abs(r) <= tol:
+        return SolveResult(root=x, residual=abs(r), iterations=0, converged=True)
+    for iteration in range(1, max_iters + 1):
+        s = slope(x, r)
+        if not math.isfinite(s):
+            raise NumericError(f"{slope_name} is non-finite at iterate {x!r}")
+        if abs(s) < FLAT_SLOPE:
+            raise NumericError(f"{slope_name} is flat ({s!r}) at iterate {x!r}")
+        x = x - r / s
+        if not math.isfinite(x):
+            raise NumericError(f"{method} iterate became non-finite")
+        r = g(x)
+        if abs(r) <= tol:
+            return SolveResult(root=x, residual=abs(r), iterations=iteration, converged=True)
+    return SolveResult(root=x, residual=abs(r), iterations=max_iters, converged=False)
 
 
 def newton_solve(
@@ -58,29 +89,15 @@ def newton_solve(
     Without an analytic ``fprime`` the slope falls back to a central
     difference with step 1e-7.
     """
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-    if max_iters < 1:
-        raise DomainError(f"max_iters must be at least 1, got {max_iters!r}")
+    _check_options(tol, max_iters)
     g = _residual_fn(f, c)
     x = float(x0)
     _check_finite(c=c, x0=x)
-    r = g(x)
-    if abs(r) <= tol:
-        return SolveResult(root=x, residual=abs(r), iterations=0, converged=True)
-    for iteration in range(1, max_iters + 1):
-        slope = fprime(x) if fprime is not None else central_diff(g, x, FD_STEP)
-        if not math.isfinite(slope):
-            raise NumericError(f"derivative is non-finite at iterate {x!r}")
-        if abs(slope) < FLAT_SLOPE:
-            raise NumericError(f"derivative is flat ({slope!r}) at iterate {x!r}")
-        x = x - r / slope
-        if not math.isfinite(x):
-            raise NumericError("Newton iterate became non-finite")
-        r = g(x)
-        if abs(r) <= tol:
-            return SolveResult(root=x, residual=abs(r), iterations=iteration, converged=True)
-    return SolveResult(root=x, residual=abs(r), iterations=max_iters, converged=False)
+
+    def slope(x: float, r: float) -> float:
+        return fprime(x) if fprime is not None else central_diff(g, x, FD_STEP)
+
+    return _iterate(g, slope, x, tol, max_iters, "derivative", "Newton")
 
 
 def secant_solve(
@@ -92,30 +109,18 @@ def secant_solve(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> SolveResult:
     """Secant iteration with the finite slope through the last two iterates."""
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-    if max_iters < 1:
-        raise DomainError(f"max_iters must be at least 1, got {max_iters!r}")
+    _check_options(tol, max_iters)
     if x0 == x1:
         raise DomainError("secant starts x0 and x1 must differ")
     g = _residual_fn(f, c)
     prev, cur = float(x0), float(x1)
     _check_finite(c=c, x0=prev, x1=cur)
-    r_prev, r_cur = g(prev), g(cur)
-    if abs(r_cur) <= tol:
-        return SolveResult(root=cur, residual=abs(r_cur), iterations=0, converged=True)
-    for iteration in range(1, max_iters + 1):
-        slope = (r_cur - r_prev) / (cur - prev)
-        if not math.isfinite(slope):
-            raise NumericError(f"secant slope is non-finite at iterate {cur!r}")
-        if abs(slope) < FLAT_SLOPE:
-            raise NumericError(f"secant slope is flat ({slope!r}) at iterate {cur!r}")
-        nxt = cur - r_cur / slope
-        if not math.isfinite(nxt):
-            raise NumericError("secant iterate became non-finite")
-        prev, r_prev = cur, r_cur
-        cur = nxt
-        r_cur = g(cur)
-        if abs(r_cur) <= tol:
-            return SolveResult(root=cur, residual=abs(r_cur), iterations=iteration, converged=True)
-    return SolveResult(root=cur, residual=abs(r_cur), iterations=max_iters, converged=False)
+    last = [prev, g(prev)]
+
+    def chord(x: float, r: float) -> float:
+        p, r_p = last
+        last[:] = x, r
+        # a step too small to move the iterate leaves the chord 0/0
+        return (r - r_p) / (x - p) if x != p else math.nan
+
+    return _iterate(g, chord, cur, tol, max_iters, "secant slope", "secant")

@@ -237,6 +237,15 @@ def test_one_closure_between_tensor_sum_and_evaluate(capsys, monkeypatch):
         (("diffcheck", "x^2", "2*x", "7", "--tol-abs", "-1"), "tol_abs"),
         (("diffcheck", "x^2", "2*x", "7", "--tol-rel", "-1"), "tol_rel"),
         (("antideriv", "2*x", "x^2", "0", "3", "--tol", "-1"), "tol"),
+        (("diffcheck", "x", "1", "0", "--h", "inf"), "step h must be finite, got inf"),
+        (("solve", "x^2 - 2", "--x0", "1", "--tol", "inf"), "tolerance must be finite, got inf"),
+        (
+            ("solve", "x^2 - 2", "--method", "secant", "--x0", "1", "--x1", "2", "--tol", "inf"),
+            "tolerance must be finite, got inf",
+        ),
+        (("diffcheck", "x^2", "3*x", "1", "--tol-abs", "inf"), "tol_abs must be finite, got inf"),
+        (("diffcheck", "x^2", "3*x", "1", "--tol-rel", "inf"), "tol_rel must be finite, got inf"),
+        (("antideriv", "x", "x", "0", "1", "--tol", "inf"), "tol must be finite, got inf"),
     ],
 )
 def test_negative_numeric_options_rejected(capsys, argv, needle):
@@ -373,9 +382,20 @@ def test_leading_minus_arguments(capsys, argv, code, out, needle):
         (("diffcheck", "x", "1", "1", "--h", "1e308"), "central difference is non-finite (nan)"),
         (("antideriv", "0", "1e308*sin(x)", "-1.6", "1.6", "--json"), "F(b) - F(a) is non-finite (inf)"),
         (("antideriv", "0", "1e308*sin(x)", "-1.6", "1.6"), "F(b) - F(a) is non-finite (inf)"),
+        # below the last residual the step no longer moves the iterate: the chord is 0/0
+        (
+            ("solve", "x^2 - 2", "--method", "secant", "--x0", "1", "--x1", "2", "--tol", "1e-20"),
+            "secant slope is non-finite at iterate 1.414213562373095",
+        ),
     ],
 )
 def test_overflowing_estimate_or_difference_is_numeric_error(capsys, argv, message):
     # a bare nan or inf would be invalid JSON and a silently wrong number
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"numeric error: {message}\n")
+
+
+def test_unreadable_cache_is_an_io_error(capsys, tmp_path):
+    code, out, err = run(capsys, "integrate", "x", "x", "0", "1", "--cache", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("io error: ") and str(tmp_path) in err

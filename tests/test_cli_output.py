@@ -216,6 +216,13 @@ CASES = [
         '{"value": 1, "n": 3, "dims": 2}\n',
         "",
     ),
+    # a partial sum of the weighted terms overflows, the exact sum does not
+    (
+        ["integrate", "--n", "3", "1.5e308*(1 - x/0.7745966692414834 - (x/0.7745966692414834)^2)", "x", "-1", "1"],
+        0,
+        "1.333333333e+308\n",
+        "",
+    ),
     (
         ["integrate", "x", "x", "0"],
         2,

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -219,3 +220,39 @@ def test_directional_derivative_overflowing_sum_is_numeric_error():
     # every gradient component is finite, but their sum overflows fsum
     with pytest.raises(NumericError, match="directional derivative overflows"):
         directional_derivative(lambda x, y, z: 1.7e308 * max(x, y, z), (0, 0, 0), (1, 1, 1), 1.0)
+
+
+def test_directional_derivative_whose_partial_sum_overflows():
+    # the terms are about 9.8e307 each; fsum overflows on the first two
+    f = lambda x, y, z: 1.7e308 * (x + y - z)
+    norm = math.hypot(1.0, 1.0, 1.0)
+    terms = [g * (1.0 / norm) for g in gradient(f, (0, 0, 0), 1.0)]
+    exact = float(sum(map(Fraction, terms)))
+    assert directional_derivative(f, (0, 0, 0), (1, 1, 1), 1.0) == exact == pytest.approx(9.8e307, rel=1e-2)
+
+
+def _never_called(*args):
+    raise AssertionError("evaluated")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda f: central_diff(f, 0.0, math.inf), "step h must be finite, got inf"),
+        (lambda f: one_sided_diff(f, 0.0, math.inf), "step h must be finite, got inf"),
+        (lambda f: one_sided_diff(f, 0.0, -math.inf), "step h must be finite, got -inf"),
+        (lambda f: one_sided_diff(f, 0.0, math.nan), "step h must be finite, got nan"),
+        (lambda f: gradient(f, (0.0, 1.0), math.inf), "step h must be finite, got inf"),
+        (lambda f: verify_derivative(f, f, 1.0, h=math.inf), "step h must be finite, got inf"),
+        (lambda f: verify_derivative(f, f, 1.0, tol_abs=math.inf), "tol_abs must be finite, got inf"),
+        (lambda f: verify_derivative(f, f, 1.0, tol_rel=math.inf), "tol_rel must be finite, got inf"),
+        (lambda f: verify_antiderivative(f, f, 0.0, 1.0, tol=math.inf), "tol must be finite, got inf"),
+        (
+            lambda f: directional_derivative(f, (0.0, 0.0), (1.0, 1.0, 1.0), 1e-6),
+            "direction and point dimensions differ",
+        ),
+    ],
+)
+def test_bad_step_tolerance_or_direction_rejected_before_evaluating(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call(_never_called)

@@ -1,5 +1,6 @@
-"""Fuzz the CLI exit-status contract (every input ends in 0, 1 or 2)
-and the rule cache (every hand-edited file yields the Gauss rule)."""
+"""Fuzz the CLI exit-status contract (every input ends in 0, 1 or 2, and
+a non-finite step or tolerance in 2) and the rule cache (every
+hand-edited file yields the Gauss rule, in the library and the CLI)."""
 
 import contextlib
 import io
@@ -135,3 +136,59 @@ def test_every_hand_edited_cache_yields_the_gauss_rule(cache, data, k):
     with contextlib.redirect_stderr(io.StringIO()):
         rule = get_or_build(path, k)
     assert rule.n == k and gauss_violation(rule) is None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3))
+def test_every_hand_edited_cache_integrates_with_the_gauss_rule(cache, data, k):
+    # the CLI maps no TableError to an exit status: get_or_build must
+    # recover from every cache it is given
+    path = cache + ".cli"
+    with open(path, "w") as fh:
+        fh.write(data.draw(cache_texts(k)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["integrate", "x", "x", "0", "1", "--n", str(k), "--cache", path])
+    assert (code, out.getvalue()) == (0, "0.5\n"), err.getvalue()
+    assert not any(line.startswith("table error") for line in err.getvalue().splitlines())
+
+
+NUMERIC_VALUES = [
+    "nan", "inf", "-inf", "0", "-0", "1e308", "-1e308", "1e-320", "5e-324", "1", "-2", "0.5", "3",
+]
+# command -> (expressions, options drawn, count of numeric positionals)
+NUMERIC_ARGV = {
+    "diffcheck": (["x^2", "2*x"], ["--h", "--tol-abs", "--tol-rel"], 1),
+    "antideriv": (["2*x", "x^2"], ["--tol"], 2),
+    "solve": (["x^2 - 2"], ["--tol", "--c", "--x0", "--x1"], 0),
+    "integrate": (["x^2", "x"], [], 2),
+}
+STEPS_AND_TOLERANCES = {"--h", "--tol", "--tol-abs", "--tol-rel"}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    data=st.data(),
+    command=st.sampled_from(sorted(NUMERIC_ARGV)),
+    method=st.sampled_from(["newton", "secant"]),
+)
+def test_every_numeric_option_ends_in_a_documented_exit_status(argv_dir, data, command, method):
+    texts, options, count = NUMERIC_ARGV[command]
+    value = st.sampled_from(NUMERIC_VALUES)
+    drawn = {name: data.draw(st.none() | value, label=name) for name in options}
+    lead = []
+    if command == "solve":
+        drawn["--x0"] = drawn["--x0"] or "1"  # a required option
+        lead = ["--method", method]
+    elif command == "integrate":
+        lead = ["--n", "3", "--cache", "cache.gausstab"]
+    # the '=' form and '--' let values and bounds start with '-'
+    argv = [command, *lead] + [f"{name}={v}" for name, v in drawn.items() if v is not None]
+    argv += ["--", *texts] + [data.draw(value, label="positional") for _ in range(count)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if any(drawn.get(name) in ("nan", "inf", "-inf") for name in STEPS_AND_TOLERANCES):
+        assert code == 2, (argv, err.getvalue())

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -294,3 +295,38 @@ def test_apply_rule_box_matches_the_product_loop_bit_for_bit(dims):
             for f in integrands:
                 expected = _result(lambda: _apply_rule_box_reference(rule, f, box))
                 assert _result(lambda: apply_rule_box(rule, f, box)) == expected
+
+
+@pytest.mark.parametrize("reference", [math.inf, -math.inf, math.nan])
+def test_convergence_table_rejects_non_finite_reference(reference):
+    with pytest.raises(DomainError, match="reference must be finite"):
+        convergence_table(math.exp, 0.0, 1.0, [2, 3], reference)
+
+
+def test_fsum_is_the_exact_sum_rounded_once():
+    # near-overflow terms, some cancelled by their negations, so partial
+    # sums overflow while the exact sum may fit; tiny terms would be
+    # rounded by a float rescaling of the terms
+    rng = random.Random(90)
+    paths = {"fits": 0, "partial overflow": 0, "overflows": 0}
+    top = 1.7976931348623157e308  # the largest double
+    for _ in range(3000):
+        big = [rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 1.0) * top for _ in range(rng.randint(1, 5))]
+        terms = big + [-t for t in big if rng.random() < 0.5]
+        terms += rng.sample([3e-300, -5e-324, 1e-310, 2.5, -0.0], rng.randint(0, 2))
+        rng.shuffle(terms)
+        try:
+            expected = float(sum(map(Fraction, terms)))
+        except OverflowError:
+            paths["overflows"] += 1
+            with pytest.raises(NumericError, match="^the sum of the weighted integrand values overflows$"):
+                _fsum(terms)
+            continue
+        try:
+            math.fsum(terms)
+            paths["fits"] += 1
+        except OverflowError:
+            paths["partial overflow"] += 1
+        assert _fsum(terms) == expected, terms
+    assert min(paths.values()) >= 300, paths
+    assert _fsum([1.7e308, 1.7e308, -1.7e308, -1.7e308, 3e-300]) == 3e-300

@@ -138,3 +138,19 @@ def test_non_finite_start_or_target_rejected_before_evaluating(bad):
         secant_solve(f, 0.0, 1.0, bad)
     with pytest.raises(DomainError, match="c must be finite"):
         secant_solve(f, bad, 1.0, 2.0)
+
+
+def test_infinite_tolerance_rejected_before_evaluating():
+    def f(x):
+        raise AssertionError("evaluated")
+
+    with pytest.raises(DomainError, match="tolerance must be finite, got inf"):
+        newton_solve(f, 0.0, 1.0, tol=math.inf)
+    with pytest.raises(DomainError, match="tolerance must be finite, got inf"):
+        secant_solve(f, 0.0, 1.0, 2.0, tol=math.inf)
+
+
+def test_secant_step_that_does_not_move_the_iterate_is_numeric_error():
+    # below the last residual, r / slope rounds away and two iterates coincide
+    with pytest.raises(NumericError, match="secant slope is non-finite at iterate 1.41421356"):
+        secant_solve(lambda x: x * x - 2.0, 0.0, 1.0, 2.0, tol=1e-20)

@@ -5,6 +5,9 @@ Exit status 0 means success or a passing verdict, 1 a numeric failure
 (failed verdict, non-convergence, non-finite evaluation), and 2 a
 usage, parse, or domain error.  Numbers print with 10 significant
 digits in plain mode and 17 in --json mode.
+
+Each subcommand imports the library modules it runs, so a call compiles
+and runs no other; options left out fall back to the library defaults.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 import sys
 from typing import Callable, Optional, Sequence
 
-from . import cordic, diffcheck, expr, quadrature, solvers, tables
 from .errors import CapabilityError, DomainError, NumericError
 
 
@@ -24,6 +26,8 @@ def _caret(source: str, offset: int, message: str) -> str:
 
 
 def _compile(text: str, variables: Sequence[str]) -> Callable[..., float]:
+    from . import expr
+
     try:
         tree = expr.parse(text, variables)
     except expr.ParseError as pe:
@@ -51,6 +55,12 @@ def _json_scalar(v) -> str:
     import json  # only --json output needs it, so a plain call never loads it
 
     return json.dumps(v)
+
+
+def _given(args, *names: str) -> dict:
+    # options parsed with default=SUPPRESS are absent unless given, so the
+    # library's own defaults apply to the rest
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _record_fields(record) -> dict:
@@ -84,6 +94,8 @@ def _cmd_integrate(args) -> int:
         except ValueError:
             raise DomainError(f"bounds for {triplets[k]!r} are not numbers") from None
     f = _compile(args.expression, names)
+    from . import quadrature, tables
+
     rule = tables.get_or_build(args.cache or tables.default_cache_path(), args.n)
     if len(names) == 1:
         value = quadrature.apply_rule(rule, f, lo[0], hi[0])
@@ -99,8 +111,10 @@ def _cmd_integrate(args) -> int:
 def _cmd_diffcheck(args) -> int:
     f = _compile(args.function, [args.var])
     fprime = _compile(args.derivative, [args.var])
+    from . import diffcheck
+
     report = diffcheck.verify_derivative(
-        f, fprime, args.point, h=args.h, tol_abs=args.tol_abs, tol_rel=args.tol_rel
+        f, fprime, args.point, **_given(args, "h", "tol_abs", "tol_rel")
     )
     _emit(_record_fields(report), args.json)
     return 0 if report.verdict == "pass" else 1
@@ -109,24 +123,27 @@ def _cmd_diffcheck(args) -> int:
 def _cmd_antideriv(args) -> int:
     f = _compile(args.function, [args.var])
     antideriv = _compile(args.antiderivative, [args.var])
-    report = diffcheck.verify_antiderivative(f, antideriv, args.a, args.b, n=args.n, tol=args.tol)
+    from . import diffcheck
+
+    report = diffcheck.verify_antiderivative(
+        f, antideriv, args.a, args.b, **_given(args, "n", "tol")
+    )
     _emit(_record_fields(report), args.json)
     return 0 if report.verdict == "pass" else 1
 
 
 def _cmd_solve(args) -> int:
     f = _compile(args.function, [args.var])
+    from . import solvers
+
+    options = _given(args, "tol", "max_iters")
     if args.method == "newton":
         fprime = _compile(args.fprime, [args.var]) if args.fprime else None
-        result = solvers.newton_solve(
-            f, args.c, args.x0, fprime=fprime, tol=args.tol, max_iters=args.max_iters
-        )
+        result = solvers.newton_solve(f, args.c, args.x0, fprime=fprime, **options)
     else:
         if args.x1 is None:
             raise DomainError("the secant method requires --x1")
-        result = solvers.secant_solve(
-            f, args.c, args.x0, args.x1, tol=args.tol, max_iters=args.max_iters
-        )
+        result = solvers.secant_solve(f, args.c, args.x0, args.x1, **options)
     _emit(_record_fields(result), args.json)
     if not result.converged:
         print(
@@ -139,22 +156,28 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_nodes(args) -> int:
+    from . import quadrature
+
     rule = quadrature.gauss_rule(args.n)
     if args.json:
         _emit(_record_fields(rule), True)
     else:
+        from . import tables
+
         sys.stdout.write(tables.dumps_tables([rule]))
     return 0
 
 
 def _cmd_cordic(args) -> int:
-    table = cordic.cordic_table(args.iters)
+    from . import cordic
+
+    table = cordic.cordic_table(**_given(args, "iters"))
     result = cordic.cordic_sincos(args.theta, table)
     ref_sin, ref_cos = math.sin(args.theta), math.cos(args.theta)
     _emit(
         {
             "theta": args.theta,
-            "iters": args.iters,
+            "iters": table.iters,
             "sin": result.sin,
             "cos": result.cos,
             "ref_sin": ref_sin,
@@ -193,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("derivative")
     p.add_argument("point", type=float)
     p.add_argument("--var", default="x")
-    p.add_argument("--h", type=float, default=diffcheck.DEFAULT_H)
-    p.add_argument("--tol-abs", type=float, default=diffcheck.DEFAULT_TOL_ABS)
-    p.add_argument("--tol-rel", type=float, default=diffcheck.DEFAULT_TOL_REL)
+    p.add_argument("--h", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--tol-abs", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--tol-rel", type=float, default=argparse.SUPPRESS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_diffcheck)
 
@@ -205,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=float)
     p.add_argument("b", type=float)
     p.add_argument("--var", default="x")
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--tol", type=float, default=diffcheck.DEFAULT_TOL_ABS)
+    p.add_argument("--n", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_antideriv)
 
@@ -218,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x1", type=float, help="second start (secant only)")
     p.add_argument("--fprime", help="analytic derivative expression (newton only)")
     p.add_argument("--var", default="x")
-    p.add_argument("--tol", type=float, default=solvers.DEFAULT_TOL)
-    p.add_argument("--max-iters", type=int, default=solvers.DEFAULT_MAX_ITERS)
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--max-iters", type=int, default=argparse.SUPPRESS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
@@ -230,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cordic", help="CORDIC sine/cosine with a reference comparison")
     p.add_argument("theta", type=float)
-    p.add_argument("--iters", type=int, default=cordic.DEFAULT_ITERATIONS)
+    p.add_argument("--iters", type=int, default=argparse.SUPPRESS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_cordic)
 

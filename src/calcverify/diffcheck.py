@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 
 from ._record import Record
 from .errors import DomainError, NumericError
-from .quadrature import _fsum, integrate_1d
 
 DEFAULT_H = 1e-4
 DEFAULT_TOL_ABS = 1e-6
@@ -127,6 +126,12 @@ def verify_antiderivative(
     _check_tolerance("tol", tol)
     if not a < b:
         raise DomainError(f"lower bound {a!r} is not below upper bound {b!r}")
+    # a < b has ruled out NaN; F at an infinite bound is not an integral
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("bounds must be finite")
+    # imported here: derivative checks and the solvers never integrate
+    from .quadrature import integrate_1d
+
     ftc_value = _finite(
         _eval_finite(antiderivative, b) - _eval_finite(antiderivative, a), "F(b) - F(a)"
     )
@@ -186,6 +191,8 @@ def directional_derivative(
     if len(point) != len(d):
         raise DomainError("direction and point dimensions differ")
     grad = gradient(f, point, h)
+    from .quadrature import _fsum
+
     # each term is finite and no larger than its gradient component, so the
     # sum is finite unless the exact sum overflows
     return _fsum([g * (v / norm) for g, v in zip(grad, d)], "directional derivative")

@@ -138,15 +138,36 @@ def _fsum(terms: list[float], subject: str = "the sum of the weighted integrand 
         raise NumericError(f"{subject} overflows") from None
 
 
+def _jacobian_and_midpoint(a: float, b: float) -> tuple[float, float]:
+    # u = jac * x + mid maps [-1, 1] onto [a, b].  The difference or sum of
+    # finite bounds may overflow where its half fits; halving each bound
+    # first would round subnormal ones, so that is the fallback only
+    jac = (b - a) / 2.0
+    if not math.isfinite(jac):
+        jac = b / 2.0 - a / 2.0
+    mid = (b + a) / 2.0
+    if not math.isfinite(mid):
+        mid = b / 2.0 + a / 2.0
+    return jac, mid
+
+
+def _half_width(a: float, b: float) -> tuple[float, int]:
+    # (b - a)/2 as m * 2**e with 0.5 <= m < 1 (or 0): exact when b - a fits,
+    # where the float (b - a)/2 of a subnormal width has been rounded
+    width = b - a
+    if math.isfinite(width):
+        m, e = math.frexp(width)
+        return m, e - 1
+    return math.frexp(b / 2.0 - a / 2.0)
+
+
 def apply_rule(rule: QuadratureRule, f: Integrand, a: float, b: float) -> float:
     """Apply an existing rule to the integral of f over [a, b]."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("bounds must be finite")
     if not a < b:
         raise DomainError(f"lower bound {a!r} is not below upper bound {b!r}")
-    # maps the integrand onto [-1, 1]; (b - a)/2 is the Jacobian
-    jac = (b - a) / 2.0
-    mid = (b + a) / 2.0
+    jac, mid = _jacobian_and_midpoint(a, b)
     terms = []
     for x, w in zip(rule.nodes, rule.weights):
         u = jac * x + mid
@@ -169,11 +190,23 @@ def integrate_1d(f: Integrand, a: float, b: float, n: int) -> float:
 
 def apply_rule_box(rule: QuadratureRule, f: Integrand, box: Box) -> float:
     """Tensor-product application of one rule along every axis of a box."""
-    axes = []
+    frames = [_jacobian_and_midpoint(a, b) for a, b in zip(box.lo, box.hi)]
+    scales, shift = [jac for jac, _ in frames], 0
+    # The loops multiply the axes' weights (b - a)/2 * w before the value.
+    # Where that product is not finite at the largest weights (an axis wider
+    # than the largest double included), no integrand gives a finite sum:
+    # weigh by the half-widths' mantissas instead and scale the sum by their
+    # exponents once.  Every box that integrates without it keeps its bits.
+    peak, widest = 1.0, max(rule.weights)
     for a, b in zip(box.lo, box.hi):
-        jac = (b - a) / 2.0
-        mid = (b + a) / 2.0
-        axes.append([(jac * x + mid, jac * w) for x, w in zip(rule.nodes, rule.weights)])
+        peak *= (b - a) / 2.0 * widest
+    if not math.isfinite(peak):
+        scales, exponents = zip(*map(_half_width, box.lo, box.hi))
+        shift = sum(exponents)
+    axes = [
+        [(jac * x + mid, scale * w) for x, w in zip(rule.nodes, rule.weights)]
+        for (jac, mid), scale in zip(frames, scales)
+    ]
     terms = []
     append, isfinite = terms.append, math.isfinite
     # one loop per axis, with the weight products hoisted; math.prod
@@ -205,7 +238,11 @@ def apply_rule_box(rule: QuadratureRule, f: Integrand, box: Box) -> float:
                     if not isfinite(term):
                         raise _term_error(v, (x, y, z))
                     append(term)
-    return _fsum(terms)
+    total = _fsum(terms)
+    try:
+        return math.ldexp(total, shift)
+    except OverflowError:
+        raise NumericError("the sum of the weighted integrand values overflows") from None
 
 
 def integrate_box(f: Integrand, box: Box, n_per_axis: int) -> float:

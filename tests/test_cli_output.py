@@ -292,6 +292,13 @@ CASES = [
             "   ^\n"
         ),
     ),
+    # an interval whose width or midpoint sum overflows, though its integral is finite
+    (["integrate", "--n", "2", "--", "1e-300", "x", "-1e308", "1e308"], 0, "200000000\n", ""),
+    (["integrate", "--n", "2", "--", "x/1e308", "x", "1e308", "1.7e308"], 0, "9.45e+307\n", ""),
+    (["integrate", "--n", "2", "--", "1e-300", "x", "-1e308", "1e308", "y", "0", "1"], 0, "200000000\n", ""),
+    # an infinite antiderivative bound is a usage error, as for integrate and diffcheck
+    (["antideriv", "1", "x", "0", "inf"], 2, "", "error: bounds must be finite\n"),
+    (["antideriv", "1", "x", "-1", "inf"], 2, "", "error: bounds must be finite\n"),
 ]
 
 

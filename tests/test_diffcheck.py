@@ -256,3 +256,15 @@ def _never_called(*args):
 def test_bad_step_tolerance_or_direction_rejected_before_evaluating(call, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         call(_never_called)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-1.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)])
+def test_infinite_antiderivative_bound_rejected_before_evaluating(a, b):
+    # F at an infinite bound is not an integral: an input error, as for integrate
+    with pytest.raises(DomainError, match="^bounds must be finite$"):
+        verify_antiderivative(_never_called, _never_called, a, b)
+
+
+def test_nan_antiderivative_bound_keeps_its_message():
+    with pytest.raises(DomainError, match="^lower bound 0.0 is not below upper bound nan$"):
+        verify_antiderivative(_never_called, _never_called, 0.0, math.nan)

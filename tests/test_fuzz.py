@@ -1,9 +1,15 @@
 """Fuzz the CLI exit-status contract (every input ends in 0, 1 or 2, and
-a non-finite step or tolerance in 2) and the rule cache (every
-hand-edited file yields the Gauss rule, in the library and the CLI)."""
+a non-finite step, tolerance or bound in 2), extreme integration bounds
+(a finite integral is computed, whatever its interval's width), and the
+rule cache (every hand-edited file yields the Gauss rule, in the library
+and the CLI)."""
 
 import contextlib
 import io
+import json
+import math
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -192,3 +198,57 @@ def test_every_numeric_option_ends_in_a_documented_exit_status(argv_dir, data, c
     assert "Traceback" not in err.getvalue()
     if any(drawn.get(name) in ("nan", "inf", "-inf") for name in STEPS_AND_TOLERANCES):
         assert code == 2, (argv, err.getvalue())
+
+
+BOUNDS = [
+    "0", "-0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1", "-1", "1e308", "-1e308",
+    "1.7976931348623157e308", "-1.7976931348623157e308", "inf", "-inf", "nan",
+]
+# the Gauss sum of a constant is exact up to rounding, but a half-width
+# (b - a)/2 below the normal range is rounded to a multiple of 2^-1074
+# (5e-324/2 becomes 0), and so is each subnormal weight and term
+SUBNORMAL_ULP = Fraction(2) ** -1074
+
+
+def constant_tolerance(value, widths, n):
+    others = sum(math.prod(widths[:k] + widths[k + 1 :]) for k in range(len(widths)))
+    return value * (n + 1) * SUBNORMAL_ULP * others + n ** len(widths) * SUBNORMAL_ULP
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    data=st.data(),
+    command=st.sampled_from(["integrate", "antideriv"]),
+    dims=st.integers(1, 3),
+    n=st.integers(1, 4),
+)
+def test_every_bound_ends_in_a_documented_exit_status(argv_dir, data, command, dims, n):
+    bound = st.sampled_from(BOUNDS)
+    axes = [(data.draw(bound, label="a"), data.draw(bound, label="b")) for _ in range(dims)]
+    if command == "integrate":
+        triplets = [text for name, (a, b) in zip("xyz", axes) for text in (name, a, b)]
+        argv = ["integrate", "--n", str(n), "--cache", "cache.gausstab", "--json", "--", "1e-300", *triplets]
+    else:
+        axes = axes[:1]
+        argv = ["antideriv", "--n", str(n), "--json", "--", "1e-300", "1e-300*x", *axes[0]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    bounds = [float(text) for pair in axes for text in pair]
+    if not all(map(math.isfinite, bounds)):
+        assert code == 2, (argv, err.getvalue())
+    elif all(float(a) < float(b) for a, b in axes):
+        # a finite interval gives a report or an integral, never a numeric error
+        widths = [Fraction(b) - Fraction(a) for a, b in axes]
+        value = Fraction(1e-300) * math.prod(widths)
+        if command == "antideriv":
+            assert code in (0, 1) and "verdict" in out.getvalue(), (argv, err.getvalue())
+        elif value > Fraction(sys.float_info.max):
+            assert code == 1, (argv, out.getvalue())
+        else:
+            assert code == 0, (argv, err.getvalue())
+            got = Fraction(json.loads(out.getvalue())["value"])
+            tolerance = value / 10**9 + constant_tolerance(Fraction(1e-300), widths, n)
+            assert abs(got - value) <= tolerance, (argv, float(got), float(value))

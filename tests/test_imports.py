@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from calcverify import gauss_rule
 from calcverify.cli import main
 from calcverify.tables import dumps_tables
@@ -46,3 +48,46 @@ def test_module_runs_as_cli():
     proc = subprocess.run(argv, env=ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == dumps_tables([gauss_rule(2)])
+
+
+def loaded_modules(code, *args, cwd=None):
+    # the calcverify.* modules a fresh -S process has loaded after running code
+    report = "import sys; print(*sorted(m for m in sys.modules if m.startswith('calcverify.')))"
+    argv = [sys.executable, "-S", "-c", f"{code}\n{report}", *args]
+    proc = subprocess.run(argv, env=ENV, capture_output=True, text=True, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+CLI_MODULES = {"calcverify.cli", "calcverify.errors", "calcverify._record"}
+
+
+def test_cli_import_loads_no_library_module():
+    assert loaded_modules("import calcverify.cli") <= CLI_MODULES
+
+
+# argv -> the modules it loads besides cli, errors and _record
+SUBCOMMAND_MODULES = [
+    (["cordic", "1"], {"cordic"}),
+    (["nodes", "3"], {"quadrature", "legendre", "tables"}),
+    (["integrate", "x^2", "x", "0", "1"], {"expr", "quadrature", "legendre", "tables"}),
+    (["integrate", "x^", "x", "0", "1"], {"expr"}),  # a parse error builds no rule
+    (["diffcheck", "x^2", "2*x", "1"], {"expr", "diffcheck"}),
+    (["antideriv", "2*x", "x^2", "0", "1"], {"expr", "diffcheck", "quadrature", "legendre"}),
+    (["solve", "x^2 - 2", "--x0", "1"], {"expr", "diffcheck", "solvers"}),
+    (["solve", "x^2 - 2", "--method", "secant", "--x0", "1", "--x1", "2"], {"expr", "diffcheck", "solvers"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", SUBCOMMAND_MODULES, ids=[" ".join(a) for a, _ in SUBCOMMAND_MODULES])
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    # the run's output goes to a file, so stdout is the module list alone
+    code = (
+        "import contextlib, os, sys\n"
+        "os.environ['CALCVERIFY_CACHE'] = 'cache.gausstab'\n"
+        "from calcverify.cli import main\n"
+        "with open('out.txt', 'w') as out, contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+        "    main(sys.argv[1:])"
+    )
+    loaded = loaded_modules(code, *argv, cwd=tmp_path)
+    assert loaded - CLI_MODULES == {f"calcverify.{m}" for m in modules}

@@ -20,7 +20,7 @@ from calcverify import (
     legendre_roots,
     parse,
 )
-from calcverify.quadrature import _fsum, _term_error
+from calcverify.quadrature import _fsum, _jacobian_and_midpoint, _term_error
 
 
 def test_rule_examples():
@@ -330,3 +330,66 @@ def test_fsum_is_the_exact_sum_rounded_once():
         assert _fsum(terms) == expected, terms
     assert min(paths.values()) >= 300, paths
     assert _fsum([1.7e308, 1.7e308, -1.7e308, -1.7e308, 3e-300]) == 3e-300
+
+
+MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_interval_wider_than_the_largest_double(n):
+    # b - a overflows, but the Jacobian (b - a)/2 fits
+    assert integrate_1d(lambda x: 1e-300, -1e308, 1e308, n) == pytest.approx(2e8, rel=1e-15)
+    assert integrate_1d(lambda x: 1e-300, -MAX, MAX, n) == pytest.approx(2e-300 * MAX, rel=1e-15)
+    box = Box((-1e308, 0.0), (1e308, 1.0))
+    assert integrate_box(lambda x, y: 1e-300, box, n) == pytest.approx(2e8, rel=1e-15)
+
+
+def test_midpoint_whose_sum_overflows():
+    # b + a overflows, but the midpoint (b + a)/2 fits; x is integrated exactly
+    exact = float((Fraction(1.7e308) ** 2 - Fraction(1e308) ** 2) / 2 / Fraction(1e308))
+    assert integrate_1d(lambda x: x / 1e308, 1e308, 1.7e308, 2) == pytest.approx(exact, rel=1e-15)
+    box = Box((1e308, 0.0), (1.7e308, 1.0))
+    assert integrate_box(lambda x, y: x / 1e308, box, 2) == pytest.approx(exact, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, value",
+    [
+        # the weight product overflows at every point, the integral does not
+        ((-1e308, -1e308, 0.0), (1e308, 1e308, 1e-300), 4e16),
+        ((0.0, -1e308, -1e308), (1e-300, 1e308, 1e308), 4e16),
+        ((0.0, -1.0), (1e308, 1.0), 2e8),  # n = 1: the weight 2*jac overflows
+        ((-MAX,), (MAX,), 2e-300 * MAX),
+        # and the half-width 2.5e-324 of one axis is not a double
+        ((0.0, -1e308, -1e308), (5e-324, 1e308, 1e308), float(Fraction(5e-324) * 4 * 10**316)),
+    ],
+)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_box_whose_weight_product_overflows(lo, hi, value, n):
+    assert integrate_box(lambda *p: 1e-300, Box(lo, hi), n) == pytest.approx(value, rel=1e-14)
+
+
+def test_box_whose_weight_product_overflows_still_reports_bad_values():
+    box = Box((-1e308, -1e308, 0.0), (1e308, 1e308, 1.0))
+    with pytest.raises(NumericError, match="non-finite value inf at node"):
+        integrate_box(lambda x, y, z: math.inf, box, 2)
+    # the scaled terms fit, the integral does not
+    with pytest.raises(NumericError, match="sum of the weighted integrand values overflows"):
+        integrate_box(lambda x, y, z: 1.0, box, 2)
+
+
+def test_jacobian_and_midpoint_keep_their_bits_unless_they_overflow():
+    rng = random.Random(7)
+    tiny = [0.0, 5e-324, 1e-323, 2.5e-308, 1e-300, 1.0, 1e308, MAX]
+    values = [s * v for v in tiny for s in (1, -1)] + [rng.uniform(-1e3, 1e3) for _ in range(20)]
+    for a in values:
+        for b in values:
+            jac, mid = _jacobian_and_midpoint(a, b)
+            if math.isfinite(b - a):
+                assert jac.hex() == ((b - a) / 2.0).hex()
+            else:
+                assert jac == b / 2.0 - a / 2.0
+            if math.isfinite(b + a):
+                assert mid.hex() == ((b + a) / 2.0).hex()
+            else:
+                assert mid == b / 2.0 + a / 2.0

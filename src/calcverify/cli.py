@@ -32,17 +32,38 @@ def _compile(text: str, variables: Sequence[str]) -> Callable[..., float]:
         tree = expr.parse(text, variables)
     except expr.ParseError as pe:
         raise DomainError(_caret(text, pe.offset, str(pe))) from None
-    names = tuple(variables)
 
-    def f(*values: float) -> float:
-        try:
-            # a module attribute looked up per call, so a wrapper set on
-            # expr.evaluate (bench/child.py's tracer) sees every point
-            return expr.evaluate(tree, dict(zip(names, values)))
-        except expr.EvalDomainError as ee:
-            # overflow and non-finite values are numeric failures (exit 1)
-            kind = NumericError if ee.overflow else DomainError
-            raise kind(_caret(text, ee.offset, str(ee))) from None
+    def failure(ee: expr.EvalDomainError) -> Exception:
+        # overflow and non-finite values are numeric failures (exit 1)
+        kind = NumericError if ee.overflow else DomainError
+        return kind(_caret(text, ee.offset, str(ee)))
+
+    # one closure per arity, its names bound here and a dict display per
+    # point; expr.evaluate is a module attribute looked up per call, so a
+    # wrapper set on it (bench/child.py's tracer) sees every point
+    if len(variables) == 1:
+        (a,) = variables
+        def f(x: float) -> float:
+            try:
+                return expr.evaluate(tree, {a: x})
+            except expr.EvalDomainError as ee:
+                raise failure(ee) from None
+
+    elif len(variables) == 2:
+        a, b = variables
+        def f(x: float, y: float) -> float:
+            try:
+                return expr.evaluate(tree, {a: x, b: y})
+            except expr.EvalDomainError as ee:
+                raise failure(ee) from None
+
+    else:
+        a, b, c = variables
+        def f(x: float, y: float, z: float) -> float:
+            try:
+                return expr.evaluate(tree, {a: x, b: y, c: z})
+            except expr.EvalDomainError as ee:
+                raise failure(ee) from None
 
     return f
 

@@ -9,6 +9,7 @@ the monomial moments), solved exactly over the rationals.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -168,15 +169,22 @@ def apply_rule(rule: QuadratureRule, f: Integrand, a: float, b: float) -> float:
     if not a < b:
         raise DomainError(f"lower bound {a!r} is not below upper bound {b!r}")
     jac, mid = _jacobian_and_midpoint(a, b)
+    scale, shift = jac, 0
+    m, e = _half_width(a, b)
+    if e < sys.float_info.min_exp:
+        # a subnormal (b - a)/2 has been rounded: weigh by its halved
+        # mantissa, so no term overflows where its value does not, and
+        # scale the sum by the exponent once
+        scale, shift = m / 2.0, e + 1
     terms = []
     for x, w in zip(rule.nodes, rule.weights):
         u = jac * x + mid
         v = f(u)
-        term = w * (jac * v)
+        term = w * (scale * v)
         if not math.isfinite(term):
             raise _term_error(v, u)
         terms.append(term)
-    return _fsum(terms)
+    return math.ldexp(_fsum(terms), shift)
 
 
 def integrate_1d(f: Integrand, a: float, b: float, n: int) -> float:
@@ -194,15 +202,21 @@ def apply_rule_box(rule: QuadratureRule, f: Integrand, box: Box) -> float:
     scales, shift = [jac for jac, _ in frames], 0
     # The loops multiply the axes' weights (b - a)/2 * w before the value.
     # Where that product is not finite at the largest weights (an axis wider
-    # than the largest double included), no integrand gives a finite sum:
-    # weigh by the half-widths' mantissas instead and scale the sum by their
-    # exponents once.  Every box that integrates without it keeps its bits.
+    # than the largest double included), no integrand gives a finite sum;
+    # a subnormal half-width has been rounded.  Either way, weigh by the
+    # half-widths' mantissas instead and scale the sum by their exponents
+    # once; beside a subnormal one each mantissa is halved, so the weight
+    # products stay below 1 and no term overflows where its value does
+    # not.  Every box that integrates without it keeps its bits.
     peak, widest = 1.0, max(rule.weights)
     for a, b in zip(box.lo, box.hi):
         peak *= (b - a) / 2.0 * widest
-    if not math.isfinite(peak):
-        scales, exponents = zip(*map(_half_width, box.lo, box.hi))
-        shift = sum(exponents)
+    halves = list(map(_half_width, box.lo, box.hi))
+    tiny = any(e < sys.float_info.min_exp for _, e in halves)
+    if tiny or not math.isfinite(peak):
+        halve = 1 if tiny else 0
+        scales = [m / 2**halve for m, _ in halves]
+        shift = sum(e + halve for _, e in halves)
     axes = [
         [(jac * x + mid, scale * w) for x, w in zip(rule.nodes, rule.weights)]
         for (jac, mid), scale in zip(frames, scales)

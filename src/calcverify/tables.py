@@ -10,8 +10,10 @@ derived data and must never be trusted blindly.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
+import stat
 import sys
 import tempfile
 from typing import Iterable
@@ -95,9 +97,21 @@ def dumps_tables(rules: Iterable[QuadratureRule]) -> str:
 
 
 def save_tables(rules: Iterable[QuadratureRule], path: str) -> None:
-    """Write rules to ``path`` atomically (temp file + rename)."""
+    """Write rules to ``path`` atomically (temp file + rename).
+
+    Raises OSError if ``path`` exists and is not a regular file: a
+    symlink, device or FIFO is never replaced.
+    """
     path = os.fspath(path)
     text = dumps_tables(rules)
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        pass
+    else:
+        # the rename would replace a link, device or FIFO with a regular file
+        if not stat.S_ISREG(mode):
+            raise OSError(f"{path}: not a regular file")
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gausstab.")
@@ -118,11 +132,21 @@ def load_tables(path: str) -> dict[int, QuadratureRule]:
 
     Raises TableError for a bad header, version mismatch, malformed or
     truncated lines (with the line number), or any invariant violation;
-    FileNotFoundError passes through for a missing file.
+    FileNotFoundError passes through for a missing file, and OSError is
+    raised for a path that names no regular file (a FIFO is never waited on).
     """
     path = os.fspath(path)
+    # O_NONBLOCK: opening a FIFO does not wait for a writer; the mode is
+    # checked on the open descriptor, so the file read is the file checked
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    mode = os.fstat(fd).st_mode
+    if not stat.S_ISREG(mode):
+        os.close(fd)
+        if stat.S_ISDIR(mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        raise OSError(f"{path}: not a regular file")
     try:
-        with open(path, encoding="ascii") as fh:
+        with open(fd, encoding="ascii") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise TableError(f"{path}: not a text table ({exc})") from None
@@ -184,6 +208,9 @@ def get_or_build(cache_path: str, n: int) -> QuadratureRule:
     property, so a warm load stays cheap.
     """
     cache_path = os.fspath(cache_path)
+    if os.path.islink(cache_path):
+        # read and replace what the link names; the link stays a link
+        cache_path = os.path.realpath(cache_path)
     rules: dict[int, QuadratureRule] = {}
     try:
         rules = load_tables(cache_path)

@@ -299,6 +299,74 @@ CASES = [
     # an infinite antiderivative bound is a usage error, as for integrate and diffcheck
     (["antideriv", "1", "x", "0", "inf"], 2, "", "error: bounds must be finite\n"),
     (["antideriv", "1", "x", "-1", "inf"], 2, "", "error: bounds must be finite\n"),
+    # axes declared out of alphabetical order: a value bound to another
+    # axis's position changes the integral (7 and 51 through swapped names)
+    (["integrate", "x + 3*y", "y", "0", "1", "x", "0", "2"], 0, "5\n", ""),
+    (
+        ["integrate", "x + 2*y + 4*z", "z", "0", "1", "x", "0", "2", "y", "0", "3", "--json"],
+        0,
+        '{"value": 36, "n": 20, "dims": 3}\n',
+        "",
+    ),
+    # evaluation carets at each arity: a domain error exits 2, an overflow 1
+    (
+        ["integrate", "exp(1000*x)", "x", "0", "1"],
+        1,
+        "",
+        (
+            "numeric error: exp(755.4335009754136) overflows at offset 0\n"
+            "  exp(1000*x)\n"
+            "  ^\n"
+        ),
+    ),
+    (
+        ["integrate", "x + sqrt(y - 1)", "y", "0", "2", "x", "0", "1"],
+        2,
+        "",
+        (
+            "error: sqrt(-0.9931285991850949) is outside the real domain at offset 4\n"
+            "  x + sqrt(y - 1)\n"
+            "      ^\n"
+        ),
+    ),
+    (
+        ["integrate", "y + exp(1000*x)", "y", "0", "1", "x", "0", "2"],
+        1,
+        "",
+        (
+            "numeric error: exp(772.214148858355) overflows at offset 4\n"
+            "  y + exp(1000*x)\n"
+            "      ^\n"
+        ),
+    ),
+    (
+        ["integrate", "x + y + ln(z - 1)", "z", "0", "3", "x", "0", "1", "y", "0", "1"],
+        2,
+        "",
+        (
+            "error: ln(-0.9896928987776423) is outside the real domain at offset 8\n"
+            "  x + y + ln(z - 1)\n"
+            "          ^\n"
+        ),
+    ),
+    (
+        ["integrate", "x + exp(1000*y*z)", "z", "0", "1", "y", "0", "2", "x", "0", "1"],
+        1,
+        "",
+        (
+            "numeric error: exp(710.0960735233249) overflows at offset 4\n"
+            "  x + exp(1000*y*z)\n"
+            "      ^\n"
+        ),
+    ),
+    # a subnormal half-width (b - a)/2 is weighed exactly, not rounded to 0
+    (["integrate", "1e300", "x", "0", "5e-324"], 0, "4.940656458e-24\n", ""),
+    (
+        ["integrate", "--n", "3", "--", "1e-300", "x", "0", "5e-324", "y", "-1e308", "0", "z", "0", "1e308"],
+        0,
+        "4.940656458e-08\n",
+        "",
+    ),
 ]
 
 

@@ -204,9 +204,9 @@ BOUNDS = [
     "0", "-0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1", "-1", "1e308", "-1e308",
     "1.7976931348623157e308", "-1.7976931348623157e308", "inf", "-inf", "nan",
 ]
-# the Gauss sum of a constant is exact up to rounding, but a half-width
-# (b - a)/2 below the normal range is rounded to a multiple of 2^-1074
-# (5e-324/2 becomes 0), and so is each subnormal weight and term
+# the Gauss sum of a constant is exact up to rounding, and each subnormal
+# weight and term is rounded to a multiple of 2^-1074; the bound also
+# allows for a rounded half-width (b - a)/2, which is now weighed exactly
 SUBNORMAL_ULP = Fraction(2) ** -1074
 
 

@@ -369,6 +369,34 @@ def test_box_whose_weight_product_overflows(lo, hi, value, n):
     assert integrate_box(lambda *p: 1e-300, Box(lo, hi), n) == pytest.approx(value, rel=1e-14)
 
 
+def exact_constant_integral(value, lo, hi):
+    return float(Fraction(value) * math.prod(Fraction(b) - Fraction(a) for a, b in zip(lo, hi)))
+
+
+@pytest.mark.parametrize(
+    "value, lo, hi",
+    [
+        # (b - a)/2 is subnormal: as a float, 5e-324/2 rounds to 0 and 1.5e-323/2 to 1e-323
+        (1e300, (0.0,), (5e-324,)),
+        (1.5e308, (0.0,), (1.5e-323,)),  # no term overflows where its value does not
+        (1e300, (-1e-310,), (1e-310,)),
+        (1e-300, (0.0, -1e308, 0.0), (5e-324, 0.0, 1e308)),  # the weight product is 0 first
+        (1e-300, (-1e308, 0.0, 0.0), (0.0, 1e308, 5e-324)),  # and overflows first
+        (1.5e308, (0.0, 0.0, 0.0), (1.5e-323, 1.5, 1.5)),
+        (1e300, (0.0, 0.0), (3e-323, 1e-20)),
+        (1e308, (0.0, 0.0, 0.0), (3e-323, 4e-323, 1e308)),  # two subnormal half-widths
+    ],
+)
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_subnormal_half_width_is_weighed_exactly(value, lo, hi, n):
+    f = lambda *p: value  # noqa: E731
+    expected = exact_constant_integral(value, lo, hi)
+    assert expected != 0.0
+    if len(lo) == 1:
+        assert integrate_1d(f, lo[0], hi[0], n) == pytest.approx(expected, rel=1e-9, abs=0)
+    assert integrate_box(f, Box(lo, hi), n) == pytest.approx(expected, rel=1e-9, abs=0)
+
+
 def test_box_whose_weight_product_overflows_still_reports_bad_values():
     box = Box((-1e308, -1e308, 0.0), (1e308, 1e308, 1.0))
     with pytest.raises(NumericError, match="non-finite value inf at node"):

@@ -1,4 +1,8 @@
 import os
+import signal
+import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -205,3 +209,77 @@ def test_default_cache_path(monkeypatch):
     monkeypatch.delenv("CALCVERIFY_CACHE")
     monkeypatch.setenv("XDG_CACHE_HOME", "/tmp/xdg")
     assert default_cache_path() == "/tmp/xdg/calcverify/rules.gausstab"
+
+
+# A cache path that names no regular file.  Every path here is made under
+# tmp_path; a real device is never used.
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@needs_fifo
+def test_cli_cache_on_a_fifo_exits_2_without_waiting(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    argv = [sys.executable, "-m", "calcverify.cli", "integrate", "x", "x", "0", "1", "--cache", str(fifo)]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    # a regression would block on open() for a writer: the timeout fails it
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"io error: {fifo}: not a regular file\n"
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+@pytest.fixture
+def deadline():
+    # a call that blocks on a FIFO fails the test instead of hanging it
+    def expire(signum, frame):
+        raise TimeoutError("blocked on a FIFO")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@needs_fifo
+def test_load_and_save_refuse_a_fifo(tmp_path, deadline):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with pytest.raises(OSError, match="not a regular file"):
+        load_tables(fifo)
+    with pytest.raises(OSError, match="not a regular file"):
+        save_tables([gauss_rule(2)], fifo)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]  # no temp file left behind
+
+
+def test_get_or_build_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "rules.gausstab"
+    save_tables([gauss_rule(2)], target)
+    link = tmp_path / "link.gausstab"
+    link.symlink_to(target)
+    assert get_or_build(link, 3) == gauss_rule(3)
+    assert os.path.islink(link) and os.readlink(link) == str(target)
+    assert sorted(load_tables(target)) == [2, 3]
+    # and a hit reads through it
+    assert get_or_build(link, 2) == gauss_rule(2)
+
+
+def test_get_or_build_creates_the_target_of_a_dangling_symlink(tmp_path):
+    link = tmp_path / "link.gausstab"
+    link.symlink_to(tmp_path / "sub" / "rules.gausstab")
+    assert get_or_build(link, 4) == gauss_rule(4)
+    assert os.path.islink(link)
+    assert sorted(load_tables(tmp_path / "sub" / "rules.gausstab")) == [4]
+
+
+def test_save_refuses_to_replace_a_symlink(tmp_path):
+    target = tmp_path / "rules.gausstab"
+    save_tables([gauss_rule(2)], target)
+    link = tmp_path / "link.gausstab"
+    link.symlink_to(target)
+    with pytest.raises(OSError, match="not a regular file"):
+        save_tables([gauss_rule(3)], link)
+    assert os.path.islink(link) and sorted(load_tables(target)) == [2]

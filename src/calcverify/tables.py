@@ -99,15 +99,16 @@ def dumps_tables(rules: Iterable[QuadratureRule]) -> str:
 def save_tables(rules: Iterable[QuadratureRule], path: str) -> None:
     """Write rules to ``path`` atomically (temp file + rename).
 
-    Raises OSError if ``path`` exists and is not a regular file: a
-    symlink, device or FIFO is never replaced.
+    A file that is replaced keeps its permission bits; a new one is
+    created with mode 0600.  Raises OSError if ``path`` exists and is not
+    a regular file: a symlink, device or FIFO is never replaced.
     """
     path = os.fspath(path)
     text = dumps_tables(rules)
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
-        pass
+        mode = None
     else:
         # the rename would replace a link, device or FIFO with a regular file
         if not stat.S_ISREG(mode):
@@ -117,6 +118,9 @@ def save_tables(rules: Iterable[QuadratureRule], path: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gausstab.")
     try:
         with os.fdopen(fd, "w") as fh:
+            if mode is not None:
+                # mkstemp made the temp file 0600
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -32,3 +32,14 @@ def test_traced_integrate_evaluates_once_per_point(tmp_path):
     assert spans["expr.evaluate"][0] == 9
     # each evaluation is a span opened directly inside the tensor-product sum
     assert spans["quadrature.apply_rule_box"][3] == 9
+
+
+def test_traced_interval_is_one_apply_rule_span(tmp_path):
+    trace = _traced(tmp_path, "integrate", "x", "x", "0", "1", "--n", "3")
+    assert trace["counts"]["quadrature.points"] == 3
+    spans = trace["spans"]
+    # the one-axis box runs inside apply_rule, not through the traced attribute
+    calls, _, _, inside = spans["quadrature.apply_rule"]
+    assert (calls, inside) == (1, 3)
+    assert spans["quadrature.apply_rule_box"][0] == 0
+    assert spans["expr.evaluate"][0] == 3

@@ -208,6 +208,18 @@ def test_integrate_rebuilds_cache_whose_weights_overflow_a_sum(capsys, tmp_path)
     assert load_tables(cache)[2] == gauss_rule(2)
 
 
+def test_integrate_rebuilds_cache_whose_weights_are_not_symmetric(capsys, tmp_path):
+    cache = tmp_path / "asymmetric.gausstab"
+    cache.write_text("GAUSSTAB 1\nN 3\n-0.5 0.6\n0 0.9\n0.6 0.5\n")
+    code, out, err = run(capsys, "integrate", "x", "x", "0", "1", "--n", "3", "--cache", str(cache))
+    assert (code, out) == (0, "0.5\n")
+    assert err == (
+        f"warning: discarding corrupt rule cache ({cache}: rule n=3 violates an invariant: "
+        "weights are not symmetric at index 0); rebuilding\n"
+    )
+    assert load_tables(cache)[3] == gauss_rule(3)
+
+
 def test_one_closure_between_tensor_sum_and_evaluate(capsys, monkeypatch):
     # the CLI's integrand calls expr.evaluate directly, so evaluate's
     # caller is called straight from the tensor-product loop

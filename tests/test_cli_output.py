@@ -367,6 +367,17 @@ CASES = [
         "4.940656458e-08\n",
         "",
     ),
+    # an interval is weighed as a one-axis box, weights before values: the
+    # term 1e308*x*jac*w fits where jac*(1e308*x) does not
+    (["integrate", "--n", "3", "--", "1e308*x", "x", "-2", "2"], 0, "0\n", ""),
+    # a weighted term that does overflow names its node as a number
+    (
+        ["integrate", "--n", "2", "--", "x*1e8", "x", "0", "1e300"],
+        1,
+        "",
+        "numeric error: weighted integrand value 2.1132486540518716e+307 overflows at node 2.1132486540518716e+299\n",
+    ),
+    (["solve", "1e300*x", "--x0", "1", "--fprime", "1e-13"], 1, "", "numeric error: Newton iterate became non-finite\n"),
 ]
 
 

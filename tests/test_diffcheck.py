@@ -156,6 +156,8 @@ def test_gradient_errors():
     with pytest.raises(NumericError) as info:
         gradient(lambda x, y: float("inf") if x > 1 else 0.0, (1.0, 0.0), 1e-6)
     assert "coordinate 0" in str(info.value)
+    with pytest.raises(NumericError, match=r"^function returned non-finite value inf at \(0\.0,\)$"):
+        gradient(lambda *p: math.inf, (0.0,), 1e-3)
 
 
 def test_directional_derivative_examples():

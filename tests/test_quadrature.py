@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from calcverify import (
     Box,
+    CalcVerifyError,
     CapabilityError,
     DomainError,
     NumericError,
@@ -20,7 +22,7 @@ from calcverify import (
     legendre_roots,
     parse,
 )
-from calcverify.quadrature import _fsum, _jacobian_and_midpoint, _term_error
+from calcverify.quadrature import _fsum, _jacobian_and_midpoint, _term_error, apply_rule
 
 
 def test_rule_examples():
@@ -295,6 +297,61 @@ def test_apply_rule_box_matches_the_product_loop_bit_for_bit(dims):
             for f in integrands:
                 expected = _result(lambda: _apply_rule_box_reference(rule, f, box))
                 assert _result(lambda: apply_rule_box(rule, f, box)) == expected
+
+
+_INTERVAL_INTEGRANDS = [
+    math.exp,
+    math.sin,
+    lambda x: x**3 - x,
+    lambda x: 1.0 / (1.0 + x * x),
+    as_function(parse("x^2*sin(x) - exp(x/4)/3", ["x"]), ["x"]),
+    lambda x: 1e200 * x,
+    lambda x: 1e-200 * math.cos(x),
+]
+
+
+def _random_interval(rng):
+    scale = 10.0 ** rng.randint(-5, 1)
+    a = rng.uniform(-3, 3) * scale
+    return a, a + rng.uniform(1e-3, 6) * scale
+
+
+def _outcome(call):
+    try:
+        return call().hex()
+    except (ArithmeticError, CalcVerifyError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_apply_rule_is_the_one_axis_box():
+    rng = random.Random(1200)
+    bounds = [(0.0, 5e-324), (-1e-310, 1e-310), (-1e308, 1e308), (-MAX, MAX), (1e308, 1.7e308), (0.0, 1e300)]
+    integrands = _INTERVAL_INTEGRANDS + [lambda x: 1e308 * x, lambda x: x * 1e8, lambda x: math.inf, lambda x: 1.5e308]
+    for _ in range(600):
+        a, b = rng.choice(bounds) if rng.random() < 0.2 else _random_interval(rng)
+        rule, f = gauss_rule(rng.randint(1, 64)), rng.choice(integrands)
+        expected = _outcome(lambda: apply_rule_box(rule, f, Box((a,), (b,))))
+        assert _outcome(lambda: apply_rule(rule, f, a, b)) == expected, (a, b, rule.n)
+
+
+def test_apply_rule_moved_within_the_stated_bound():
+    # against the interval's own loop before it became the one-axis box,
+    # w * (jac * v): |new - old| <= 2 eps sum |w_i jac f(u_i)| for terms in
+    # the normal range
+    rng = random.Random(1201)
+    eps = Fraction(sys.float_info.epsilon)
+    moved = 0
+    for _ in range(2000):
+        a, b = _random_interval(rng)
+        rule, f = gauss_rule(rng.randint(1, 64)), rng.choice(_INTERVAL_INTEGRANDS)
+        jac, mid = (b - a) / 2.0, (b + a) / 2.0
+        values = [f(jac * x + mid) for x in rule.nodes]
+        old = math.fsum(w * (jac * v) for w, v in zip(rule.weights, values))
+        magnitude = sum(abs(Fraction(w) * Fraction(jac) * Fraction(v)) for w, v in zip(rule.weights, values))
+        new = apply_rule(rule, f, a, b)
+        moved += new != old
+        assert abs(Fraction(new) - Fraction(old)) <= 2 * eps * magnitude, (a, b, rule.n)
+    assert moved > 100  # the two orders do round differently
 
 
 @pytest.mark.parametrize("reference", [math.inf, -math.inf, math.nan])

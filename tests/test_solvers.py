@@ -42,6 +42,12 @@ def test_newton_flat_derivative_is_an_error():
         newton_solve(lambda x: 5.0, 0.0, 1.0, fprime=lambda x: 0.0)
 
 
+def test_newton_iterate_that_overflows_is_an_error():
+    # the step -f/f' = -1e313 is not finite, though f and f' are
+    with pytest.raises(NumericError, match="^Newton iterate became non-finite$"):
+        newton_solve(lambda x: 1e300 * x, 0.0, 1.0, fprime=lambda x: 1e-13)
+
+
 def test_newton_starts_at_root():
     result = newton_solve(lambda x: x * x, 4.0, 2.0)
     assert result.converged and result.iterations == 0

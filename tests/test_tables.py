@@ -110,6 +110,7 @@ def test_load_truncated_block_reports_line(tmp_path):
         ("N 2\n0.5 1\n-0.5 1\n", "ascending"),
         ("N 2\n-0.5 1.2\n0.6 0.8\n", "n=2"),
         ("N 2\n-0.5 1e308\n0.5 1e308\n", "exceeds 2"),  # their sum overflows fsum
+        ("N 3\n-0.5 0.6\n0 0.9\n0.6 0.5\n", "weights are not symmetric at index 0"),
     ],
 )
 def test_load_invariant_violations(tmp_path, body, needle):
@@ -283,3 +284,30 @@ def test_save_refuses_to_replace_a_symlink(tmp_path):
     with pytest.raises(OSError, match="not a regular file"):
         save_tables([gauss_rule(3)], link)
     assert os.path.islink(link) and sorted(load_tables(target)) == [2]
+
+
+def test_save_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    path = tmp_path / "rules.gausstab"
+
+    def fail(src, dst):
+        raise PermissionError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(PermissionError, match="rename refused"):
+        save_tables([gauss_rule(2)], path)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("through_link", [False, True])
+def test_a_rewritten_cache_keeps_its_mode(tmp_path, through_link):
+    target = tmp_path / "rules.gausstab"
+    save_tables([gauss_rule(2)], target)
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o600  # as mkstemp creates it
+    os.chmod(target, 0o644)
+    cache = target
+    if through_link:
+        cache = tmp_path / "link.gausstab"
+        cache.symlink_to(target)
+    assert get_or_build(cache, 3) == gauss_rule(3)  # a miss rewrites the file
+    assert sorted(load_tables(target)) == [2, 3]
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o644

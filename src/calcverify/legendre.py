@@ -152,13 +152,20 @@ def legendre_recurrence(n: int) -> list[Polynomial]:
     return _to_polynomials(_recurrence_exact(n))
 
 
+@lru_cache(maxsize=None)
+def _recurrence_floats(n: int) -> tuple[tuple[float, float, float], ...]:
+    # (2k+1, k, k+1) for k = 1..n-1 as floats: each small integer converts
+    # exactly, so the recurrence rounds as with ints, minus the conversions
+    return tuple((2.0 * k + 1.0, float(k), k + 1.0) for k in range(1, n))
+
+
 def legendre_value_and_derivative(n: int, x: float) -> tuple[float, float]:
     """(P_n(x), P_n'(x)) by the value recurrence."""
     if n == 0:
         return 1.0, 0.0
     prev, cur = 1.0, x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+    for a, b, c in _recurrence_floats(n):
+        prev, cur = cur, (a * x * cur - b * prev) / c
     if x == 1.0 or x == -1.0:
         d = 0.5 * n * (n + 1)
         if x < 0.0 and n % 2 == 0:
@@ -197,29 +204,41 @@ def integer_coefficients(n: int) -> tuple[int, ...]:
 
 
 def _horner_fixed(n: int, x: int) -> tuple[int, int]:
-    # (S 2^n P_n(x/S), S 2^n P_n'(x/S)) by one Horner pass that carries the
-    # value and the derivative together.  Each product is truncated back to
-    # scale S, which costs ~n units of 2^-240, far below the 2^-120 grid.
-    coeffs = integer_coefficients(n)
-    p, d = coeffs[n] << _FIXED_BITS, 0
-    for c in reversed(coeffs[:n]):
-        d = ((d * x) >> _FIXED_BITS) + p
-        p = ((p * x) >> _FIXED_BITS) + (c << _FIXED_BITS)
-    return p, d
+    """(S 2^n P_n(x/S), S 2^n P_n'(x/S)) at scale S = 2^240, for n >= 1.
+
+    P_n holds only powers of n's parity, so 2^n P_n(x) = x^r Q(x^2) with
+    r = n mod 2.  One Horner pass over Q's floor(n/2) + 1 coefficients
+    carries Q and Q' at y = x^2; then P' = 2x Q' for even n and
+    Q + 2y Q' for odd n.  Each product is truncated back to scale S,
+    which costs ~n units of 2^-240, far below the 2^-120 grid.
+    """
+    r = n % 2
+    coeffs = integer_coefficients(n)[r::2]
+    y = (x * x) >> _FIXED_BITS
+    q, dq = coeffs[-1] << _FIXED_BITS, 0
+    for c in reversed(coeffs[:-1]):
+        dq = ((dq * y) >> _FIXED_BITS) + q
+        q = ((q * y) >> _FIXED_BITS) + (c << _FIXED_BITS)
+    if r:
+        return (x * q) >> _FIXED_BITS, q + ((y * dq) >> (_FIXED_BITS - 1))
+    return q, (x * dq) >> (_FIXED_BITS - 1)
 
 
 @lru_cache(maxsize=None)
 def positive_roots_fixed(n: int) -> tuple[int, ...]:
     """Ascending positive roots of P_n as integer multiples of 2^-120.
 
-    Float Newton (initial guesses cos(pi (4k-1) / (4n+2))) lands within
-    an ulp; one Newton step in fixed point at scale 2^240 then squares
-    the accuracy far past double precision before the root is rounded
-    to the 2^-120 grid.
+    Float Newton from Tricomi's guesses
+    (1 - (n-1)/(8n^3)) cos(pi (4k-1) / (4n+2)) lands within an ulp; one
+    Newton step in fixed point at scale 2^240 then squares the accuracy
+    far past double precision before the root is rounded to the 2^-120
+    grid.  Each root is within ~2^-90 of the true root: the integer
+    2^n P_n changes sign between root - 2^-90 and root + 2^-90.
     """
     out = []
+    shrink = 1.0 - (n - 1) / (8.0 * n**3)
     for k in range(1, n // 2 + 1):
-        guess = math.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+        guess = shrink * math.cos(math.pi * (4 * k - 1) / (4 * n + 2))
         x = int(_newton_root(n, guess) * 2.0**_FIXED_BITS)
         p, d = _horner_fixed(n, x)
         x -= (p << _FIXED_BITS) // d

@@ -95,6 +95,15 @@ def test_antideriv_exit_codes(capsys):
     assert run(capsys, "antideriv", "1/x", "ln(x)", "2", "1")[0] == 2
 
 
+def test_antideriv_last_bit_of_a_large_integral_passes(capsys):
+    # abs_diff is one ulp of 9.1e11, above the absolute tol 1e-6
+    code, out, _ = run(capsys, "antideriv", "3*x^2", "x^3", "4288", "9966", "--n", "10")
+    assert code == 0
+    assert "abs_diff 0.0001220703125\nverdict pass\n" in out
+    code, out, _ = run(capsys, "antideriv", "3*x^2", "x^3*(1+1e-12)", "4288", "9966", "--n", "10")
+    assert code == 1 and out.endswith("verdict fail\n")
+
+
 def test_solve_newton_and_secant(capsys):
     code, out, _ = run(capsys, "solve", "x^2", "--c", "4", "--x0", "3", "--json")
     assert code == 0

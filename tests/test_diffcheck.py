@@ -10,11 +10,13 @@ from calcverify import (
     NumericError,
     central_diff,
     directional_derivative,
+    expr,
     gradient,
     one_sided_diff,
     verify_antiderivative,
     verify_derivative,
 )
+from calcverify.diffcheck import DEFAULT_TOL_ABS
 
 
 def rational_f(x):
@@ -120,6 +122,29 @@ def test_verify_antiderivative_examples():
     wrong = verify_antiderivative(lambda x: 1 / x, lambda x: math.log(x) + x, 1.0, 2.0, n=10)
     assert wrong.verdict == "fail"
     assert wrong.abs_diff == pytest.approx(1.0, abs=1e-9)
+
+
+def _fn(text):
+    return expr.as_function(expr.parse(text, ["x"]), ["x"])
+
+
+def test_antiderivative_verdict_is_not_decided_by_rounding():
+    # |F(b) - F(a)| near 1e300 is far above the absolute tol, so one ulp
+    # of difference used to fail an exact antiderivative
+    f, F = _fn("1e300*x"), _fn("5e299*x^2")
+    rng = random.Random(2000)
+    for _ in range(2000):
+        a, b = sorted((rng.uniform(-10, 10), rng.uniform(-10, 10)))
+        report = verify_antiderivative(f, F, a, b, n=10)
+        assert report.verdict == "pass", (a, b, report.abs_diff)
+
+
+def test_antiderivative_rounding_allowance_is_a_few_ulps():
+    report = verify_antiderivative(_fn("3*x^2"), _fn("x^3"), 4288.0, 9966.0, n=10)
+    assert report.verdict == "pass" and report.abs_diff > DEFAULT_TOL_ABS
+    # a relative error of 1e-12 is thousands of ulps: still a fail
+    wrong = verify_antiderivative(_fn("3*x^2"), _fn("x^3*(1+1e-12)"), 4288.0, 9966.0, n=10)
+    assert wrong.verdict == "fail"
 
 
 def test_verify_antiderivative_requires_interval():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,14 @@ from calcverify import (
     poly_eval,
 )
 from calcverify.legendre import (
+    _FIXED_BITS,
+    _GRID_BITS,
+    _horner_fixed,
     _recurrence_exact,
     analytic_inner_product,
     integer_coefficients,
     legendre_value_and_derivative,
+    positive_roots_fixed,
 )
 
 
@@ -131,3 +136,69 @@ def test_orthogonality_and_normalization(route):
         assert abs(poly_eval(polys[i], 1.0) - 1.0) <= 1e-12
         for j in range(i + 1, 13):
             assert abs(analytic_inner_product(polys[i], polys[j])) <= 1e-10
+
+
+def _horner_full(n, x):
+    # Horner over all n + 1 coefficients, the vanishing ones included: the
+    # pass that the parity split in _horner_fixed halved, kept as its reference
+    coeffs = integer_coefficients(n)
+    p, d = coeffs[n] << _FIXED_BITS, 0
+    for c in reversed(coeffs[:n]):
+        d = ((d * x) >> _FIXED_BITS) + p
+        p = ((p * x) >> _FIXED_BITS) + (c << _FIXED_BITS)
+    return p, d
+
+
+def test_parity_horner_matches_the_full_pass():
+    # both truncate each product to scale 2^240; the difference stays
+    # within 2 n sum|c_i| units of 2^-240 (0.59 of that measured)
+    rng = random.Random(13)
+    one = 1 << _FIXED_BITS
+    for n in range(1, 65):
+        bound = 2 * n * sum(abs(c) for c in integer_coefficients(n))
+        points = [r << (_FIXED_BITS - _GRID_BITS) for r in positive_roots_fixed(n)]
+        points += [rng.randrange(-one, one + 1) for _ in range(20)]
+        for x in points:
+            p, d = _horner_fixed(n, x)
+            p_ref, d_ref = _horner_full(n, x)
+            assert abs(p - p_ref) <= bound and abs(d - d_ref) <= bound, (n, x)
+
+
+def _value_and_derivative_ref(n, x):
+    # the recurrence with int coefficients, as before they became floats
+    if n == 0:
+        return 1.0, 0.0
+    prev, cur = 1.0, x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+    if x == 1.0 or x == -1.0:
+        d = 0.5 * n * (n + 1)
+        if x < 0.0 and n % 2 == 0:
+            d = -d
+        return cur, d
+    return cur, n * (x * cur - prev) / (x * x - 1.0)
+
+
+def test_value_recurrence_keeps_its_bits():
+    rng = random.Random(7)
+    cases = [(n, x) for n in range(0, 65) for x in (-1.0, 1.0, 0.0)]
+    cases += [(rng.randint(0, 64), rng.uniform(-1.25, 1.25)) for _ in range(5000)]
+    for n, x in cases:
+        assert legendre_value_and_derivative(n, x) == _value_and_derivative_ref(n, x), (n, x)
+
+
+def _sign_of_scaled_legendre(n, x):
+    # sign of 2^n P_n(x / 2^120), exactly: sum c_i x^i 2^(120 (n - i))
+    acc = 0
+    for i, c in enumerate(reversed(integer_coefficients(n))):
+        acc = acc * x + (c << (_GRID_BITS * i))
+    return (acc > 0) - (acc < 0)
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_fixed_roots_bracket_a_sign_change_within_2_to_the_minus_90(n):
+    radius = 1 << (_GRID_BITS - 90)
+    for r in positive_roots_fixed(n):
+        below = _sign_of_scaled_legendre(n, r - radius)
+        above = _sign_of_scaled_legendre(n, r + radius)
+        assert below * above == -1, (n, r)

@@ -17,55 +17,13 @@ import math
 import sys
 from typing import Callable, Optional, Sequence
 
-from .errors import CapabilityError, DomainError, NumericError
-
-
-def _caret(source: str, offset: int, message: str) -> str:
-    offset = max(0, min(offset, len(source)))
-    return f"{message}\n  {source}\n  {' ' * offset}^"
+from .errors import CalcVerifyError, DomainError, NumericError
 
 
 def _compile(text: str, variables: Sequence[str]) -> Callable[..., float]:
     from . import expr
 
-    try:
-        tree = expr.parse(text, variables)
-    except expr.ParseError as pe:
-        raise DomainError(_caret(text, pe.offset, str(pe))) from None
-
-    def failure(ee: expr.EvalDomainError) -> Exception:
-        # overflow and non-finite values are numeric failures (exit 1)
-        kind = NumericError if ee.overflow else DomainError
-        return kind(_caret(text, ee.offset, str(ee)))
-
-    # one closure per arity, its names bound here and a dict display per
-    # point; expr.evaluate is a module attribute looked up per call, so a
-    # wrapper set on it (bench/child.py's tracer) sees every point
-    if len(variables) == 1:
-        (a,) = variables
-        def f(x: float) -> float:
-            try:
-                return expr.evaluate(tree, {a: x})
-            except expr.EvalDomainError as ee:
-                raise failure(ee) from None
-
-    elif len(variables) == 2:
-        a, b = variables
-        def f(x: float, y: float) -> float:
-            try:
-                return expr.evaluate(tree, {a: x, b: y})
-            except expr.EvalDomainError as ee:
-                raise failure(ee) from None
-
-    else:
-        a, b, c = variables
-        def f(x: float, y: float, z: float) -> float:
-            try:
-                return expr.evaluate(tree, {a: x, b: y, c: z})
-            except expr.EvalDomainError as ee:
-                raise failure(ee) from None
-
-    return f
+    return expr.as_function(expr.parse(text, variables), variables)
 
 
 def _json_scalar(v) -> str:
@@ -289,11 +247,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exit_.code) if exit_.code else 0
     try:
         return args.func(args)
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, CapabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except CalcVerifyError as exc:
+        message, source = str(exc), getattr(exc, "source", None)
+        if source is not None:  # a parse or evaluation error: point at the offset
+            message += f"\n  {source}\n  {' ' * max(0, min(exc.offset, len(source)))}^"
+        # overflow and non-finite values are numeric failures (exit 1)
+        if isinstance(exc, NumericError) or getattr(exc, "overflow", False):
+            print(f"numeric error: {message}", file=sys.stderr)
+            return 1
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

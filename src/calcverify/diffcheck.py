@@ -63,10 +63,18 @@ def _check_step(h: float) -> None:
         raise DomainError(f"step h must be finite, got {h!r}")
 
 
+def _moved(a: float, x: float, h: float, point) -> float:
+    # x is a moved by h; a step lost to rounding leaves a difference of 0 whatever f is
+    if x == a:
+        raise NumericError(f"step h={h!r} is too small to move the point {point!r}")
+    return x
+
+
 def central_diff(f: Callable[[float], float], a: float, h: float) -> float:
     """Slope of the secant through (a-h, f(a-h)) and (a+h, f(a+h))."""
     _check_step(h)
-    return _finite((_eval_finite(f, a + h) - _eval_finite(f, a - h)) / (2.0 * h), "central difference")
+    right, left = _moved(a, a + h, h, a), _moved(a, a - h, h, a)
+    return _finite((_eval_finite(f, right) - _eval_finite(f, left)) / (2.0 * h), "central difference")
 
 
 def one_sided_diff(f: Callable[[float], float], a: float, h: float) -> float:
@@ -75,7 +83,8 @@ def one_sided_diff(f: Callable[[float], float], a: float, h: float) -> float:
         raise DomainError("step h must be nonzero")
     if not math.isfinite(h):
         raise DomainError(f"step h must be finite, got {h!r}")
-    return _finite((_eval_finite(f, a + h) - _eval_finite(f, a)) / h, "one-sided difference")
+    right = _moved(a, a + h, h, a)
+    return _finite((_eval_finite(f, right) - _eval_finite(f, a)) / h, "one-sided difference")
 
 
 def _check_tolerance(name: str, tol: float) -> None:
@@ -169,12 +178,13 @@ def gradient(
     p = tuple(float(v) for v in point)
     if len(p) < 1:
         raise DomainError("point must have at least one coordinate")
+    bumps = [_moved(v, v + h, h, p) for v in p]
     base = f(*p)
     if not math.isfinite(base):
         raise NumericError(f"function returned non-finite value {base!r} at {p!r}")
     out = []
     for k in range(len(p)):
-        bumped = p[:k] + (p[k] + h,) + p[k + 1 :]
+        bumped = p[:k] + (bumps[k],) + p[k + 1 :]
         v = f(*bumped)
         if not math.isfinite(v):
             raise NumericError(

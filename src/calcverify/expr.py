@@ -65,6 +65,7 @@ class ParseError(CalcVerifyError):
         self.message = message
         self.offset = offset
         self.expected = expected
+        self.source = None  # the text parse read, set by parse
 
     def __str__(self) -> str:
         s = f"{self.message} at offset {self.offset}"
@@ -78,17 +79,21 @@ class EvalDomainError(DomainError):
 
     ``overflow`` is true when a value overflowed or came out non-finite,
     a numeric failure rather than a point outside a function's domain.
+    ``source`` is the text ``offset`` indexes: the one parse read, or
+    None for a tree built by hand.
     """
 
     def __init__(self, message: str, offset: int, overflow: bool = False):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
         self.overflow = overflow
+        self.source = None
 
 
 class _Node(Record):
     # what evaluate derives from a tree, kept in the instance __dict__
     # (which records leave writable) and out of eq, hash and repr
+    _source = None  # the text parse read, on the tree it returns; not a field
 
     @cached_property
     def _order(self) -> list["Expr"]:
@@ -302,7 +307,13 @@ def parse(source: str, variables: Sequence[str]) -> Expr:
         if name in seen:
             raise DomainError(f"duplicate variable name {name!r}")
         seen.add(name)
-    return _Parser(_tokenize(source), variables).parse()
+    try:
+        tree = _Parser(_tokenize(source), variables).parse()
+    except ParseError as pe:
+        pe.source = source
+        raise
+    tree.__dict__["_source"] = source
+    return tree
 
 
 def _postorder(e: Expr) -> list[Expr]:
@@ -445,7 +456,11 @@ def evaluate(
         value = program(bindings, impls)
         if value is not None:
             return value
-    return _interpret(e._order, bindings, impls)
+    try:
+        return _interpret(e._order, bindings, impls)
+    except EvalDomainError as ee:
+        ee.source = e._source
+        raise
 
 
 def as_function(
@@ -453,12 +468,30 @@ def as_function(
     variables: Sequence[str],
     functions: Optional[Mapping[str, Callable[[float], float]]] = None,
 ) -> Callable[..., float]:
-    """Wrap an Expr as a positional callable over ``variables``."""
+    """Wrap an Expr as a positional callable over ``variables``.
+
+    It takes exactly one value per variable; another count raises TypeError.
+    """
     names = tuple(variables)
-
-    def f(*values: float) -> float:
-        return evaluate(e, dict(zip(names, values)), functions)
-
+    # one form per common arity, its names bound here and a dict display per
+    # point; evaluate is looked up per call, so a wrapper set on it sees every point
+    if len(names) == 1:
+        (a,) = names
+        def f(x: float) -> float:
+            return evaluate(e, {a: x}, functions)
+    elif len(names) == 2:
+        a, b = names
+        def f(x: float, y: float) -> float:
+            return evaluate(e, {a: x, b: y}, functions)
+    elif len(names) == 3:
+        a, b, c = names
+        def f(x: float, y: float, z: float) -> float:
+            return evaluate(e, {a: x, b: y, c: z}, functions)
+    else:
+        def f(*values: float) -> float:
+            if len(values) != len(names):
+                raise TypeError(f"expected {len(names)} values, got {len(values)}")
+            return evaluate(e, dict(zip(names, values)), functions)
     return f
 
 

@@ -112,7 +112,10 @@ def gauss_weights_linear_system(nodes: RootSet | Sequence[float]) -> tuple[float
             w[i] /= x[i] - x[i - k - 1]
         for i in range(k, n - 1):
             w[i] -= w[i + 1]
-    return tuple(float(v) for v in w)
+    try:
+        return tuple(float(v) for v in w)
+    except OverflowError:  # nodes very close together make the exact weights huge
+        raise NumericError("an exact weight of the moment system overflows a double") from None
 
 
 def _term_error(v: float, point: tuple[float, ...]) -> NumericError:

@@ -245,6 +245,60 @@ def test_one_closure_between_tensor_sum_and_evaluate(capsys, monkeypatch):
     assert callers == {"apply_rule_box"}
 
 
+def test_difference_step_that_does_not_move_the_point_exits_1(capsys):
+    # a step lost to rounding measured a slope of 0: a failed verdict, a flat derivative
+    assert run(capsys, "diffcheck", "x", "1", "1e308") == (
+        1,
+        "",
+        "numeric error: step h=0.0001 is too small to move the point 1e+308\n",
+    )
+    assert run(capsys, "solve", "x^2", "--c", "1e20", "--x0", "3e9") == (
+        1,
+        "",
+        "numeric error: step h=1e-07 is too small to move the point 3000000000.0\n",
+    )
+
+
+def test_library_gets_the_callable_as_function_returned(capsys, monkeypatch):
+    from calcverify import diffcheck, quadrature, solvers
+
+    made, passed = [], []
+    real_as_function = expr.as_function
+
+    def as_function(*args):
+        made.append(real_as_function(*args))
+        return made[-1]
+
+    monkeypatch.setattr(expr, "as_function", as_function)
+    for module, name in (
+        (quadrature, "apply_rule"),
+        (quadrature, "apply_rule_box"),
+        (diffcheck, "verify_derivative"),
+        (diffcheck, "verify_antiderivative"),
+        (solvers, "newton_solve"),
+        (solvers, "secant_solve"),
+    ):
+
+        def spy(*args, _real=getattr(module, name), **kwargs):
+            passed.extend(v for v in (*args, *kwargs.values()) if callable(v))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    for argv in (
+        ("integrate", "x", "x", "0", "1"),
+        ("integrate", "x*y*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "2"),
+        ("diffcheck", "x^2", "2*x", "1"),
+        ("antideriv", "2*x", "x^2", "0", "1"),
+        ("solve", "x^2", "--c", "2", "--x0", "1", "--fprime", "2*x"),
+        ("solve", "x^2", "--c", "2", "--method", "secant", "--x0", "1", "--x1", "2"),
+    ):
+        made.clear()
+        passed.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        # antideriv's quadrature reaches apply_rule too, with the same f
+        assert made and {id(f) for f in passed} == {id(f) for f in made}, argv
+
+
 @pytest.mark.parametrize(
     "argv, needle",
     [

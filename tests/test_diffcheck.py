@@ -285,6 +285,24 @@ def test_bad_step_tolerance_or_direction_rejected_before_evaluating(call, messag
         call(_never_called)
 
 
+@pytest.mark.parametrize(
+    "call, point",
+    [
+        (lambda f: central_diff(f, 1e308, 1e-4), "1e+308"),
+        (lambda f: central_diff(f, 1.0, 1e-16), "1.0"),  # 1 - 1e-16 moves, 1 + 1e-16 does not
+        (lambda f: central_diff(f, -1.0, 1e-16), "-1.0"),  # and the other way round
+        (lambda f: one_sided_diff(f, 1e20, 1e-4), "1e+20"),
+        (lambda f: one_sided_diff(f, 1e20, -1e-4), "1e+20"),
+        (lambda f: gradient(f, (1.0, 1e20), 1e-6), "(1.0, 1e+20)"),
+        (lambda f: verify_derivative(f, f, 1e20), "1e+20"),
+    ],
+)
+def test_step_that_does_not_move_the_point_is_numeric_error(call, point):
+    # the difference would be 0 whatever f is, so f is never evaluated
+    with pytest.raises(NumericError, match=re.escape(f"is too small to move the point {point}")):
+        call(_never_called)
+
+
 @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-1.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)])
 def test_infinite_antiderivative_bound_rejected_before_evaluating(a, b):
     # F at an infinite bound is not an integral: an input error, as for integrate

@@ -299,10 +299,16 @@ def test_nesting_cap(prefix, suffix):
         parse(prefix * 101 + "x" + suffix * 101, ["x"])
 
 
-def test_as_function_with_too_few_values_is_unbound_variable():
-    f = as_function(parse("x + y", ["x", "y"]), ["x", "y"])
-    with pytest.raises(EvalDomainError, match="unbound variable 'y' at offset 4"):
-        f(1.0)
+def test_as_function_takes_exactly_one_value_per_variable():
+    names = ["a", "b", "c", "d"]
+    for k in range(5):
+        f = as_function(parse("+".join(["1", *names[:k]]), names[:k] or ["x"]), names[:k])
+        assert f(*[1.0] * k) == 1.0 + k
+        with pytest.raises(TypeError):
+            f(*[1.0] * (k + 1))  # too many: the extra value is not dropped
+        if k:
+            with pytest.raises(TypeError):
+                f(*[1.0] * (k - 1))
 
 
 def test_first_error_from_the_left_wins():
@@ -443,3 +449,34 @@ def test_overflow_errors_are_marked():
         with pytest.raises(EvalDomainError) as info:
             evaluate(parse(text, ["x", "y"]), {"x": x})
         assert not info.value.overflow, text
+
+
+def test_errors_carry_the_parsed_text():
+    for text in ("x + )", "x $ 1", "2x"):
+        with pytest.raises(ParseError) as info:
+            parse(text, ["x"])
+        assert info.value.source == text
+    compiled = "1 + ln(x)"
+    interpreted = "+".join(["x"] * 600) + "+ln(x)"  # past the node cap
+    for text in (compiled, interpreted):
+        tree = parse(text, ["x"])
+        assert (tree._program is None) == (text is interpreted)
+        with pytest.raises(EvalDomainError) as info:
+            evaluate(tree, {"x": -1.0})
+        assert info.value.source == text
+        assert text[info.value.offset :].startswith("ln(")
+        # the positional callable raises the same error
+        with pytest.raises(EvalDomainError) as info:
+            as_function(tree, ["x"])(-1.0)
+        assert info.value.source == text
+
+
+def test_trees_not_from_parse_carry_no_text():
+    assert ParseError("bad", 0).source is None
+    built = BinOp("/", Num(1.0, 0), Var("x", 2), 1)
+    copy = pickle.loads(pickle.dumps(parse("1/x", ["x"])))
+    assert copy == built and copy._source is None
+    for tree in (built, copy):
+        with pytest.raises(EvalDomainError, match="division by zero at offset 1") as info:
+            evaluate(tree, {"x": 0.0})
+        assert info.value.source is None

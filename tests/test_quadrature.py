@@ -76,6 +76,8 @@ def test_linear_system_examples():
 def test_linear_system_errors():
     with pytest.raises(NumericError):
         gauss_weights_linear_system([0.5, 0.5])
+    with pytest.raises(NumericError, match="overflows a double"):
+        gauss_weights_linear_system([-1e-200, 0.0, 1e-200])  # exact weights near 1e400
     with pytest.raises(CapabilityError):
         gauss_weights_linear_system([k / 22.0 for k in range(21)])
     with pytest.raises(DomainError):

@@ -160,3 +160,9 @@ def test_secant_step_that_does_not_move_the_iterate_is_numeric_error():
     # below the last residual, r / slope rounds away and two iterates coincide
     with pytest.raises(NumericError, match="secant slope is non-finite at iterate 1.41421356"):
         secant_solve(lambda x: x * x - 2.0, 0.0, 1.0, 2.0, tol=1e-20)
+
+
+def test_newton_difference_step_that_does_not_move_the_iterate_is_numeric_error():
+    # 3e9 + 1e-7 rounds back to 3e9, which read as a flat derivative
+    with pytest.raises(NumericError, match="step h=1e-07 is too small to move the point 3000000000.0"):
+        newton_solve(lambda x: x * x, 1e20, 3e9)

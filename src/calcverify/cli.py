@@ -12,12 +12,15 @@ and runs no other; options left out fall back to the library defaults.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
-from typing import Callable, Optional, Sequence
+import types
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import CalcVerifyError, DomainError, NumericError
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _compile(text: str, variables: Sequence[str]) -> Callable[..., float]:
@@ -169,82 +172,119 @@ def _cmd_cordic(args) -> int:
     return 0
 
 
+_SUPPRESS = object()  # argparse.SUPPRESS: absent unless given, so the library default applies
+_FLAG = {"action": "store_true", "default": False}
+_FLOAT, _VAR = {"type": float}, {"default": "x"}
+_LIB_FLOAT, _LIB_INT = {"type": float, "default": _SUPPRESS}, {"type": int, "default": _SUPPRESS}
+
+# The one description of the CLI: subcommand -> (handler, help, arguments),
+# each argument a name and the keywords of its add_argument call.
+# build_parser() hands it to argparse, and _read_argv() reads a plain argv by it.
+_COMMANDS = {
+    "integrate": (_cmd_integrate, "integrate an expression over an interval or box", [
+        ("expression", {}),
+        ("axes", {"nargs": "+", "metavar": "VAR LO HI",
+                  "help": "1 to 3 axis triplets, e.g. x 0 1 y 0 1"}),
+        ("--n", {"type": int, "default": 20, "help": "points per axis (default 20)"}),
+        ("--json", _FLAG),
+        ("--cache", {"help": "rule cache file (default $CALCVERIFY_CACHE)"}),
+    ]),
+    "diffcheck": (_cmd_diffcheck, "verify an analytic derivative at a point", [
+        ("function", {}), ("derivative", {}), ("point", _FLOAT), ("--var", _VAR),
+        ("--h", _LIB_FLOAT), ("--tol-abs", _LIB_FLOAT), ("--tol-rel", _LIB_FLOAT), ("--json", _FLAG),
+    ]),
+    "antideriv": (_cmd_antideriv, "verify an antiderivative on an interval", [
+        ("function", {}), ("antiderivative", {}), ("a", _FLOAT), ("b", _FLOAT), ("--var", _VAR),
+        ("--n", _LIB_INT), ("--tol", _LIB_FLOAT), ("--json", _FLAG),
+    ]),
+    "solve": (_cmd_solve, "solve f(x) = c by Newton or secant iteration", [
+        ("function", {}),
+        ("--c", {"type": float, "default": 0.0}),
+        ("--method", {"choices": ("newton", "secant"), "default": "newton"}),
+        ("--x0", {"type": float, "required": True}),
+        ("--x1", {"type": float, "help": "second start (secant only)"}),
+        ("--fprime", {"help": "analytic derivative expression (newton only)"}),
+        ("--var", _VAR), ("--tol", _LIB_FLOAT), ("--max-iters", _LIB_INT), ("--json", _FLAG),
+    ]),
+    "nodes": (_cmd_nodes, "print an n-point rule in the table file format", [
+        ("n", {"type": int}), ("--json", _FLAG),
+    ]),
+    "cordic": (_cmd_cordic, "CORDIC sine/cosine with a reference comparison", [
+        ("theta", _FLOAT), ("--iters", _LIB_INT), ("--json", _FLAG),
+    ]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="calcverify",
         description="Gauss-Legendre integration, derivative/antiderivative "
         "verification, root solving, and CORDIC trig.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("integrate", help="integrate an expression over an interval or box")
-    p.add_argument("expression")
-    p.add_argument(
-        "axes",
-        nargs="+",
-        metavar="VAR LO HI",
-        help="1 to 3 axis triplets, e.g. x 0 1 y 0 1",
-    )
-    p.add_argument("--n", type=int, default=20, help="points per axis (default 20)")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--cache", help="rule cache file (default $CALCVERIFY_CACHE)")
-    p.set_defaults(func=_cmd_integrate)
-
-    p = sub.add_parser("diffcheck", help="verify an analytic derivative at a point")
-    p.add_argument("function")
-    p.add_argument("derivative")
-    p.add_argument("point", type=float)
-    p.add_argument("--var", default="x")
-    p.add_argument("--h", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--tol-abs", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--tol-rel", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_diffcheck)
-
-    p = sub.add_parser("antideriv", help="verify an antiderivative on an interval")
-    p.add_argument("function")
-    p.add_argument("antiderivative")
-    p.add_argument("a", type=float)
-    p.add_argument("b", type=float)
-    p.add_argument("--var", default="x")
-    p.add_argument("--n", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_antideriv)
-
-    p = sub.add_parser("solve", help="solve f(x) = c by Newton or secant iteration")
-    p.add_argument("function")
-    p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--method", choices=("newton", "secant"), default="newton")
-    p.add_argument("--x0", type=float, required=True)
-    p.add_argument("--x1", type=float, help="second start (secant only)")
-    p.add_argument("--fprime", help="analytic derivative expression (newton only)")
-    p.add_argument("--var", default="x")
-    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--max-iters", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("nodes", help="print an n-point rule in the table file format")
-    p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_nodes)
-
-    p = sub.add_parser("cordic", help="CORDIC sine/cosine with a reference comparison")
-    p.add_argument("theta", type=float)
-    p.add_argument("--iters", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_cordic)
-
+    for command, (func, help_, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for name, spec in arguments:
+            suppress = {"default": argparse.SUPPRESS} if spec.get("default") is _SUPPRESS else {}
+            p.add_argument(name, **{**spec, **suppress})
+        p.set_defaults(func=func)
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+def _value(spec: dict, token: str):
+    # argparse reads a token as a value, not an option, if it has no leading '-' or
+    # is a plain negative number, ^-\d+$|^-\d*\.\d+$ (\d is isdecimal; isdigit takes '²')
+    whole, dot, fraction = token[1:].partition(".")
+    if token.startswith("-") and not ((whole + fraction).isdecimal() and (fraction or not dot)):
+        raise ValueError(token)
+    value = spec.get("type", str)(token)  # the call argparse makes
+    if value not in spec.get("choices", (value,)):
+        raise ValueError(token)
+    return value
+
+
+def _read_argv(argv: list[str]) -> Optional[types.SimpleNamespace]:
+    """The namespace build_parser() gives a plain argv, or None to leave argv to argparse.
+
+    Plain is a subcommand name, its positionals, then exact option names, each at
+    most once and followed by one value (none for --json) that converts."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, arguments = _COMMANDS[argv[0]]
+    options = {name: spec for name, spec in arguments if name.startswith("-")}
+    positionals = [(name, spec) for name, spec in arguments if not name.startswith("-")]
+    split = next((k for k, token in enumerate(argv) if token in options), len(argv))
+    given, tokens, last = argv[1:split], argv[split:], len(positionals) - 1
+    if positionals[last][1].get("nargs") == "+" and len(given) > last:  # integrate's axes
+        given[last:] = [given[last:]]
+    values = {name[2:].replace("-", "_"): spec.get("default") for name, spec in options.items()}
+    values.update(command=argv[0], func=func)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exit_:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exit_.code) if exit_.code else 0
+        for (name, spec), token in zip(positionals, given, strict=True):
+            one = isinstance(token, str)
+            values[name] = _value(spec, token) if one else [_value(spec, t) for t in token]
+        while tokens:
+            name = tokens.pop(0)
+            spec = options.pop(name)  # popped, so a repeat is unknown too
+            flag = spec.get("action") == "store_true"
+            values[name[2:].replace("-", "_")] = True if flag else _value(spec, tokens.pop(0))
+    except (ValueError, KeyError, IndexError):  # a count, a name or a value that is not plain
+        return None
+    if any(spec.get("required") for spec in options.values()):
+        return None
+    return types.SimpleNamespace(**{k: v for k, v in values.items() if v is not _SUPPRESS})
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:  # help, a usage error or an unusual argv: argparse answers as always
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exit_:  # argparse exits 2 on usage errors, 0 on --help
+            return int(exit_.code) if exit_.code else 0
     try:
         return args.func(args)
     except CalcVerifyError as exc:

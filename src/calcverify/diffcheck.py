@@ -63,6 +63,12 @@ def _check_step(h: float) -> None:
         raise DomainError(f"step h must be finite, got {h!r}")
 
 
+def _check_point(a: float) -> None:
+    # a NaN point still gives a slope for an f that ignores it, and no step moves an infinite one
+    if not math.isfinite(a):
+        raise DomainError(f"point a must be finite, got {a!r}")
+
+
 def _moved(a: float, x: float, h: float, point) -> float:
     # x is a moved by h; a step lost to rounding leaves a difference of 0 whatever f is
     if x == a:
@@ -72,6 +78,7 @@ def _moved(a: float, x: float, h: float, point) -> float:
 
 def central_diff(f: Callable[[float], float], a: float, h: float) -> float:
     """Slope of the secant through (a-h, f(a-h)) and (a+h, f(a+h))."""
+    _check_point(a)
     _check_step(h)
     right, left = _moved(a, a + h, h, a), _moved(a, a - h, h, a)
     return _finite((_eval_finite(f, right) - _eval_finite(f, left)) / (2.0 * h), "central difference")
@@ -79,6 +86,7 @@ def central_diff(f: Callable[[float], float], a: float, h: float) -> float:
 
 def one_sided_diff(f: Callable[[float], float], a: float, h: float) -> float:
     """Secant slope (f(a+h) - f(a)) / h; negative h gives the left secant."""
+    _check_point(a)
     if h == 0:
         raise DomainError("step h must be nonzero")
     if not math.isfinite(h):
@@ -106,9 +114,7 @@ def verify_derivative(
     """Compare an analytic derivative against the central-difference estimate."""
     _check_tolerance("tol_abs", tol_abs)
     _check_tolerance("tol_rel", tol_rel)
-    if not math.isfinite(a):
-        raise DomainError(f"point a must be finite, got {a!r}")
-    numeric = central_diff(f, a, h)
+    numeric = central_diff(f, a, h)  # checks the point before the step
     analytic = _eval_finite(fprime, a)
     abs_diff = _finite(abs(analytic - numeric), "analytic - numeric")
     rel_diff = abs_diff / max(abs(analytic), 1.0)
@@ -178,6 +184,8 @@ def gradient(
     p = tuple(float(v) for v in point)
     if len(p) < 1:
         raise DomainError("point must have at least one coordinate")
+    if not all(map(math.isfinite, p)):
+        raise DomainError(f"point must be finite, got {p!r}")
     bumps = [_moved(v, v + h, h, p) for v in p]
     base = f(*p)
     if not math.isfinite(base):

@@ -273,5 +273,8 @@ def convergence_table(
     rows = []
     for n in orders:
         value = integrate_1d(f, a, b, n)
-        rows.append((n, value, abs(value - reference)))
+        error = abs(value - reference)  # both finite, but the difference may overflow
+        if error == math.inf:
+            raise NumericError(f"abs error of order {n} is non-finite ({error!r})")
+        rows.append((n, value, error))
     return rows

@@ -15,7 +15,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
 from typing import Iterable
 
 from . import quadrature
@@ -103,6 +102,8 @@ def save_tables(rules: Iterable[QuadratureRule], path: str) -> None:
     created with mode 0600.  Raises OSError if ``path`` exists and is not
     a regular file: a symlink, device or FIFO is never replaced.
     """
+    import tempfile  # with random, a few ms at start; a warm cache hit never writes
+
     path = os.fspath(path)
     text = dumps_tables(rules)
     try:

@@ -313,3 +313,32 @@ def test_infinite_antiderivative_bound_rejected_before_evaluating(a, b):
 def test_nan_antiderivative_bound_keeps_its_message():
     with pytest.raises(DomainError, match="^lower bound 0.0 is not below upper bound nan$"):
         verify_antiderivative(_never_called, _never_called, 0.0, math.nan)
+
+
+# a step from a NaN point leaves every coordinate f ignores unmoved, and one
+# from an infinite point moves nothing: neither gives a slope
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_central_diff_rejects_non_finite_point(bad):
+    with pytest.raises(DomainError, match=re.escape(f"point a must be finite, got {bad!r}")):
+        central_diff(lambda x: 0.0, bad, 1e-4)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_one_sided_diff_rejects_non_finite_point(bad):
+    with pytest.raises(DomainError, match=re.escape(f"point a must be finite, got {bad!r}")):
+        one_sided_diff(lambda x: 0.0, bad, 1e-4)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_gradient_rejects_non_finite_point(bad):
+    with pytest.raises(DomainError, match=re.escape(f"point must be finite, got ({bad!r},)")):
+        gradient(lambda x: 0.0, (bad,), 1e-6)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_directional_derivative_rejects_non_finite_point(bad):
+    with pytest.raises(DomainError, match=re.escape(f"point must be finite, got ({bad!r}, 0.0)")):
+        directional_derivative(lambda x, y: 1.0, (bad, 0.0), (1.0, 0.0), 1e-6)

@@ -16,7 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from calcverify import gauss_rule, get_or_build
+from calcverify import cli, gauss_rule, get_or_build
 from calcverify.cli import main
 from calcverify.expr import BUILTIN_FUNCTIONS
 from calcverify.tables import dumps_tables, gauss_violation
@@ -252,3 +252,73 @@ def test_every_bound_ends_in_a_documented_exit_status(argv_dir, data, command, d
             got = Fraction(json.loads(out.getvalue())["value"])
             tolerance = value / 10**9 + constant_tolerance(Fraction(1e-300), widths, n)
             assert abs(got - value) <= tolerance, (argv, float(got), float(value))
+
+
+# subcommand -> (count of positionals, its options)
+COMMANDS = {
+    "integrate": (4, ["--n", "--json", "--cache"]),
+    "diffcheck": (3, ["--var", "--h", "--tol-abs", "--tol-rel", "--json"]),
+    "antideriv": (4, ["--var", "--n", "--tol", "--json"]),
+    "solve": (1, ["--x0", "--c", "--method", "--x1", "--fprime", "--var", "--tol", "--max-iters", "--json"]),
+    "nodes": (1, ["--json"]),
+    "cordic": (1, ["--iters", "--json"]),
+}
+# of the tokens that start with '-', argparse reads those that match
+# ^-\d+$|^-\d*\.\d+$ (\d is any decimal digit) as negative numbers
+SIGNED = ["-1.", "-.5", "-1.5", "-0.0", "-00", "-١", "-²", "-", "-.", "-1.2.3", "-0x1", "-1 "]
+VALUES = NUMBERS * 3 + SIGNED + WORDS + CACHES  # mostly numbers, which every positional takes
+
+
+@st.composite
+def near_plain_argv(draw):
+    # positionals, then options each followed by a value: often what the
+    # CLI reads without argparse, with counts and names a little off
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    count, own = COMMANDS[command]
+    count += draw(st.sampled_from([0, 0, 0, 0, 0, 3, -1, 1]))
+    argv = [command] + [draw(st.sampled_from(VALUES)) for _ in range(count)]
+    if command == "solve" and draw(st.booleans()):
+        argv += ["--x0", draw(st.sampled_from(VALUES))]  # a required option
+    for option in draw(st.lists(st.sampled_from(own) | st.sampled_from(OPTIONS), max_size=3)):
+        value = st.sampled_from(WORDS if option == "--method" else VALUES)
+        argv += [option] if option == "--json" else [option, draw(value)]
+    return argv
+
+
+def assert_read_as_argparse_reads(argv):
+    # argparse is the reference: what the direct reader accepts, argparse
+    # reads the same way; what argparse rejects, the reader leaves to it
+    read = cli._read_argv(list(argv))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            reference = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        assert read is None, argv
+    else:
+        if read is not None:  # compared by repr, since nan != nan and -0.0 == 0.0
+            reprs = [{k: repr(v) for k, v in vars(ns).items()} for ns in (read, reference)]
+            assert reprs[0] == reprs[1], argv
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(argv=near_plain_argv())
+def test_direct_argv_reader_agrees_with_argparse(argv):
+    assert_read_as_argparse_reads(argv)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(command=st.sampled_from(sorted(COMMANDS)), tokens=st.lists(st.sampled_from(ARGV_POOL), max_size=8))
+def test_direct_argv_reader_leaves_every_rejected_argv_to_argparse(command, tokens):
+    assert_read_as_argparse_reads([command, *tokens])
+
+
+@pytest.mark.parametrize("token", SIGNED + NUMBERS + WORDS)
+def test_direct_argv_reader_reads_each_token_as_argparse_does(token):
+    # one token in a text, a number and a choice position of a plain argv
+    for argv in (
+        ["diffcheck", token, "x", "1"],
+        ["cordic", token],
+        ["solve", "x", "--x0", token],
+        ["solve", "x", "--x0", "1", "--method", token],
+    ):
+        assert_read_as_argparse_reads(argv)

@@ -91,3 +91,53 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules)
     )
     loaded = loaded_modules(code, *argv, cwd=tmp_path)
     assert loaded - CLI_MODULES == {f"calcverify.{m}" for m in modules}
+
+
+def run_clean(argv, cwd):
+    # one CLI call in a fresh -S process on the cache in cwd; the exit code and
+    # which of argparse and tempfile it loaded go to a file, past the CLI's output
+    code = (
+        "import sys\n"
+        "from calcverify.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "with open('report.txt', 'w') as fh:\n"
+        "    print(code, *[m for m in ('argparse', 'tempfile') if m in sys.modules], file=fh)"
+    )
+    env = dict(ENV, CALCVERIFY_CACHE="cache.gausstab")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env, capture_output=True, text=True, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = (cwd / "report.txt").read_text().split()
+    return int(code), set(loaded), proc.stdout, proc.stderr
+
+
+PLAIN_ARGV = [
+    ["integrate", "x^2", "x", "0", "1", "--n", "3"],
+    ["diffcheck", "x^2", "2*x", "1", "--json"],
+    ["antideriv", "2*x", "x^2", "0", "1"],
+    ["solve", "x^2 - 2", "--x0", "1", "--method", "secant", "--x1", "2"],
+    ["nodes", "3"],
+    ["cordic", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGV, ids=[a[0] for a in PLAIN_ARGV])
+def test_plain_argv_runs_without_argparse(tmp_path, argv):
+    # the warm cache holds the 3-point rule, so integrate reads it and writes nothing
+    with open(tmp_path / "cache.gausstab", "w") as fh:
+        fh.write(dumps_tables([gauss_rule(3)]))
+    code, loaded, out, err = run_clean(argv, tmp_path)
+    assert (code, err) == (0, "") and out
+    assert loaded == set()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["integrate", "x", "x", "-1e0", "1"], "calcverify: error: unrecognized arguments: -1e0 1\n"),
+        (["diffcheck", "x", "1", "1", "--tol", "1"], "error: ambiguous option: --tol could match --tol-abs, --tol-rel\n"),
+    ],
+)
+def test_other_argv_is_left_to_argparse(tmp_path, argv, message):
+    code, loaded, out, err = run_clean(argv, tmp_path)
+    assert (code, out) == (2, "") and err.startswith("usage: calcverify") and err.endswith(message)
+    assert "argparse" in loaded

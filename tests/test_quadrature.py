@@ -240,6 +240,12 @@ def test_convergence_table_validation():
         convergence_table(math.exp, 0.0, 1.0, [4, 2], 1.0)
 
 
+def test_convergence_table_overflowing_error_is_numeric_error():
+    # the value and the reference are finite, but their difference is not
+    with pytest.raises(NumericError, match=r"^abs error of order 1 is non-finite \(inf\)$"):
+        convergence_table(lambda x: 1.0, 0.0, 1e300, [1], -1.7976931348623157e308)
+
+
 def test_weighted_term_and_sum_overflow_are_numeric_errors():
     # each value is finite; its weighted term, or the sum of the terms, is not
     with pytest.raises(NumericError, match="overflows at node"):

@@ -70,9 +70,12 @@ def _check_point(a: float) -> None:
 
 
 def _moved(a: float, x: float, h: float, point) -> float:
-    # x is a moved by h; a step lost to rounding leaves a difference of 0 whatever f is
+    # x is a moved by h; a step lost to rounding leaves a difference of 0 whatever f is,
+    # and one that overflows would evaluate f at infinity
     if x == a:
         raise NumericError(f"step h={h!r} is too small to move the point {point!r}")
+    if not math.isfinite(x):
+        raise NumericError(f"step h={h!r} moves the point {point!r} to {x!r}")
     return x
 
 

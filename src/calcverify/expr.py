@@ -23,7 +23,11 @@ it sees the tree, in the manner of SymPy's ``lambdify``: one statement
 per node, so depth does not matter either.  The function is kept on the
 tree.  Trees over ``_MAX_COMPILED_NODES`` nodes, and any point where the
 compiled code raises or meets a non-finite value, run the checked
-interpreter, so values and errors are exactly the interpreter's.
+interpreter, so values and errors are exactly the interpreter's.  Under
+the default builtins the code tests finiteness only where a non-finite
+value can vanish, and keeps each subexpression that does not read the
+last declared variable for as long as the floats it reads are the same
+objects, so a tensor loop computes it once per outer point.
 """
 
 from __future__ import annotations
@@ -94,6 +98,7 @@ class _Node(Record):
     # what evaluate derives from a tree, kept in the instance __dict__
     # (which records leave writable) and out of eq, hash and repr
     _source = None  # the text parse read, on the tree it returns; not a field
+    _names: tuple = ()  # the variables parse declared, likewise
 
     @cached_property
     def _order(self) -> list["Expr"]:
@@ -313,6 +318,7 @@ def parse(source: str, variables: Sequence[str]) -> Expr:
         pe.source = source
         raise
     tree.__dict__["_source"] = source
+    tree.__dict__["_names"] = tuple(variables)
     return tree
 
 
@@ -374,60 +380,118 @@ def _interpret(order: list[Expr], bindings: Mapping[str, float], impls: Mapping[
     return stack[0]
 
 
+def _all_finite(values: list[str]) -> str:
+    # a sum is non-finite when a term is; chunks keep compile() from nesting deeply
+    return " and ".join("_isfinite(%s)" % " + ".join(values[k : k + 64]) for k in range(0, len(values), 64))
+
+
+# a memo site's code: reuse the slot's value while its impls and floats are
+# the objects just loaded, else compute it and store it once checked
+_SITE = """_s = %(slot)s[0]
+if _s[0] is _F%(hit)s:
+    %(value)s = _s[%(at)d]
+else:
+    %(body)s
+    if _F is _D:
+        if not (%(test)s):
+            return None
+        %(slot)s[0] = (%(key)s)"""
+
+
 def _generate(order: list[Expr]) -> Optional[Callable]:
     """Compile a post-order list to ``program(bindings, impls)``.
 
     The program does the interpreter's arithmetic in the interpreter's
     order, one statement per non-leaf node, and returns the value only
-    when every BinOp and Call result is finite; on any exception or a
+    when no BinOp or Call result is non-finite; on any exception or a
     failed check it returns None, and evaluate reruns the interpreter,
     which raises the error.  Names, constants and function keys are
     bound in the namespace, so no text from the tree reaches the source.
     An operator outside the parser's set gets no program; the
     interpreter raises KeyError when it reaches it.
+
+    That holds with two shortcuts under the default builtins, when every
+    literal is a float (other ``impls`` get every result tested).  Each
+    default operation maps a non-finite operand to a non-finite result
+    or raises, except at a divisor, the operands of '^' and the argument
+    of exp, so only those and the root are tested.  And each maximal
+    non-leaf subtree that does not read the last variable parse declared
+    (any variable, on a tree built by hand) is a memo site: its slot holds
+    (impls, the floats it reads, its value), stored as one tuple once its
+    tested values pass, and reused while each float ``is`` the one just
+    loaded; holding those floats keeps their ids from being reused.
     """
-    ns: dict = {"_pow": math.pow, "_isfinite": math.isfinite}
+    names = order[-1]._names
+    lean = all(type(node.value) is float for node in order if type(node) is Num)
+    ns: dict = {"_pow": math.pow, "_isfinite": math.isfinite, "_D": _DEFAULT_IMPLS}
     loads: dict = {}  # variable name -> the local that holds its float
-    lines: list[str] = []
+    head: list[str] = []
     checked: list[str] = []
-    stack: list[str] = []  # the source of each value the interpreter's stack would hold
-    for i, node in enumerate(order):
+    # per value the interpreter's stack would hold: its source, whether it reads
+    # the last variable, and the lists of its lines, tested values and floats read
+    stack: list[tuple] = []
+    for i, node in enumerate(order + [None]):  # None stands for the root's parent
         kind = type(node)
         if kind is Num:
-            ns[f"_c{i}"] = node.value
-            stack.append(f"_c{i}")
+            ns["_c%d" % i] = node.value
+            stack.append(("_c%d" % i, False, [], [], []))
             continue
         if kind is Var:
             if node.name not in loads:
-                j = len(loads)
-                loads[node.name] = f"_v{j}"
-                ns[f"_n{j}"] = node.name
-                lines.insert(j, f"_v{j} = float(_b[_n{j}])")
-            stack.append(loads[node.name])
+                j = len(head)
+                loads[node.name] = "_v%d" % j
+                ns["_n%d" % j] = node.name
+                head.append("_v%d = float(_b[_n%d])" % (j, j))
+            local = loads[node.name]
+            stack.append((local, not names or node.name == names[-1], [], [], [local]))
             continue
-        temp = f"_t{i}"
+        operands = stack[-2:] if kind is BinOp else stack[-1:]
+        del stack[-len(operands) :]
+        inner = node is None or any(o[1] for o in operands)
+        for value, reads, body, tested, floats in operands:
+            if lean and body and inner and not reads:  # a memo site, at most one per node
+                key = sorted(set(floats))
+                ns["_M%d" % i] = [(None,)]
+                body[:] = (_SITE % dict(
+                    slot="_M%d" % i, hit="".join(" and _s[%d] is %s" % kv for kv in enumerate(key, 1)),
+                    value=value, at=len(key) + 1, body="\n    ".join(body),
+                    test=_all_finite(tested + [value]), key=", ".join(["_F", *key, value]),
+                )).split("\n")
+                tested.clear()
+        if node is None:
+            break
+        (a, _, body, tested, floats), *rest = operands
+        temp = "_t%d" % i
+        for _, _, more_body, more_tested, more_floats in rest:
+            body += more_body
+            tested += more_tested
+            floats += more_floats
         if kind is Neg:
-            lines.append(f"{temp} = -{stack.pop()}")
+            body.append("%s = -%s" % (temp, a))
         elif kind is BinOp:
             if node.op not in _BINOPS:
                 return None
-            b, a = stack.pop(), stack.pop()
-            lines.append(f"{temp} = _pow({a}, {b})" if node.op == "^" else f"{temp} = {a} {node.op} {b}")
+            b = rest[0][0]
+            line = "%s = _pow(%s, %s)" if node.op == "^" else "%s = %s " + node.op + " %s"
+            body.append(line % (temp, a, b))
+            tested += [a, b] if node.op == "^" else [b] if node.op == "/" else []
             checked.append(temp)
         else:
-            ns[f"_k{i}"] = node.func
-            lines.append(f"{temp} = _F[_k{i}]({stack.pop()})")
+            ns["_k%d" % i] = node.func
+            body.append("%s = _F[_k%d](%s)" % (temp, i, a))
+            tested += [a] if node.func == "exp" else []
             checked.append(temp)
-        stack.append(temp)
-    # a sum is non-finite when a term is; chunks keep compile() from nesting deeply
-    chunks = [" + ".join(checked[k : k + 64]) for k in range(0, len(checked), 64)]
-    if chunks:
-        lines.append("if " + " and ".join(f"_isfinite({c})" for c in chunks) + ":")
-        lines.append(f"    return {stack[0]}")
-    else:
-        lines.append(f"return {stack[0]}")
+        stack.append((temp, inner, body, tested, floats))
+    root, _, body, tested, _ = operands[0]
+    if checked:
+        test = "if %s:" % _all_finite(checked)
+        if lean:  # the lean test under the default builtins, elif the full one
+            body += ["if _F is _D:", "    if %s:" % _all_finite(tested + [root]), "        return " + root]
+            test = "el" + test
+        body.append(test)
+    body.append(("    return " if checked else "return ") + root)
     # on any exception the interpreter runs, and raises it again or the checked error
-    source = "def program(_b, _F):\n    try:\n" + "".join(f"        {line}\n" for line in lines)
+    source = "def program(_b, _F):\n    try:\n" + "".join("        %s\n" % line for line in head + body)
     exec(source + "    except Exception:\n        pass\n", ns)
     return ns["program"]
 

@@ -141,6 +141,10 @@ def load_tables(path: str) -> dict[int, QuadratureRule]:
     raised for a path that names no regular file (a FIFO is never waited on).
     """
     path = os.fspath(path)
+    return _parse_tables(_read_table(path), path)
+
+
+def _read_table(path: str) -> str:
     # O_NONBLOCK: opening a FIFO does not wait for a writer; the mode is
     # checked on the open descriptor, so the file read is the file checked
     fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
@@ -152,9 +156,13 @@ def load_tables(path: str) -> dict[int, QuadratureRule]:
         raise OSError(f"{path}: not a regular file")
     try:
         with open(fd, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise TableError(f"{path}: not a text table ({exc})") from None
+
+
+def _parse_tables(text: str, path: str) -> dict[int, QuadratureRule]:
+    lines = text.splitlines()
     if not lines:
         raise TableError(f"{path}:1: empty file, expected '{FORMAT_NAME} <version>'")
     header = lines[0].split()
@@ -203,14 +211,32 @@ def load_tables(path: str) -> dict[int, QuadratureRule]:
     return rules
 
 
+def _cached_rule(text: str, n: int) -> QuadratureRule | None:
+    # the n-point rule parsed from the header and its own block alone, when
+    # that block is unique and holds the Gauss rule; else None, and the
+    # whole text is parsed
+    marker = f"\nN {n}\n"
+    start = text.find(marker)
+    if start < 0 or text.find(marker, start + 1) >= 0:
+        return None
+    block = text[start + 1 :].split("\n", n + 1)[: n + 1]  # "N n" and the n lines after it
+    try:
+        rule = _parse_tables("\n".join([text[: text.index("\n")], *block]), "")[n]
+    except TableError:
+        return None
+    return rule if gauss_violation(rule) is None else None
+
+
 def get_or_build(cache_path: str, n: int) -> QuadratureRule:
     """Return the cached n-point rule, building and appending on a miss.
 
-    A corrupt cache, including one whose n-point rule is not the Gauss
-    rule (``gauss_violation``), is rebuilt from scratch after a warning on
-    stderr; the cache is derived data, so this is recovery, not failure.
-    Only the rule about to be returned is checked against the Gauss
-    property, so a warm load stays cheap.
+    A hit reads the file once and parses and checks only the n-point
+    block, against the invariants and the Gauss property
+    (``gauss_violation``), so a warm lookup stays cheap.  Otherwise the
+    same text is parsed whole: a corrupt cache, including one whose
+    n-point rule is not the Gauss rule, is rebuilt from scratch after a
+    warning on stderr; the cache is derived data, so this is recovery,
+    not failure.  A corrupt block for another n is found on a miss.
     """
     cache_path = os.fspath(cache_path)
     if os.path.islink(cache_path):
@@ -218,7 +244,11 @@ def get_or_build(cache_path: str, n: int) -> QuadratureRule:
         cache_path = os.path.realpath(cache_path)
     rules: dict[int, QuadratureRule] = {}
     try:
-        rules = load_tables(cache_path)
+        text = _read_table(cache_path)
+        rule = _cached_rule(text, n)
+        if rule is not None:
+            return rule
+        rules = _parse_tables(text, cache_path)
         violation = gauss_violation(rules[n]) if n in rules else None
         if violation is not None:
             raise TableError(f"{cache_path}: rule n={n} is not a Gauss rule: {violation}")

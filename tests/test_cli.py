@@ -474,3 +474,9 @@ def test_unreadable_cache_is_an_io_error(capsys, tmp_path):
     code, out, err = run(capsys, "integrate", "x", "x", "0", "1", "--cache", str(tmp_path))
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("io error: ") and str(tmp_path) in err
+
+
+def test_diffcheck_step_that_overflows_the_point_is_a_numeric_error(capsys):
+    code, out, err = run(capsys, "diffcheck", "sin(x)", "cos(x)", "1.7976931348623157e308", "--h", "1e300")
+    assert (code, out) == (1, "")
+    assert err == "numeric error: step h=1e+300 moves the point 1.7976931348623157e+308 to inf\n"

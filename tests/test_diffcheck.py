@@ -342,3 +342,25 @@ def test_gradient_rejects_non_finite_point(bad):
 def test_directional_derivative_rejects_non_finite_point(bad):
     with pytest.raises(DomainError, match=re.escape(f"point must be finite, got ({bad!r}, 0.0)")):
         directional_derivative(lambda x, y: 1.0, (bad, 0.0), (1.0, 0.0), 1e-6)
+
+
+# a finite point plus a finite step can overflow: f would then be taken at
+# infinity, where sin raises a bare ValueError and 1/x gives a slope of -0.0
+BIG = 1.7976931348623157e308
+
+
+def test_central_diff_rejects_a_step_that_overflows_the_point():
+    with pytest.raises(NumericError, match=re.escape(f"step h=1e+300 moves the point {BIG!r} to inf")):
+        central_diff(math.sin, BIG, 1e300)
+
+
+def test_one_sided_diff_rejects_a_step_that_overflows_the_point():
+    with pytest.raises(NumericError, match=re.escape(f"step h=1e+300 moves the point {BIG!r} to inf")):
+        one_sided_diff(math.sin, BIG, 1e300)
+    with pytest.raises(NumericError, match=re.escape(f"step h=-1e+300 moves the point {-BIG!r} to -inf")):
+        one_sided_diff(lambda x: 1 / x, -BIG, -1e300)
+
+
+def test_gradient_rejects_a_step_that_overflows_a_coordinate():
+    with pytest.raises(NumericError, match=re.escape(f"moves the point ({BIG!r}, 0.0) to inf")):
+        gradient(lambda x, y: math.sin(x), (BIG, 0.0), 1e300)

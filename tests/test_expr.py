@@ -1,6 +1,9 @@
+import itertools
 import math
 import pickle
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -18,7 +21,7 @@ from calcverify import (
     to_string,
     verify_derivative,
 )
-from calcverify import expr
+from calcverify import expr, quadrature
 from calcverify.expr import BinOp, Call, Neg, Num, Var
 
 
@@ -420,6 +423,144 @@ def test_a_late_non_finite_temp_fails_the_chunked_check():
         evaluate(tree, bindings)
     assert info.value.overflow
     assert evaluate(tree, {"x": 1.0, "y": 2.0}) == 200.25
+
+
+def test_variables_named_like_memo_names():
+    # the memo code adds _s, _D and _M<i> to the generated names; a site here
+    # reads _s, _D and _M1, and the innermost variable z is read per point
+    names = ["_s", "_D", "_M1", "_F", "_b", "_v0", "_t1", "_c0", "z"]
+    text = "sin(_s)*exp(_D/_M1) + _F*_b - _v0^_t1/_c0 + cos(z)"
+    tree = parse(text, names)
+    f = as_function(tree, names)
+    for z in (0.25, 0.5, 0.75):
+        values = {name: 1.0 + i / 8 for i, name in enumerate(names[:-1])}
+        v = values
+        expected = (
+            math.sin(v["_s"]) * math.exp(v["_D"] / v["_M1"]) + v["_F"] * v["_b"]
+            - math.pow(v["_v0"], v["_t1"]) / v["_c0"] + math.cos(z)
+        )
+        assert evaluate(tree, {**values, "z": z}) == expected
+        assert f(*values.values(), z) == expected
+
+
+# literals and axis values where a non-finite value can vanish or a domain ends
+_GRID_LITERALS = (0.5, 2.0, 3.0, 710.0, 800.0, 1e200, 1e-300)
+_GRID_VALUES = (0.0, -0.0, 1.0, -1.5, 0.75, 710.0, -745.5, 1e155, 1e300, math.inf, -math.inf, math.nan)
+
+
+def _grid_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.4:
+            return Num(rng.choice(_GRID_LITERALS), 0)
+        return Var(rng.choice("xyz"), 0)
+    pick = rng.random()
+    if pick < 0.1:
+        return Neg(_grid_tree(rng, depth - 1), 0)
+    if pick < 0.4:
+        return Call(rng.choice(_FUNCS), _grid_tree(rng, depth - 1), 0)
+    return BinOp(rng.choice("+-*/^"), _grid_tree(rng, depth - 1), _grid_tree(rng, depth - 1), 0)
+
+
+def test_grid_evaluation_matches_the_interpreter_in_every_loop_order():
+    # a tensor loop reuses each outer axis value's float object, which is what
+    # the memo sites key on; every loop order makes a different axis innermost
+    rng = random.Random(1717)
+    for k in range(150):
+        tree = _grid_tree(rng, 5)
+        if k % 3:
+            tree = parse(full_parens(tree), ["x", "y", "z"])  # declared names: outer-axis sites
+        order = expr._postorder(tree)
+        axes = {name: [rng.choice(_GRID_VALUES) for _ in range(3)] for name in "xyz"}
+        for loop in itertools.permutations("xyz"):
+            for point in itertools.product(*(axes[name] for name in loop)):
+                bindings = dict(zip(loop, point))
+                expected = _outcome(lambda: expr._interpret(order, bindings, expr._DEFAULT_IMPLS))
+                assert _outcome(lambda: evaluate(tree, bindings)) == expected, (tree, bindings)
+
+
+def test_a_failed_point_is_not_memoized():
+    # x*x overflows and 1/(x*x) is 0: the site fails its check and stores nothing,
+    # so the same float objects fail again
+    text = "1/(x*x) + y"
+    tree = parse(text, ["x", "y"])
+    bindings = {"x": 1e200, "y": 1.0}
+    for _ in range(2):
+        with pytest.raises(EvalDomainError, match=f"non-finite result at offset {text.index('*')}"):
+            evaluate(tree, bindings)
+    assert evaluate(tree, {"x": 2.0, "y": 1.0}) == 1.25
+
+
+def test_a_late_non_finite_divisor_fails_the_chunked_site_check():
+    # a site with 70 finite divisors before x*x, which overflows while 1/(x*x)
+    # is 0: only the last chunk of the site's check can see it
+    text = "+".join(["1/x"] * 70) + " + 1/(x*x) + z"
+    tree = parse(text, ["x", "z"])
+    bindings = {"x": 1e200, "z": 1.0}
+    for _ in range(2):
+        with pytest.raises(EvalDomainError, match=f"non-finite result at offset {text.index('*')}"):
+            evaluate(tree, bindings)
+
+
+def test_custom_functions_are_called_once_per_node_per_point():
+    calls = []
+    functions = {
+        "sin": lambda t: calls.append("sin") or math.sin(t),
+        "cos": lambda t: calls.append("cos") or math.cos(t),
+    }
+    tree = parse("sin(x)*cos(y) + sin(2*x)", ["x", "y"])
+    xs, ys = [0.1, 0.2, 0.3], [0.4, 0.5]
+    for x in xs:
+        for y in ys:
+            evaluate(tree, {"x": x, "y": y})  # fills the memo slots under the builtins
+            expected = math.sin(x) * math.cos(y) + math.sin(2 * x)
+            assert evaluate(tree, {"x": x, "y": y}, functions) == expected
+    assert sorted(calls) == ["cos"] * 6 + ["sin"] * 12
+
+
+def test_a_box_computes_each_outer_factor_once_per_outer_point(monkeypatch):
+    # sin(x)*cos(y) does not read z, so an n^3 grid calls sin n^2 times; this
+    # relies on float(x) returning x itself for the loop's float objects
+    calls = []
+    monkeypatch.setitem(expr._DEFAULT_IMPLS, "sin", lambda t: calls.append(t) or math.sin(t))
+    names = ["x", "y", "z"]
+    tree = parse("sin(x)*cos(y)*exp(z)", names)
+    n, box = 6, quadrature.Box((0.0,) * 3, (1.0,) * 3)
+    value = quadrature.apply_rule_box(quadrature.gauss_rule(n), as_function(tree, names), box)
+    assert len(calls) == n * n
+    order = expr._postorder(tree)
+    checked = lambda x, y, z: expr._interpret(order, {"x": x, "y": y, "z": z}, expr._DEFAULT_IMPLS)  # noqa: E731
+    assert value == quadrature.apply_rule_box(quadrature.gauss_rule(n), checked, box)
+
+
+def test_threads_sharing_a_tree_get_the_interpreters_bits():
+    # each thread keeps replacing the shared memo slots with its own floats; a
+    # slot read half-written would pair one thread's key with another's value
+    names = ["x", "y", "z"]
+    tree = parse("sin(x)*cos(y)*exp(z) + ln(x + y)", names)
+    order = expr._postorder(tree)
+    failures, done = [], []
+
+    def sweep(offset):
+        axis = [offset + k / 7 for k in range(5)]
+        for _ in range(10):
+            for point in itertools.product(axis, axis, axis):
+                bindings = dict(zip(names, point))
+                if evaluate(tree, bindings) != expr._interpret(order, bindings, expr._DEFAULT_IMPLS):
+                    failures.append(point)
+        done.append(offset)
+
+    threads = [threading.Thread(target=sweep, args=(0.5 + k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == [] and len(done) == len(threads)
 
 
 def test_trees_past_the_node_cap_are_interpreted():

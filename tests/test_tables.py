@@ -311,3 +311,38 @@ def test_a_rewritten_cache_keeps_its_mode(tmp_path, through_link):
     assert get_or_build(cache, 3) == gauss_rule(3)  # a miss rewrites the file
     assert sorted(load_tables(target)) == [2, 3]
     assert stat.S_IMODE(os.stat(target).st_mode) == 0o644
+
+
+def test_a_hit_reads_only_its_own_block(tmp_path, monkeypatch, capsys):
+    # the block for n=1 breaks an invariant, which a hit on n=2 never parses:
+    # it returns the rule and leaves the file as it was
+    path = tmp_path / "cache.gausstab"
+    text = "GAUSSTAB 1\nN 1\n0 3\n" + dumps_tables([gauss_rule(2)]).split("\n", 1)[1]
+    path.write_text(text)
+
+    def refuse(*args):
+        raise AssertionError("a hit loaded or wrote the whole file")
+
+    monkeypatch.setattr(calcverify.tables, "load_tables", refuse)
+    monkeypatch.setattr(calcverify.tables, "save_tables", refuse)
+    assert get_or_build(path, 2) == gauss_rule(2)
+    assert capsys.readouterr().err == ""
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        dumps_tables([gauss_rule(2)]) + dumps_tables([gauss_rule(2)]).split("\n", 1)[1],
+        dumps_tables([gauss_rule(3)]).rsplit("\n", 2)[0] + "\n",
+        dumps_tables([gauss_rule(3)]).replace("\nN 3\n", "\nN 3\nN 4\n"),
+    ],
+    ids=["duplicate", "truncated", "header-in-block"],
+)
+def test_a_bad_target_block_is_rebuilt_with_a_warning(tmp_path, capsys, text):
+    path = tmp_path / "cache.gausstab"
+    path.write_text(text)
+    n = int(text.split("\n")[1].split()[1])
+    assert get_or_build(path, n) == gauss_rule(n)
+    assert "warning: discarding corrupt rule cache" in capsys.readouterr().err
+    assert load_tables(path) == {n: gauss_rule(n)}

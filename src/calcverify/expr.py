@@ -18,16 +18,17 @@ call, unary '-' and '^' exponent nests one level; past 100 levels the
 parser raises ParseError.  Printing and the checked evaluator use an
 explicit stack, so they work at any depth.
 
-``evaluate`` compiles each tree to one Python function the first time
-it sees the tree, in the manner of SymPy's ``lambdify``: one statement
-per node, so depth does not matter either.  The function is kept on the
-tree.  Trees over ``_MAX_COMPILED_NODES`` nodes, and any point where the
-compiled code raises or meets a non-finite value, run the checked
-interpreter, so values and errors are exactly the interpreter's.  Under
-the default builtins the code tests finiteness only where a non-finite
-value can vanish, and keeps each subexpression that does not read the
-last declared variable for as long as the floats it reads are the same
-objects, so a tensor loop computes it once per outer point.
+Under the default builtins, ``evaluate`` compiles each tree that
+``parse`` returned to one Python function the first time it sees the
+tree, in the manner of SymPy's ``lambdify``: one statement per node, so
+depth does not matter either.  The function is kept on the tree.  It
+tests finiteness only where a non-finite value can vanish, and keeps
+each subexpression that does not read the last declared variable for as
+long as the floats it reads are the same objects, so a tensor loop
+computes it once per outer point.  Custom ``functions``, trees built by
+hand or unpickled, trees over ``_MAX_COMPILED_NODES`` nodes, and any
+point where the compiled code raises or meets a non-finite value run the
+checked interpreter, so values and errors are exactly the interpreter's.
 """
 
 from __future__ import annotations
@@ -106,8 +107,9 @@ class _Node(Record):
 
     @cached_property
     def _program(self) -> Optional[Callable]:
+        # only a tree parse returned, under the node cap, gets code
         order = self._order
-        return _generate(order) if len(order) <= _MAX_COMPILED_NODES else None
+        return _generate(order) if self._names and len(order) <= _MAX_COMPILED_NODES else None
 
     def __getstate__(self) -> dict:
         # a generated function cannot be pickled; the fields are public names
@@ -351,30 +353,34 @@ def _interpret(order: list[Expr], bindings: Mapping[str, float], impls: Mapping[
                 push(float(bindings[node.name]))
             except KeyError:
                 raise EvalDomainError(f"unbound variable '{node.name}'", node.offset) from None
+            except OverflowError:
+                raise EvalDomainError(f"variable '{node.name}' overflows", node.offset, overflow=True) from None
         elif kind is Neg:
             stack[-1] = -stack[-1]
         elif kind is BinOp:
             b, a = pop(), stack[-1]
             try:
                 v = _BINOPS[node.op](a, b)
+                finite = math.isfinite(v)  # an int past the double range overflows here
             except ZeroDivisionError:
                 raise EvalDomainError("division by zero", node.offset) from None
             except ValueError:
                 raise EvalDomainError(f"power {a!r} ^ {b!r} leaves the reals", node.offset) from None
             except OverflowError:
                 raise EvalDomainError("overflow", node.offset, overflow=True) from None
-            if not math.isfinite(v):
+            if not finite:
                 raise EvalDomainError("non-finite result", node.offset, overflow=True)
             stack[-1] = v
         else:
             a = stack[-1]
             try:
                 v = impls[node.func](a)
+                finite = math.isfinite(v)
             except ValueError:
                 raise EvalDomainError(f"{node.func}({a!r}) is outside the real domain", node.offset) from None
             except OverflowError:
                 raise EvalDomainError(f"{node.func}({a!r}) overflows", node.offset, overflow=True) from None
-            if not math.isfinite(v):
+            if not finite:
                 raise EvalDomainError("non-finite result", node.offset, overflow=True)
             stack[-1] = v
     return stack[0]
@@ -385,48 +391,43 @@ def _all_finite(values: list[str]) -> str:
     return " and ".join("_isfinite(%s)" % " + ".join(values[k : k + 64]) for k in range(0, len(values), 64))
 
 
-# a memo site's code: reuse the slot's value while its impls and floats are
-# the objects just loaded, else compute it and store it once checked
+# a memo site's code: reuse the slot's value while its floats are the
+# objects just loaded, else compute it and store it once checked
 _SITE = """_s = %(slot)s[0]
-if _s[0] is _F%(hit)s:
+if %(hit)s:
     %(value)s = _s[%(at)d]
 else:
     %(body)s
-    if _F is _D:
-        if not (%(test)s):
-            return None
-        %(slot)s[0] = (%(key)s)"""
+    if not (%(test)s):
+        return None
+    %(slot)s[0] = (%(key)s)"""
 
 
-def _generate(order: list[Expr]) -> Optional[Callable]:
-    """Compile a post-order list to ``program(bindings, impls)``.
+def _generate(order: list[Expr]) -> Callable:
+    """Compile a parsed tree's post-order list to ``program(bindings)``.
 
-    The program does the interpreter's arithmetic in the interpreter's
-    order, one statement per non-leaf node, and returns the value only
-    when no BinOp or Call result is non-finite; on any exception or a
-    failed check it returns None, and evaluate reruns the interpreter,
-    which raises the error.  Names, constants and function keys are
-    bound in the namespace, so no text from the tree reaches the source.
-    An operator outside the parser's set gets no program; the
-    interpreter raises KeyError when it reaches it.
+    The program does the interpreter's arithmetic under the default
+    builtins in the interpreter's order, one statement per non-leaf
+    node.  It returns the value only when no BinOp or Call result is
+    non-finite; on any exception or a failed check it returns None, and
+    evaluate reruns the interpreter, which raises the error.  Names,
+    constants and function keys are bound in the namespace, so no text
+    from the tree reaches the source.
 
-    That holds with two shortcuts under the default builtins, when every
-    literal is a float (other ``impls`` get every result tested).  Each
-    default operation maps a non-finite operand to a non-finite result
-    or raises, except at a divisor, the operands of '^' and the argument
-    of exp, so only those and the root are tested.  And each maximal
-    non-leaf subtree that does not read the last variable parse declared
-    (any variable, on a tree built by hand) is a memo site: its slot holds
-    (impls, the floats it reads, its value), stored as one tuple once its
-    tested values pass, and reused while each float ``is`` the one just
-    loaded; holding those floats keeps their ids from being reused.
+    Two shortcuts keep that true at less cost.  Each default operation
+    maps a non-finite operand to a non-finite result or raises, except
+    at a divisor, the operands of '^' and the argument of exp, so only
+    those and the root are tested.  And each maximal non-leaf subtree
+    that does not read the last variable parse declared is a memo site:
+    its slot holds (the floats it reads, its value), stored as one tuple
+    once its tested values pass, and reused while each float ``is`` the
+    one just loaded; holding those floats keeps their ids from being
+    reused.
     """
     names = order[-1]._names
-    lean = all(type(node.value) is float for node in order if type(node) is Num)
     ns: dict = {"_pow": math.pow, "_isfinite": math.isfinite, "_D": _DEFAULT_IMPLS}
     loads: dict = {}  # variable name -> the local that holds its float
     head: list[str] = []
-    checked: list[str] = []
     # per value the interpreter's stack would hold: its source, whether it reads
     # the last variable, and the lists of its lines, tested values and floats read
     stack: list[tuple] = []
@@ -443,19 +444,20 @@ def _generate(order: list[Expr]) -> Optional[Callable]:
                 ns["_n%d" % j] = node.name
                 head.append("_v%d = float(_b[_n%d])" % (j, j))
             local = loads[node.name]
-            stack.append((local, not names or node.name == names[-1], [], [], [local]))
+            stack.append((local, node.name == names[-1], [], [], [local]))
             continue
         operands = stack[-2:] if kind is BinOp else stack[-1:]
         del stack[-len(operands) :]
         inner = node is None or any(o[1] for o in operands)
         for value, reads, body, tested, floats in operands:
-            if lean and body and inner and not reads:  # a memo site, at most one per node
+            if body and inner and not reads:  # a memo site, at most one per node
                 key = sorted(set(floats))
+                # a site that reads no float is filled once its value replaces None
+                hit = " and ".join("_s[%d] is %s" % kv for kv in enumerate(key)) or "_s[0] is not None"
                 ns["_M%d" % i] = [(None,)]
                 body[:] = (_SITE % dict(
-                    slot="_M%d" % i, hit="".join(" and _s[%d] is %s" % kv for kv in enumerate(key, 1)),
-                    value=value, at=len(key) + 1, body="\n    ".join(body),
-                    test=_all_finite(tested + [value]), key=", ".join(["_F", *key, value]),
+                    slot="_M%d" % i, hit=hit, value=value, at=len(key), body="\n    ".join(body),
+                    test=_all_finite(tested + [value]), key="%s," % ", ".join([*key, value]),
                 )).split("\n")
                 tested.clear()
         if node is None:
@@ -469,29 +471,19 @@ def _generate(order: list[Expr]) -> Optional[Callable]:
         if kind is Neg:
             body.append("%s = -%s" % (temp, a))
         elif kind is BinOp:
-            if node.op not in _BINOPS:
-                return None
             b = rest[0][0]
             line = "%s = _pow(%s, %s)" if node.op == "^" else "%s = %s " + node.op + " %s"
             body.append(line % (temp, a, b))
             tested += [a, b] if node.op == "^" else [b] if node.op == "/" else []
-            checked.append(temp)
         else:
             ns["_k%d" % i] = node.func
-            body.append("%s = _F[_k%d](%s)" % (temp, i, a))
+            body.append("%s = _D[_k%d](%s)" % (temp, i, a))
             tested += [a] if node.func == "exp" else []
-            checked.append(temp)
         stack.append((temp, inner, body, tested, floats))
     root, _, body, tested, _ = operands[0]
-    if checked:
-        test = "if %s:" % _all_finite(checked)
-        if lean:  # the lean test under the default builtins, elif the full one
-            body += ["if _F is _D:", "    if %s:" % _all_finite(tested + [root]), "        return " + root]
-            test = "el" + test
-        body.append(test)
-    body.append(("    return " if checked else "return ") + root)
+    body += ["if %s:" % _all_finite(tested + [root]), "    return " + root]
     # on any exception the interpreter runs, and raises it again or the checked error
-    source = "def program(_b, _F):\n    try:\n" + "".join("        %s\n" % line for line in head + body)
+    source = "def program(_b):\n    try:\n" + "".join("        %s\n" % line for line in head + body)
     exec(source + "    except Exception:\n        pass\n", ns)
     return ns["program"]
 
@@ -509,17 +501,19 @@ def evaluate(
     and a non-finite result its ``overflow`` is true.  ``functions`` can
     swap builtin implementations (e.g. CORDIC-backed sin/cos).
 
-    Each tree is compiled to Python code on its first evaluation and
-    the code is kept on the tree, so trees evaluated in turn (f and f')
-    each compile once.  A point where the code fails, and every point of
-    a tree over the node cap, runs the checked interpreter.
+    A tree from ``parse`` is compiled to Python code on its first
+    evaluation with ``functions=None`` and the code is kept on the tree,
+    so trees evaluated in turn (f and f') each compile once.  A point
+    where the code fails, every point of any other tree or of a tree over
+    the node cap, and every evaluation with ``functions`` run the checked
+    interpreter.
     """
-    impls = _DEFAULT_IMPLS if functions is None else {**_DEFAULT_IMPLS, **functions}
-    program = e._program
+    program = e._program if functions is None else None
     if program is not None:
-        value = program(bindings, impls)
+        value = program(bindings)
         if value is not None:
             return value
+    impls = _DEFAULT_IMPLS if functions is None else {**_DEFAULT_IMPLS, **functions}
     try:
         return _interpret(e._order, bindings, impls)
     except EvalDomainError as ee:

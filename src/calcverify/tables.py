@@ -4,7 +4,7 @@ Format (version 1): a header line ``GAUSSTAB 1``, then for each rule a
 line ``N <n>`` followed by n lines ``<node> <weight>`` with 17
 significant digits, nodes ascending.  17 digits round-trip doubles
 bit-exactly, writes go through a temp file plus rename so a crash never
-leaves a torn table, and every loaded rule is re-validated: a cache is
+leaves a torn table, and every rule read is re-validated: a cache is
 derived data and must never be trusted blindly.
 """
 

@@ -341,8 +341,9 @@ def _outcome(call):
 
 
 def test_compiled_evaluation_matches_the_interpreter():
-    # evaluate runs each tree's generated code and falls back to the
-    # interpreter per point; both routes must give the same bits or errors
+    # under the default builtins evaluate runs each parsed tree's generated
+    # code and falls back to the interpreter per point; both routes must give
+    # the same bits or errors
     swapped = {
         "sin": math.cos,
         "ln": math.log2,
@@ -354,7 +355,7 @@ def test_compiled_evaluation_matches_the_interpreter():
     rng = random.Random(6061)
     compiled = values = 0
     for _ in range(1000):
-        tree = random_tree(rng, 6)
+        tree = parse(full_parens(random_tree(rng, 6)), ["x", "y"])
         order = expr._postorder(tree)
         for bindings, functions in (
             ({"x": rng.uniform(-3, 3), "y": rng.uniform(-3, 3)}, None),
@@ -371,10 +372,10 @@ def test_compiled_evaluation_matches_the_interpreter():
             impls = {**expr._DEFAULT_IMPLS, **(functions or {})}
             expected = _outcome(lambda: expr._interpret(order, bindings, impls))
             assert _outcome(lambda: evaluate(tree, bindings, functions)) == expected
-            if not expected.startswith(("float ", "int ")):
+            if functions is not None or not expected.startswith(("float ", "int ")):
                 continue
             values += 1
-            value = tree._program(bindings, impls)
+            value = tree._program(bindings)
             if value is not None:
                 assert _outcome(lambda: value) == expected
                 compiled += 1
@@ -395,6 +396,46 @@ def test_alternating_trees_generate_code_once_each(monkeypatch):
     verify_derivative(f, fprime, 0.7)
     switches = sum(a is not b for a, b in zip(trees, trees[1:]))
     assert len(generated) == 2 and switches > 4
+
+
+def test_only_parsed_trees_under_the_default_builtins_generate_code(monkeypatch):
+    generated = []
+    generate = expr._generate
+    monkeypatch.setattr(expr, "_generate", lambda order: generated.append(order) or generate(order))
+    text = "sin(x)/y + ln(x*y)"
+    parsed = parse(text, ["x", "y"])
+    built = BinOp(
+        "+",
+        BinOp("/", Call("sin", Var("x", 4), 0), Var("y", 7), 6),
+        Call("ln", BinOp("*", Var("x", 14), Var("y", 16), 15), 11),
+        9,
+    )
+    unpickled = pickle.loads(pickle.dumps(parse(text, ["x", "y"])))
+    assert built == parsed == unpickled
+    swapped = {"sin": math.cos, "ln": lambda t: 1 / t}
+    for bindings in ({"x": 0.5, "y": 2.0}, {"x": 0.5, "y": 0.0}, {"x": -1.0, "y": 1.0}, {"x": 1e200, "y": 1e200}):
+        for tree, functions in ((built, None), (unpickled, None), (parsed, swapped), (built, swapped)):
+            impls = {**expr._DEFAULT_IMPLS, **(functions or {})}
+            expected = _outcome(lambda: expr._interpret(tree._order, bindings, impls))
+            assert _outcome(lambda: evaluate(tree, bindings, functions)) == expected
+            assert _outcome(lambda: as_function(tree, ["x", "y"], functions)(*bindings.values())) == expected
+    assert generated == []
+    assert evaluate(parsed, {"x": 0.5, "y": 2.0}) == math.sin(0.5) / 2.0 + math.log(1.0)
+    assert len(generated) == 1
+
+
+def test_a_binding_or_an_int_past_the_double_range_is_an_overflow_error():
+    big = 10**400
+    for call, text, offset in (
+        (lambda tree: evaluate(tree, {"x": big}), "x", 0),
+        (lambda tree: as_function(tree, ["x"])(big), "x*2", 0),
+        (lambda tree: evaluate(tree, {"x": 1.0}, {"sin": lambda t: big}), "sin(x)", 0),
+        (lambda tree: evaluate(tree, {"x": 1e200}, {"abs": int}), "abs(x)*abs(x)", 6),
+    ):
+        with pytest.raises(EvalDomainError) as info:
+            call(parse(text, ["x"]))
+        assert info.value.overflow, text
+        assert (info.value.offset, info.value.source) == (offset, text)
 
 
 def test_variables_named_like_generated_names():
@@ -418,7 +459,7 @@ def test_a_late_non_finite_temp_fails_the_chunked_check():
     text = "+".join(["x"] * 200) + " + 1/(y*y)"
     tree = parse(text, ["x", "y"])
     bindings = {"x": 1.0, "y": 1e200}
-    assert tree._program(bindings, expr._DEFAULT_IMPLS) is None
+    assert tree._program(bindings) is None
     with pytest.raises(EvalDomainError, match=f"non-finite result at offset {text.index('*')}") as info:
         evaluate(tree, bindings)
     assert info.value.overflow

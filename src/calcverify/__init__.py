@@ -10,8 +10,6 @@ Submodules load on first use (PEP 562): ``import calcverify`` imports
 none of them, and ``calcverify.gauss_rule`` imports ``quadrature``.
 """
 
-from importlib import import_module as _import_module
-
 __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
@@ -50,7 +48,7 @@ def __getattr__(name: str):
     module = _EXPORTS.get(name, name if name in _SUBMODULES else None)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = _import_module(f".{module}", __name__)
+    value = __import__(f"{__name__}.{module}", fromlist=["__name__"])
     if name != module:
         value = getattr(value, name)
     globals()[name] = value  # later lookups bypass this function

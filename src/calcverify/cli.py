@@ -15,12 +15,9 @@ from __future__ import annotations
 import math
 import sys
 import types
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import CalcVerifyError, DomainError, NumericError
-
-if TYPE_CHECKING:
-    import argparse
 
 
 def _compile(text: str, variables: Sequence[str]) -> Callable[..., float]:
@@ -245,7 +242,7 @@ def _value(spec: dict, token: str):
     return value
 
 
-def _read_argv(argv: list[str]) -> Optional[types.SimpleNamespace]:
+def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
     """The namespace build_parser() gives a plain argv, or None to leave argv to argparse.
 
     Plain is a subcommand name, its positionals, then exact option names, each at
@@ -277,7 +274,7 @@ def _read_argv(argv: list[str]) -> Optional[types.SimpleNamespace]:
     return types.SimpleNamespace(**{k: v for k, v in values.items() if v is not _SUPPRESS})
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv)
     if args is None:  # help, a usage error or an unusual argv: argparse answers as always

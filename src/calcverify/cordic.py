@@ -10,8 +10,8 @@ multiply is needed either.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple, Optional
 
 from ._record import Record
 from .errors import CapabilityError, DomainError
@@ -34,9 +34,8 @@ class CordicTable(Record):
     gain: float
 
 
-class SinCos(NamedTuple):
-    sin: float
-    cos: float
+class SinCos(namedtuple("SinCos", "sin cos")):
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +72,7 @@ def pseudo_rotate(x, y, z, angles):
     return x, y, z
 
 
-def cordic_sincos(theta: float, table: Optional[CordicTable] = None) -> SinCos:
+def cordic_sincos(theta: float, table: CordicTable | None = None) -> SinCos:
     """Sine and cosine of theta (radians) by K pseudo-rotations.
 
     theta is folded into [-pi/2, pi/2] by subtracting the nearest

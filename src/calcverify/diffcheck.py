@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from ._record import Record
 from .errors import DomainError, NumericError

@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
+from collections.abc import Callable, Mapping, Sequence
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from ._record import Record
 from .errors import CalcVerifyError, DomainError
@@ -106,7 +107,7 @@ class _Node(Record):
         return _postorder(self)
 
     @cached_property
-    def _program(self) -> Optional[Callable]:
+    def _program(self) -> Callable | None:
         # only a tree parse returned, under the node cap, gets code
         order = self._order
         return _generate(order) if self._names and len(order) <= _MAX_COMPILED_NODES else None
@@ -144,13 +145,8 @@ class Call(_Node):
     offset: int
 
 
-Expr = Union[Num, Var, Neg, BinOp, Call]
-
-
-class _Token(NamedTuple):
-    kind: str  # NUMBER | NAME | OP | END
-    text: str
-    offset: int
+Expr = Num | Var | Neg | BinOp | Call
+_Token = namedtuple("_Token", "kind text offset")  # kind: NUMBER | NAME | OP | END
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -383,6 +379,12 @@ def _interpret(order: list[Expr], bindings: Mapping[str, float], impls: Mapping[
             if not finite:
                 raise EvalDomainError("non-finite result", node.offset, overflow=True)
             stack[-1] = v
+    try:
+        finite = math.isfinite(stack[0])  # a bound value or literal that no operation tested
+    except OverflowError:  # an int literal past the double range, in a tree built by hand
+        finite = False
+    if not finite:
+        raise EvalDomainError("non-finite result", order[-1].offset, overflow=True)
     return stack[0]
 
 
@@ -491,15 +493,17 @@ def _generate(order: list[Expr]) -> Callable:
 def evaluate(
     e: Expr,
     bindings: Mapping[str, float],
-    functions: Optional[Mapping[str, Callable[[float], float]]] = None,
+    functions: Mapping[str, Callable[[float], float]] | None = None,
 ) -> float:
     """Evaluate over real arithmetic.
 
     Division by zero, ln of a non-positive value, sqrt of a negative,
-    0 raised to a negative power, and any non-finite intermediate all
-    raise EvalDomainError instead of propagating NaN/inf; for overflow
-    and a non-finite result its ``overflow`` is true.  ``functions`` can
-    swap builtin implementations (e.g. CORDIC-backed sin/cos).
+    0 raised to a negative power, and any non-finite intermediate or
+    result (also a NaN or infinite binding that a tree such as ``x`` or
+    ``-x`` returns untouched) all raise EvalDomainError instead of
+    propagating NaN/inf; for overflow and a non-finite result its
+    ``overflow`` is true.  ``functions`` can swap builtin
+    implementations (e.g. CORDIC-backed sin/cos).
 
     A tree from ``parse`` is compiled to Python code on its first
     evaluation with ``functions=None`` and the code is kept on the tree,
@@ -524,7 +528,7 @@ def evaluate(
 def as_function(
     e: Expr,
     variables: Sequence[str],
-    functions: Optional[Mapping[str, Callable[[float], float]]] = None,
+    functions: Mapping[str, Callable[[float], float]] | None = None,
 ) -> Callable[..., float]:
     """Wrap an Expr as a positional callable over ``variables``.
 

@@ -11,14 +11,11 @@ the emitted coefficients are correctly rounded regardless of degree.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
 
 from ._record import Record
 from .errors import CapabilityError, DomainError, NumericError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # Monomial Gram-Schmidt is kept within a documented degree cap; the
 # recurrence route is authoritative beyond it.
@@ -58,11 +55,10 @@ class Polynomial(Record):
         return len(self.coeffs) - 1
 
 
-class RootSet(NamedTuple):
+class RootSet(namedtuple("RootSet", "roots n")):
     """Roots of a Legendre polynomial, sorted ascending, all in (-1, 1)."""
 
-    roots: tuple[float, ...]
-    n: int
+    __slots__ = ()
 
 
 def poly_eval(p: Polynomial, x: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from ._record import Record
 from .errors import CapabilityError, DomainError, NumericError

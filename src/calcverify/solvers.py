@@ -8,7 +8,7 @@ path as solving g(x) = 0 with g = f - c.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from ._record import Record
 from .diffcheck import central_diff
@@ -80,7 +80,7 @@ def newton_solve(
     f: Callable[[float], float],
     c: float,
     x0: float,
-    fprime: Optional[Callable[[float], float]] = None,
+    fprime: Callable[[float], float] | None = None,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> SolveResult:

@@ -15,7 +15,7 @@ import math
 import os
 import stat
 import sys
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import quadrature
 from .errors import TableError

@@ -438,6 +438,29 @@ def test_a_binding_or_an_int_past_the_double_range_is_an_overflow_error():
         assert (info.value.offset, info.value.source) == (offset, text)
 
 
+def test_a_tree_that_performs_no_operation_checks_its_value():
+    # no BinOp or Call tests the bound value, so the root does
+    for call, text, offset in (
+        (lambda tree: evaluate(tree, {"x": math.nan}), "x", 0),
+        (lambda tree: as_function(tree, ["x"])(math.inf), "-x", 0),
+    ):
+        with pytest.raises(EvalDomainError, match="^non-finite result at offset") as info:
+            call(parse(text, ["x"]))
+        assert info.value.overflow, text
+        assert (info.value.offset, info.value.source) == (offset, text)
+    with pytest.raises(EvalDomainError) as info:
+        evaluate(Num(10**400, 3), {})  # an int literal past the double range, built by hand
+    assert (info.value.offset, info.value.overflow, info.value.source) == (3, True, None)
+
+
+def test_every_node_kind_is_an_expr():
+    tree = parse("-sin(x)^2", ["x"])
+    nodes = expr._postorder(tree)
+    assert {type(node) for node in nodes} == {Num, Var, Neg, BinOp, Call}
+    assert all(isinstance(node, expr.Expr) for node in nodes)
+    assert not isinstance(1.0, expr.Expr)
+
+
 def test_variables_named_like_generated_names():
     names = ["_F", "_b", "_v0", "_t1", "_c0", "float", "_n0", "_k1", "_pow", "_isfinite", "program"]
     values = {name: 1.0 + i / 8 for i, name in enumerate(names)}

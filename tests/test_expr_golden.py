@@ -20,7 +20,7 @@ from test_expr import full_parens, random_tree
 from calcverify import as_function, evaluate, parse, to_string
 from calcverify.expr import BinOp, Call, Neg, Num, Var
 
-GOLDEN = "d275ca4dbb4d38394a3a75ba7bd569e09b459b276d517ffbefa6850dc7557c9f"
+GOLDEN = "7de4f6d8c685f8808b6f4781e02fc3aebce77bc85c0430fff4fff2ab851cb572"
 
 SWAPPED = {"sin": math.cos, "ln": math.log2, "sqrt": lambda t: math.sqrt(t) if t < 2 else math.log(-t)}
 

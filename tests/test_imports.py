@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -13,6 +14,15 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 ENV = dict(os.environ, PYTHONPATH=SRC)
 
 
+@functools.lru_cache(maxsize=None)
+def stdlib_baseline():
+    # what a fresh -S process loads for the stdlib modules calcverify imports; it
+    # differs across Python versions, so a watched name in it is not calcverify's
+    code = "import sys, collections.abc, errno, functools, math, operator, os, stat, types; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    return frozenset(proc.stdout.split())
+
+
 def test_cli_import_does_not_load_numpy():
     # every CLI call pays its imports; numpy alone would cost more than the rest
     check = "import calcverify.cli, sys; assert 'numpy' not in sys.modules"
@@ -22,11 +32,23 @@ def test_cli_import_does_not_load_numpy():
 
 def test_cli_import_loads_only_what_a_call_needs():
     # -S: no site .pth files, which may import some of these on their own
-    unwanted = ("dataclasses", "inspect", "json", "fractions", "decimal")
+    unwanted = ("dataclasses", "inspect", "json", "fractions", "decimal", "typing", "importlib")
     check = f"import calcverify.cli, sys; print(*[m for m in {unwanted!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-S", "-c", check], env=ENV, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "\n"
+    assert set(proc.stdout.split()) <= stdlib_baseline()
+
+
+def test_resolving_every_export_loads_neither_typing_nor_importlib():
+    check = (
+        "import sys, calcverify\n"
+        "for name in calcverify.__all__:\n"
+        "    getattr(calcverify, name)\n"
+        "print(*[m for m in ('typing', 'importlib') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", check], env=ENV, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert set(proc.stdout.split()) <= stdlib_baseline()
 
 
 def test_json_output_still_loads(capsys, tmp_path, monkeypatch):
@@ -95,19 +117,20 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules)
 
 def run_clean(argv, cwd):
     # one CLI call in a fresh -S process on the cache in cwd; the exit code and
-    # which of argparse and tempfile it loaded go to a file, past the CLI's output
+    # which of the watched modules it loaded go to a file, past the CLI's output
+    watched = ("argparse", "tempfile", "typing", "importlib", "re")
     code = (
         "import sys\n"
         "from calcverify.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "with open('report.txt', 'w') as fh:\n"
-        "    print(code, *[m for m in ('argparse', 'tempfile') if m in sys.modules], file=fh)"
+        f"    print(code, *[m for m in {watched!r} if m in sys.modules], file=fh)"
     )
     env = dict(ENV, CALCVERIFY_CACHE="cache.gausstab")
     proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env, capture_output=True, text=True, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     code, *loaded = (cwd / "report.txt").read_text().split()
-    return int(code), set(loaded), proc.stdout, proc.stderr
+    return int(code), set(loaded) - stdlib_baseline(), proc.stdout, proc.stderr
 
 
 PLAIN_ARGV = [
@@ -127,7 +150,8 @@ def test_plain_argv_runs_without_argparse(tmp_path, argv):
         fh.write(dumps_tables([gauss_rule(3)]))
     code, loaded, out, err = run_clean(argv, tmp_path)
     assert (code, err) == (0, "") and out
-    assert loaded == set()
+    # json loads re; a plain call without --json loads none of the watched modules
+    assert loaded <= ({"re"} if "--json" in argv else set())
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,4 @@ def test_evaluation_returns_finite_values_or_raises_a_typed_error(text, x, y, fu
         except TypeError:
             assert call is calls[1] and count != 2
             continue
-        # evaluate returns the value bound to a tree that performs no operation
-        # unchecked, as tests/test_expr_golden.py pins; every other result is finite
-        assert finite(value) or (text in ("x", "-x") and not math.isfinite(x)), value
+        assert finite(value), value

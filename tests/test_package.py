@@ -74,6 +74,35 @@ def test_unknown_name_is_an_attribute_error():
         calcverify.nope
 
 
+@pytest.mark.parametrize(
+    "value, cls, fields",
+    [
+        (calcverify.legendre_roots(2), calcverify.RootSet, ("roots", "n")),
+        (calcverify.cordic_sincos(0.0), calcverify.SinCos, ("sin", "cos")),
+    ],
+)
+def test_tuple_records_are_named_tuples(value, cls, fields):
+    first, second = value
+    assert type(value) is cls and value == (first, second) and tuple(value) == (first, second)
+    assert cls._fields == fields
+    assert repr(value) == f"{cls.__name__}({fields[0]}={first!r}, {fields[1]}={second!r})"
+    assert not hasattr(value, "__dict__")
+
+
+def test_tuple_records_from_a_lazily_loaded_module_pickle():
+    check = (
+        "import pickle, sys, calcverify\n"
+        "records = [calcverify.RootSet((-0.5, 0.5), 2), calcverify.SinCos(0.0, 1.0)]\n"
+        "assert pickle.loads(pickle.dumps(records)) == records\n"
+        "sys.stdout.buffer.write(pickle.dumps(records))"
+    )
+    proc = subprocess.run([sys.executable, "-c", check], env=ENV, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    roots, sincos = pickle.loads(proc.stdout)
+    assert (type(roots), roots) == (calcverify.RootSet, ((-0.5, 0.5), 2))
+    assert (type(sincos), sincos) == (calcverify.SinCos, (0.0, 1.0))
+
+
 def test_records_from_a_lazily_loaded_module_pickle():
     check = (
         "import pickle, sys, calcverify\n"

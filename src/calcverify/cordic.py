@@ -14,7 +14,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from ._record import Record
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, _finite
 
 MAX_ITERATIONS = 60
 DEFAULT_ITERATIONS = 40
@@ -80,9 +80,7 @@ def cordic_sincos(theta: float, table: CordicTable | None = None) -> SinCos:
     Error is bounded by about 2**(2-K) plus folding roundoff, which
     grows with |theta|; arguments beyond 1e15 are rejected.
     """
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise DomainError(f"theta must be finite, got {theta!r}")
+    theta = _finite("theta", float(theta))
     if abs(theta) > _MAX_ARGUMENT:
         raise DomainError(
             f"|theta| > {_MAX_ARGUMENT:g}: quadrant folding would lose all precision"

@@ -14,7 +14,7 @@ import sys
 from collections.abc import Callable, Sequence
 
 from ._record import Record
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _finite, _finite_result, _positive
 
 DEFAULT_H = 1e-4
 DEFAULT_TOL_ABS = 1e-6
@@ -48,27 +48,6 @@ def _eval_finite(f: Callable[[float], float], x: float) -> float:
     return v
 
 
-def _finite(v: float, quantity: str) -> float:
-    # differences of finite values can still overflow, and inf / inf is nan
-    if not math.isfinite(v):
-        raise NumericError(f"{quantity} is non-finite ({v!r})")
-    return v
-
-
-def _check_step(h: float) -> None:
-    if not h > 0:
-        raise DomainError(f"step h must be positive, got {h!r}")
-    # an infinite step passes h > 0 but measures no slope
-    if h == math.inf:
-        raise DomainError(f"step h must be finite, got {h!r}")
-
-
-def _check_point(a: float) -> None:
-    # a NaN point still gives a slope for an f that ignores it, and no step moves an infinite one
-    if not math.isfinite(a):
-        raise DomainError(f"point a must be finite, got {a!r}")
-
-
 def _moved(a: float, x: float, h: float, point) -> float:
     # x is a moved by h; a step lost to rounding leaves a difference of 0 whatever f is,
     # and one that overflows would evaluate f at infinity
@@ -81,29 +60,28 @@ def _moved(a: float, x: float, h: float, point) -> float:
 
 def central_diff(f: Callable[[float], float], a: float, h: float) -> float:
     """Slope of the secant through (a-h, f(a-h)) and (a+h, f(a+h))."""
-    _check_point(a)
-    _check_step(h)
+    # a NaN point still gives a slope for an f that ignores it, and no step moves an infinite one
+    _finite("point a", a)
+    _positive("step h", h)
     right, left = _moved(a, a + h, h, a), _moved(a, a - h, h, a)
-    return _finite((_eval_finite(f, right) - _eval_finite(f, left)) / (2.0 * h), "central difference")
+    return _finite_result((_eval_finite(f, right) - _eval_finite(f, left)) / (2.0 * h), "central difference")
 
 
 def one_sided_diff(f: Callable[[float], float], a: float, h: float) -> float:
     """Secant slope (f(a+h) - f(a)) / h; negative h gives the left secant."""
-    _check_point(a)
+    _finite("point a", a)
     if h == 0:
         raise DomainError("step h must be nonzero")
-    if not math.isfinite(h):
-        raise DomainError(f"step h must be finite, got {h!r}")
+    _finite("step h", h)
     right = _moved(a, a + h, h, a)
-    return _finite((_eval_finite(f, right) - _eval_finite(f, a)) / h, "one-sided difference")
+    return _finite_result((_eval_finite(f, right) - _eval_finite(f, a)) / h, "one-sided difference")
 
 
 def _check_tolerance(name: str, tol: float) -> None:
     # a negative (or NaN) tolerance would make every verdict "fail", an infinite one "pass"
     if not tol >= 0:
         raise DomainError(f"{name} must be nonnegative, got {tol!r}")
-    if tol == math.inf:
-        raise DomainError(f"{name} must be finite, got {tol!r}")
+    _finite(name, tol)
 
 
 def verify_derivative(
@@ -119,7 +97,7 @@ def verify_derivative(
     _check_tolerance("tol_rel", tol_rel)
     numeric = central_diff(f, a, h)  # checks the point before the step
     analytic = _eval_finite(fprime, a)
-    abs_diff = _finite(abs(analytic - numeric), "analytic - numeric")
+    abs_diff = _finite_result(abs(analytic - numeric), "analytic - numeric")
     rel_diff = abs_diff / max(abs(analytic), 1.0)
     verdict = "pass" if (abs_diff <= tol_abs or rel_diff <= tol_rel) else "fail"
     return DerivativeReport(
@@ -158,9 +136,9 @@ def verify_antiderivative(
 
     fb = _eval_finite(antiderivative, b)
     fa = _eval_finite(antiderivative, a)
-    ftc_value = _finite(fb - fa, "F(b) - F(a)")
+    ftc_value = _finite_result(fb - fa, "F(b) - F(a)")
     quad_value = integrate_1d(f, a, b, n)
-    abs_diff = _finite(abs(ftc_value - quad_value), "F(b) - F(a) - quadrature value")
+    abs_diff = _finite_result(abs(ftc_value - quad_value), "F(b) - F(a) - quadrature value")
     rounding = 4.0 * sys.float_info.epsilon * max(abs(fa), abs(fb), abs(quad_value))
     return AntiderivativeReport(
         a=a,
@@ -183,7 +161,7 @@ def gradient(
     All components share one base evaluation f(point); component k uses
     f with only coordinate k bumped by +h.
     """
-    _check_step(h)
+    _positive("step h", h)
     p = tuple(float(v) for v in point)
     if len(p) < 1:
         raise DomainError("point must have at least one coordinate")
@@ -201,7 +179,7 @@ def gradient(
             raise NumericError(
                 f"function returned non-finite value {v!r} bumping coordinate {k}"
             )
-        out.append(_finite((v - base) / h, f"difference quotient of coordinate {k}"))
+        out.append(_finite_result((v - base) / h, f"difference quotient of coordinate {k}"))
     return tuple(out)
 
 

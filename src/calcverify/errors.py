@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the shared guards that raise them; each guard returns its value."""
+
+import math
 
 
 class CalcVerifyError(Exception):
@@ -19,3 +21,24 @@ class NumericError(CalcVerifyError):
 
 class TableError(CalcVerifyError):
     """A rule table file is malformed or fails invariant validation."""
+
+
+def _finite(name: str, value: float) -> float:
+    # a NaN or infinite argument is an input error, not a failed computation
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _positive(name: str, value: float) -> float:
+    if not value > 0:
+        raise DomainError(f"{name} must be positive, got {value!r}")
+    # an infinite step or tolerance passes value > 0 but measures nothing
+    return _finite(name, value)
+
+
+def _finite_result(value: float, quantity: str) -> float:
+    # differences of finite values can still overflow, and inf / inf is nan
+    if not math.isfinite(value):
+        raise NumericError(f"{quantity} is non-finite ({value!r})")
+    return value

@@ -14,7 +14,7 @@ from functools import lru_cache
 from collections.abc import Callable, Sequence
 
 from ._record import Record
-from .errors import CapabilityError, DomainError, NumericError
+from .errors import CapabilityError, DomainError, NumericError, _finite, _finite_result
 from .legendre import RootSet, gauss_weight, legendre_roots, positive_roots_fixed
 
 MAX_POINTS = 64
@@ -268,13 +268,11 @@ def convergence_table(
         raise DomainError("orders must be nonempty")
     if any(n2 <= n1 for n1, n2 in zip(orders, orders[1:])):
         raise DomainError("orders must be strictly ascending")
-    if not math.isfinite(reference):
-        raise DomainError(f"reference must be finite, got {reference!r}")
+    _finite("reference", reference)
     rows = []
     for n in orders:
         value = integrate_1d(f, a, b, n)
-        error = abs(value - reference)  # both finite, but the difference may overflow
-        if error == math.inf:
-            raise NumericError(f"abs error of order {n} is non-finite ({error!r})")
+        # both finite, but the difference may overflow
+        error = _finite_result(abs(value - reference), f"abs error of order {n}")
         rows.append((n, value, error))
     return rows

@@ -12,7 +12,7 @@ from collections.abc import Callable
 
 from ._record import Record
 from .diffcheck import central_diff
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, _finite, _positive
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100
@@ -28,18 +28,9 @@ class SolveResult(Record):
     converged: bool
 
 
-def _check_finite(**values: float) -> None:
-    # a NaN or infinite start or target is an input error, not a failed iteration
-    for name, v in values.items():
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v!r}")
-
-
 def _check_options(tol: float, max_iters: int) -> None:
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol!r}")
-    # an infinite tolerance would call any start a root
-    _check_finite(tolerance=tol)
+    # positive and finite: an infinite tolerance would call any start a root
+    _positive("tolerance", tol)
     if max_iters < 1:
         raise DomainError(f"max_iters must be at least 1, got {max_iters!r}")
 
@@ -92,7 +83,8 @@ def newton_solve(
     _check_options(tol, max_iters)
     g = _residual_fn(f, c)
     x = float(x0)
-    _check_finite(c=c, x0=x)
+    _finite("c", c)
+    _finite("x0", x)
 
     def slope(x: float, r: float) -> float:
         return fprime(x) if fprime is not None else central_diff(g, x, FD_STEP)
@@ -114,7 +106,9 @@ def secant_solve(
         raise DomainError("secant starts x0 and x1 must differ")
     g = _residual_fn(f, c)
     prev, cur = float(x0), float(x1)
-    _check_finite(c=c, x0=prev, x1=cur)
+    _finite("c", c)
+    _finite("x0", prev)
+    _finite("x1", cur)
     last = [prev, g(prev)]
 
     def chord(x: float, r: float) -> float:

@@ -9,10 +9,14 @@ from calcverify import (
     DomainError,
     NumericError,
     central_diff,
+    convergence_table,
+    cordic_sincos,
     directional_derivative,
     expr,
     gradient,
+    newton_solve,
     one_sided_diff,
+    secant_solve,
     verify_antiderivative,
     verify_derivative,
 )
@@ -274,6 +278,13 @@ def _never_called(*args):
         (lambda f: verify_derivative(f, f, 1.0, tol_abs=math.inf), "tol_abs must be finite, got inf"),
         (lambda f: verify_derivative(f, f, 1.0, tol_rel=math.inf), "tol_rel must be finite, got inf"),
         (lambda f: verify_antiderivative(f, f, 0.0, 1.0, tol=math.inf), "tol must be finite, got inf"),
+        (lambda f: central_diff(f, 0.0, 0.0), "step h must be positive, got 0.0"),
+        (lambda f: gradient(f, (0.0,), -1.0), "step h must be positive, got -1.0"),
+        (lambda f: verify_derivative(f, f, 1.0, tol_abs=-1.0), "tol_abs must be nonnegative, got -1.0"),
+        (lambda f: newton_solve(f, 0.0, 1.0, tol=0.0), "tolerance must be positive, got 0.0"),
+        (lambda f: secant_solve(f, 0.0, 1.0, 2.0, tol=0.0), "tolerance must be positive, got 0.0"),
+        (lambda f: cordic_sincos(math.nan), "theta must be finite, got nan"),
+        (lambda f: convergence_table(f, 0.0, 1.0, [2, 3], math.nan), "reference must be finite, got nan"),
         (
             lambda f: directional_derivative(f, (0.0, 0.0), (1.0, 1.0, 1.0), 1e-6),
             "direction and point dimensions differ",

@@ -7,6 +7,7 @@ import pytest
 from calcverify import (
     CapabilityError,
     DomainError,
+    NumericError,
     Polynomial,
     legendre_gram_schmidt,
     legendre_recurrence,
@@ -18,6 +19,7 @@ from calcverify.legendre import (
     _FIXED_BITS,
     _GRID_BITS,
     _horner_fixed,
+    _newton_root,
     _recurrence_exact,
     analytic_inner_product,
     integer_coefficients,
@@ -103,6 +105,15 @@ def test_roots_examples():
 def test_roots_require_positive_count():
     with pytest.raises(DomainError):
         legendre_roots(0)
+
+
+def test_newton_root_from_a_flat_guess_does_not_converge():
+    # P_2'(0) = 0, so the first Newton step is undefined
+    with pytest.raises(NumericError) as info:
+        _newton_root(2, 0.0)
+    assert str(info.value) == (
+        "Newton iteration for the degree-2 root did not converge from initial guess 0.0"
+    )
 
 
 @pytest.mark.parametrize("n", list(range(1, 65)))

@@ -330,6 +330,24 @@ def test_a_hit_reads_only_its_own_block(tmp_path, monkeypatch, capsys):
     assert path.read_text() == text
 
 
+def test_a_hit_missed_by_the_block_search_is_read_through_the_full_parse(tmp_path, capsys):
+    # "N 03" still names the 3-point rule, but the one-block search looks for
+    # "N 3": the whole file is parsed, and the rule comes back unrewritten
+    path = tmp_path / "cache.gausstab"
+    save_tables([gauss_rule(3)], path)
+    path.write_text(path.read_text().replace("\nN 3\n", "\nN 03\n"))
+    before = path.read_bytes(), os.stat(path).st_mtime_ns
+    bits = lambda rule: (rule.n, [v.hex() for v in rule.nodes + rule.weights])
+    assert bits(get_or_build(path, 3)) == bits(gauss_rule(3))
+    assert capsys.readouterr().err == ""
+    assert (path.read_bytes(), os.stat(path).st_mtime_ns) == before
+
+
+def test_rule_violation_counts_the_node_weight_pairs():
+    rule = QuadratureRule(n=3, nodes=(0.0,), weights=(2.0,))
+    assert rule_violation(rule) == "expected 3 node/weight pairs, found 1"
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -37,9 +37,8 @@ def _json_scalar(v) -> str:
 
 
 def _given(args, *names: str) -> dict:
-    # options parsed with default=SUPPRESS are absent unless given, so the
-    # library's own defaults apply to the rest
-    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+    # options left out are None, so the library's own defaults apply to them
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _record_fields(record) -> dict:
@@ -169,10 +168,8 @@ def _cmd_cordic(args) -> int:
     return 0
 
 
-_SUPPRESS = object()  # argparse.SUPPRESS: absent unless given, so the library default applies
 _FLAG = {"action": "store_true", "default": False}
-_FLOAT, _VAR = {"type": float}, {"default": "x"}
-_LIB_FLOAT, _LIB_INT = {"type": float, "default": _SUPPRESS}, {"type": int, "default": _SUPPRESS}
+_FLOAT, _INT, _VAR = {"type": float}, {"type": int}, {"default": "x"}
 
 # The one description of the CLI: subcommand -> (handler, help, arguments),
 # each argument a name and the keywords of its add_argument call.
@@ -188,11 +185,11 @@ _COMMANDS = {
     ]),
     "diffcheck": (_cmd_diffcheck, "verify an analytic derivative at a point", [
         ("function", {}), ("derivative", {}), ("point", _FLOAT), ("--var", _VAR),
-        ("--h", _LIB_FLOAT), ("--tol-abs", _LIB_FLOAT), ("--tol-rel", _LIB_FLOAT), ("--json", _FLAG),
+        ("--h", _FLOAT), ("--tol-abs", _FLOAT), ("--tol-rel", _FLOAT), ("--json", _FLAG),
     ]),
     "antideriv": (_cmd_antideriv, "verify an antiderivative on an interval", [
         ("function", {}), ("antiderivative", {}), ("a", _FLOAT), ("b", _FLOAT), ("--var", _VAR),
-        ("--n", _LIB_INT), ("--tol", _LIB_FLOAT), ("--json", _FLAG),
+        ("--n", _INT), ("--tol", _FLOAT), ("--json", _FLAG),
     ]),
     "solve": (_cmd_solve, "solve f(x) = c by Newton or secant iteration", [
         ("function", {}),
@@ -201,13 +198,13 @@ _COMMANDS = {
         ("--x0", {"type": float, "required": True}),
         ("--x1", {"type": float, "help": "second start (secant only)"}),
         ("--fprime", {"help": "analytic derivative expression (newton only)"}),
-        ("--var", _VAR), ("--tol", _LIB_FLOAT), ("--max-iters", _LIB_INT), ("--json", _FLAG),
+        ("--var", _VAR), ("--tol", _FLOAT), ("--max-iters", _INT), ("--json", _FLAG),
     ]),
     "nodes": (_cmd_nodes, "print an n-point rule in the table file format", [
-        ("n", {"type": int}), ("--json", _FLAG),
+        ("n", _INT), ("--json", _FLAG),
     ]),
     "cordic": (_cmd_cordic, "CORDIC sine/cosine with a reference comparison", [
-        ("theta", _FLOAT), ("--iters", _LIB_INT), ("--json", _FLAG),
+        ("theta", _FLOAT), ("--iters", _INT), ("--json", _FLAG),
     ]),
 }
 
@@ -224,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (func, help_, arguments) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_)
         for name, spec in arguments:
-            suppress = {"default": argparse.SUPPRESS} if spec.get("default") is _SUPPRESS else {}
-            p.add_argument(name, **{**spec, **suppress})
+            p.add_argument(name, **spec)
         p.set_defaults(func=func)
     return parser
 
@@ -271,7 +267,7 @@ def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
         return None
     if any(spec.get("required") for spec in options.values()):
         return None
-    return types.SimpleNamespace(**{k: v for k, v in values.items() if v is not _SUPPRESS})
+    return types.SimpleNamespace(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -14,7 +14,7 @@ import sys
 from collections.abc import Callable, Sequence
 
 from ._record import Record
-from .errors import DomainError, NumericError, _finite, _finite_result, _positive
+from .errors import DomainError, NumericError, _finite, _finite_result, _interval, _positive
 
 DEFAULT_H = 1e-4
 DEFAULT_TOL_ABS = 1e-6
@@ -126,11 +126,7 @@ def verify_antiderivative(
     that large, so a last-bit difference never decides it.
     """
     _check_tolerance("tol", tol)
-    if not a < b:
-        raise DomainError(f"lower bound {a!r} is not below upper bound {b!r}")
-    # a < b has ruled out NaN; F at an infinite bound is not an integral
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("bounds must be finite")
+    _interval(a, b)  # F at an infinite bound is not an integral
     # imported here: derivative checks and the solvers never integrate
     from .quadrature import integrate_1d
 

@@ -37,6 +37,15 @@ def _positive(name: str, value: float) -> float:
     return _finite(name, value)
 
 
+def _interval(a: float, b: float) -> tuple[float, float]:
+    # finiteness first, so a NaN bound reads as one, not as an unordered pair
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("bounds must be finite")
+    if not a < b:
+        raise DomainError(f"lower bound {a!r} is not below upper bound {b!r}")
+    return a, b
+
+
 def _finite_result(value: float, quantity: str) -> float:
     # differences of finite values can still overflow, and inf / inf is nan
     if not math.isfinite(value):

@@ -22,13 +22,15 @@ Under the default builtins, ``evaluate`` compiles each tree that
 ``parse`` returned to one Python function the first time it sees the
 tree, in the manner of SymPy's ``lambdify``: one statement per node, so
 depth does not matter either.  The function is kept on the tree.  It
-tests finiteness only where a non-finite value can vanish, and keeps
-each subexpression that does not read the last declared variable for as
-long as the floats it reads are the same objects, so a tensor loop
-computes it once per outer point.  Custom ``functions``, trees built by
-hand or unpickled, trees over ``_MAX_COMPILED_NODES`` nodes, and any
-point where the compiled code raises or meets a non-finite value run the
-checked interpreter, so values and errors are exactly the interpreter's.
+tests finiteness only where a non-finite value can vanish, and runs
+each operation at its level, the position of the last declared variable
+it reads; each level but the last keeps its values for as long as the
+floats of its and the earlier levels' variables are the same objects,
+so a tensor loop computes each operation once per value of the last
+variable it reads.  Custom ``functions``, trees built by hand or
+unpickled, trees over ``_MAX_COMPILED_NODES`` nodes, and any point where
+the compiled code raises or meets a non-finite value run the checked
+interpreter, so values and errors are exactly the interpreter's.
 """
 
 from __future__ import annotations
@@ -393,25 +395,13 @@ def _all_finite(values: list[str]) -> str:
     return " and ".join("_isfinite(%s)" % " + ".join(values[k : k + 64]) for k in range(0, len(values), 64))
 
 
-# a memo site's code: reuse the slot's value while its floats are the
-# objects just loaded, else compute it and store it once checked
-_SITE = """_s = %(slot)s[0]
-if %(hit)s:
-    %(value)s = _s[%(at)d]
-else:
-    %(body)s
-    if not (%(test)s):
-        return None
-    %(slot)s[0] = (%(key)s)"""
-
-
 def _generate(order: list[Expr]) -> Callable:
     """Compile a parsed tree's post-order list to ``program(bindings)``.
 
     The program does the interpreter's arithmetic under the default
-    builtins in the interpreter's order, one statement per non-leaf
-    node.  It returns the value only when no BinOp or Call result is
-    non-finite; on any exception or a failed check it returns None, and
+    builtins, one statement per non-leaf node.  It returns the value
+    only when no BinOp or Call result is non-finite; on any exception or
+    a failed check it returns None, and
     evaluate reruns the interpreter, which raises the error.  Names,
     constants and function keys are bound in the namespace, so no text
     from the tree reaches the source.
@@ -419,73 +409,79 @@ def _generate(order: list[Expr]) -> Callable:
     Two shortcuts keep that true at less cost.  Each default operation
     maps a non-finite operand to a non-finite result or raises, except
     at a divisor, the operands of '^' and the argument of exp, so only
-    those and the root are tested.  And each maximal non-leaf subtree
-    that does not read the last variable parse declared is a memo site:
-    its slot holds (the floats it reads, its value), stored as one tuple
-    once its tested values pass, and reused while each float ``is`` the
-    one just loaded; holding those floats keeps their ids from being
-    reused.
+    those and the root are tested.  And each node's statement sits at
+    its level: the position, in parse's declared order, of the last
+    variable it reads.  Constants sit at the first level, and with more
+    than three variables the levels before the third-from-last join it,
+    so blocks nest at most two deep.  Each level but the last keeps one
+    slot: the floats of its own and every earlier level's variables,
+    then the values a later level reads, stored as one tuple once the
+    level's tested values pass.  While each float ``is`` the one just
+    loaded the slot's values are reused, and only on a miss is the
+    earlier level's slot checked; holding the floats keeps their ids
+    from being reused.  So a tensor loop runs each statement once per
+    value of the last variable it reads.
     """
     names = order[-1]._names
+    last = len(names) - 1
+    first = max(0, last - 2)
+    position = {name: k for k, name in enumerate(names)}
+    read = sorted({position[node.name] for node in order if type(node) is Var})
     ns: dict = {"_pow": math.pow, "_isfinite": math.isfinite, "_D": _DEFAULT_IMPLS}
-    loads: dict = {}  # variable name -> the local that holds its float
-    head: list[str] = []
-    # per value the interpreter's stack would hold: its source, whether it reads
-    # the last variable, and the lists of its lines, tested values and floats read
-    stack: list[tuple] = []
-    for i, node in enumerate(order + [None]):  # None stands for the root's parent
+    ns.update(("_n%d" % k, names[k]) for k in read)
+    # per level: its statements, the values it tests, and the temps a later level reads
+    lines, tested, kept = ([[] for _ in names] for _ in range(3))
+    stack: list[tuple] = []  # per interpreter stack value: its source, level and whether it is a temp
+    for i, node in enumerate(order + [None]):  # None stands for the root's reader, at the last level
         kind = type(node)
         if kind is Num:
             ns["_c%d" % i] = node.value
-            stack.append(("_c%d" % i, False, [], [], []))
+            stack.append(("_c%d" % i, first, False))
             continue
         if kind is Var:
-            if node.name not in loads:
-                j = len(head)
-                loads[node.name] = "_v%d" % j
-                ns["_n%d" % j] = node.name
-                head.append("_v%d = float(_b[_n%d])" % (j, j))
-            local = loads[node.name]
-            stack.append((local, node.name == names[-1], [], [], [local]))
+            k = position[node.name]
+            stack.append(("_v%d" % k, max(first, k), False))
             continue
         operands = stack[-2:] if kind is BinOp else stack[-1:]
         del stack[-len(operands) :]
-        inner = node is None or any(o[1] for o in operands)
-        for value, reads, body, tested, floats in operands:
-            if body and inner and not reads:  # a memo site, at most one per node
-                key = sorted(set(floats))
-                # a site that reads no float is filled once its value replaces None
-                hit = " and ".join("_s[%d] is %s" % kv for kv in enumerate(key)) or "_s[0] is not None"
-                ns["_M%d" % i] = [(None,)]
-                body[:] = (_SITE % dict(
-                    slot="_M%d" % i, hit=hit, value=value, at=len(key), body="\n    ".join(body),
-                    test=_all_finite(tested + [value]), key="%s," % ", ".join([*key, value]),
-                )).split("\n")
-                tested.clear()
+        level = last if node is None else max(o[1] for o in operands)
+        for value, at, temp in operands:
+            if temp:  # each slot from the temp's level up to its reader's holds it
+                for k in range(at, level):
+                    kept[k].append(value)
         if node is None:
             break
-        (a, _, body, tested, floats), *rest = operands
-        temp = "_t%d" % i
-        for _, _, more_body, more_tested, more_floats in rest:
-            body += more_body
-            tested += more_tested
-            floats += more_floats
+        a, temp = operands[0][0], "_t%d" % i
         if kind is Neg:
-            body.append("%s = -%s" % (temp, a))
+            lines[level].append("%s = -%s" % (temp, a))
         elif kind is BinOp:
-            b = rest[0][0]
+            b = operands[1][0]
             line = "%s = _pow(%s, %s)" if node.op == "^" else "%s = %s " + node.op + " %s"
-            body.append(line % (temp, a, b))
-            tested += [a, b] if node.op == "^" else [b] if node.op == "/" else []
+            lines[level].append(line % (temp, a, b))
+            tested[level] += [a, b] if node.op == "^" else [b] if node.op == "/" else []
         else:
             ns["_k%d" % i] = node.func
-            body.append("%s = _D[_k%d](%s)" % (temp, i, a))
-            tested += [a] if node.func == "exp" else []
-        stack.append((temp, inner, body, tested, floats))
-    root, _, body, tested, _ = operands[0]
-    body += ["if %s:" % _all_finite(tested + [root]), "    return " + root]
+            lines[level].append("%s = _D[_k%d](%s)" % (temp, i, a))
+            tested[level] += [a] if node.func == "exp" else []
+        stack.append((temp, level, True))
+    body = ["_v%d = float(_b[_n%d])" % (k, k) for k in read]
+    block: list[str] = []  # the earlier levels' code, run when this level's slot misses
+    for k in range(first, last):
+        if not lines[k]:
+            continue
+        key = ["_v%d" % j for j in read if j <= k]
+        # a slot whose level reads no float is filled once its values replace None
+        hit = " and ".join("_s[%d] is %s" % kv for kv in enumerate(key)) or "_s[0] is not None"
+        check = ["if not (%s):" % _all_finite(tested[k]), "    return None"] if tested[k] else []
+        ns["_M%d" % k] = [(None,)]
+        miss = block + lines[k] + check + ["_M%d[0] = (%s,)" % (k, ", ".join(key + kept[k]))]
+        block = ["_s = _M%d[0]" % k, "if %s:" % hit]
+        block += ["    %s = _s[%d]" % (value, j) for j, value in enumerate(kept[k], len(key))]
+        block += ["else:"] + ["    " + line for line in miss]
+    root = operands[0][0]
+    body += block + lines[last] + ["if %s:" % _all_finite(tested[last] + [root]), "    return " + root]
     # on any exception the interpreter runs, and raises it again or the checked error
-    source = "def program(_b):\n    try:\n" + "".join("        %s\n" % line for line in head + body)
+    source = "def program(_b):\n    try:\n" + "".join("        %s\n" % line for line in body)
     exec(source + "    except Exception:\n        pass\n", ns)
     return ns["program"]
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from collections.abc import Callable, Sequence
 
 from ._record import Record
-from .errors import CapabilityError, DomainError, NumericError, _finite, _finite_result
+from .errors import CapabilityError, DomainError, NumericError, _finite, _finite_result, _interval
 from .legendre import RootSet, gauss_weight, legendre_roots, positive_roots_fixed
 
 MAX_POINTS = 64
@@ -49,10 +49,10 @@ class Box(Record):
         if not 1 <= len(lo) <= 3:
             raise DomainError(f"box dimension must be 1..3, got {len(lo)}")
         for k, (a, b) in enumerate(zip(lo, hi)):
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise DomainError(f"axis {k}: bounds must be finite")
-            if not a < b:
-                raise DomainError(f"axis {k}: lower bound {a!r} is not below {b!r}")
+            try:
+                _interval(a, b)
+            except DomainError as exc:
+                raise DomainError(f"axis {k}: {exc}") from None
 
     @property
     def dims(self) -> int:
@@ -166,10 +166,7 @@ def _half_width(a: float, b: float) -> tuple[float, int]:
 
 def apply_rule(rule: QuadratureRule, f: Integrand, a: float, b: float) -> float:
     """Apply an existing rule to the integral of f over [a, b]."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("bounds must be finite")
-    if not a < b:
-        raise DomainError(f"lower bound {a!r} is not below upper bound {b!r}")
+    _interval(a, b)
     # an interval is the one-axis box
     return _tensor_sum(rule, f, Box((a,), (b,)))
 

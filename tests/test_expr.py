@@ -490,21 +490,42 @@ def test_a_late_non_finite_temp_fails_the_chunked_check():
 
 
 def test_variables_named_like_memo_names():
-    # the memo code adds _s, _D and _M<i> to the generated names; a site here
-    # reads _s, _D and _M1, and the innermost variable z is read per point
-    names = ["_s", "_D", "_M1", "_F", "_b", "_v0", "_t1", "_c0", "z"]
-    text = "sin(_s)*exp(_D/_M1) + _F*_b - _v0^_t1/_c0 + cos(z)"
+    # the level code adds _s, _D, _M<k>, _v<k> and _n<k> to the generated names;
+    # with 12 variables the first nine share level 9, _n1 is level 10 and z level 11
+    names = ["_s", "_D", "_M1", "_F", "_b", "_v0", "_t1", "_c0", "_M0", "_v1", "_n1", "z"]
+    text = "sin(_s)*exp(_D/_M1) + _F*_b - _v0^_t1/_c0 + _M0*ln(_v1) + sqrt(_n1) + cos(z)"
     tree = parse(text, names)
     f = as_function(tree, names)
-    for z in (0.25, 0.5, 0.75):
-        values = {name: 1.0 + i / 8 for i, name in enumerate(names[:-1])}
-        v = values
-        expected = (
-            math.sin(v["_s"]) * math.exp(v["_D"] / v["_M1"]) + v["_F"] * v["_b"]
-            - math.pow(v["_v0"], v["_t1"]) / v["_c0"] + math.cos(z)
-        )
-        assert evaluate(tree, {**values, "z": z}) == expected
-        assert f(*values.values(), z) == expected
+    values = {name: 1.0 + i / 8 for i, name in enumerate(names[:-2])}
+    for n1 in (0.5, 2.0):
+        for z in (0.25, 0.5, 0.75):
+            v = {**values, "_n1": n1}
+            expected = (
+                math.sin(v["_s"]) * math.exp(v["_D"] / v["_M1"]) + v["_F"] * v["_b"]
+                - math.pow(v["_v0"], v["_t1"]) / v["_c0"] + v["_M0"] * math.log(v["_v1"])
+                + math.sqrt(n1) + math.cos(z)
+            )
+            assert evaluate(tree, {**v, "z": z}) == expected
+            assert f(*v.values(), z) == expected
+
+
+def test_a_tree_over_200_variables_compiles_and_gives_the_interpreters_bits():
+    # the levels before the third-from-last join it, so the blocks nest two deep
+    names = ["v%d" % k for k in range(200)]
+    funcs = itertools.cycle(["sin", "exp", "sqrt", "cos"])
+    tree = parse(" + ".join("%s(%s)" % (func, name) for func, name in zip(funcs, names)), names)
+    assert tree._program is not None
+    order = expr._postorder(tree)
+    f = as_function(tree, names)
+    early = [k / 200 for k in range(197)]
+    for first in (0.5, 0.25):
+        early[0] = first
+        for point in itertools.product((0.5, 1.5), (0.25, -0.75), (1.0, 2.0)):
+            values = [*early, *point]
+            bindings = dict(zip(names, values))
+            expected = _outcome(lambda: expr._interpret(order, bindings, expr._DEFAULT_IMPLS))
+            assert _outcome(lambda: evaluate(tree, bindings)) == expected
+            assert _outcome(lambda: f(*values)) == expected
 
 
 # literals and axis values where a non-finite value can vanish or a domain ends
@@ -582,18 +603,23 @@ def test_custom_functions_are_called_once_per_node_per_point():
 
 
 def test_a_box_computes_each_outer_factor_once_per_outer_point(monkeypatch):
-    # sin(x)*cos(y) does not read z, so an n^3 grid calls sin n^2 times; this
-    # relies on float(x) returning x itself for the loop's float objects
-    calls = []
-    monkeypatch.setitem(expr._DEFAULT_IMPLS, "sin", lambda t: calls.append(t) or math.sin(t))
+    # sin reads x, cos y and exp z, so an n^3 grid calls them n, n^2 and n^3
+    # times; this relies on float(x) returning x itself for the loop's float objects
+    calls = {name: [] for name in ("sin", "cos", "exp")}
+    for name, log in calls.items():
+        monkeypatch.setitem(expr._DEFAULT_IMPLS, name, lambda t, log=log, f=getattr(math, name): log.append(t) or f(t))
     names = ["x", "y", "z"]
-    tree = parse("sin(x)*cos(y)*exp(z)", names)
     n, box = 6, quadrature.Box((0.0,) * 3, (1.0,) * 3)
-    value = quadrature.apply_rule_box(quadrature.gauss_rule(n), as_function(tree, names), box)
-    assert len(calls) == n * n
-    order = expr._postorder(tree)
-    checked = lambda x, y, z: expr._interpret(order, {"x": x, "y": y, "z": z}, expr._DEFAULT_IMPLS)  # noqa: E731
-    assert value == quadrature.apply_rule_box(quadrature.gauss_rule(n), checked, box)
+    for text in ("sin(x)*cos(y)*exp(z)", "sin(x) + cos(y)*exp(z)"):
+        for log in calls.values():
+            log.clear()
+        tree = parse(text, names)
+        value = quadrature.apply_rule_box(quadrature.gauss_rule(n), as_function(tree, names), box)
+        assert len(calls["sin"]) == n
+        assert (len(calls["cos"]), len(calls["exp"])) == (n * n, n * n * n)
+        order = expr._postorder(tree)
+        checked = lambda x, y, z: expr._interpret(order, {"x": x, "y": y, "z": z}, expr._DEFAULT_IMPLS)  # noqa: E731
+        assert value == quadrature.apply_rule_box(quadrature.gauss_rule(n), checked, box)
 
 
 def test_threads_sharing_a_tree_get_the_interpreters_bits():

@@ -21,6 +21,7 @@ from calcverify import (
     integrate_box,
     legendre_roots,
     parse,
+    verify_antiderivative,
 )
 from calcverify.quadrature import _fsum, _jacobian_and_midpoint, _term_error, apply_rule
 
@@ -188,6 +189,31 @@ def test_box_validation():
     with pytest.raises(DomainError):
         Box((0, float("inf")), (1, 2))
     assert Box((0, 0), (1, 2)).dims == 2
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        (0.0, math.nan, "bounds must be finite"),
+        (math.nan, 1.0, "bounds must be finite"),
+        (0.0, math.inf, "bounds must be finite"),
+        (1.0, 0.0, "lower bound 1.0 is not below upper bound 0.0"),
+    ],
+)
+def test_every_interval_is_checked_by_one_guard(a, b, message):
+    # finiteness before order, so a NaN bound reads as a bound that is not finite
+    def never_called(*args):
+        raise AssertionError("evaluated")
+
+    for call, prefix in (
+        (lambda: apply_rule(gauss_rule(2), never_called, a, b), ""),
+        (lambda: integrate_1d(never_called, a, b, 2), ""),
+        (lambda: verify_antiderivative(never_called, never_called, a, b), ""),
+        (lambda: Box((0.0, a), (1.0, b)), "axis 1: "),
+    ):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == prefix + message
 
 
 def test_box_integrand_errors():

@@ -17,7 +17,7 @@ import sys
 import types
 from collections.abc import Callable, Sequence
 
-from .errors import CalcVerifyError, DomainError, NumericError
+from .errors import CalcVerifyError, DomainError, NumericError, _interval
 
 
 def _compile(text: str, variables: Sequence[str]) -> Callable[..., float]:
@@ -74,11 +74,13 @@ def _cmd_integrate(args) -> int:
     f = _compile(args.expression, names)
     from . import quadrature, tables
 
+    # the bounds are checked before the rule is fetched, so a rejected call builds and caches none
+    domain = _interval(lo[0], hi[0]) if len(names) == 1 else quadrature.Box(tuple(lo), tuple(hi))
     rule = tables.get_or_build(args.cache or tables.default_cache_path(), args.n)
     if len(names) == 1:
-        value = quadrature.apply_rule(rule, f, lo[0], hi[0])
+        value = quadrature.apply_rule(rule, f, *domain)
     else:
-        value = quadrature.apply_rule_box(rule, f, quadrature.Box(tuple(lo), tuple(hi)))
+        value = quadrature.apply_rule_box(rule, f, domain)
     if args.json:
         _emit({"value": value, "n": args.n, "dims": len(names)}, True)
     else:

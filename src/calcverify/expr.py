@@ -19,18 +19,19 @@ parser raises ParseError.  Printing and the checked evaluator use an
 explicit stack, so they work at any depth.
 
 Under the default builtins, ``evaluate`` compiles each tree that
-``parse`` returned to one Python function the first time it sees the
-tree, in the manner of SymPy's ``lambdify``: one statement per node, so
-depth does not matter either.  The function is kept on the tree.  It
-tests finiteness only where a non-finite value can vanish, and runs
-each operation at its level, the position of the last declared variable
-it reads; each level but the last keeps its values for as long as the
-floats of its and the earlier levels' variables are the same objects,
-so a tensor loop computes each operation once per value of the last
-variable it reads.  Custom ``functions``, trees built by hand or
-unpickled, trees over ``_MAX_COMPILED_NODES`` nodes, and any point where
-the compiled code raises or meets a non-finite value run the checked
-interpreter, so values and errors are exactly the interpreter's.
+``parse`` returned to one Python function on first use, in the manner
+of SymPy's ``lambdify``: one statement per node, so depth does not
+matter either, testing finiteness only where a non-finite value can
+vanish.  A callable from ``as_function`` also carries the tree compiled
+to a box integral's whole loop nest, each operation in the loop of the
+last axis it reads: over x, y, z, ``sin(z)*exp(x)*ln(y)`` computes
+``exp(x)`` once per x, ``ln(y)`` once per (x, y), and ``sin(z)`` and the
+two products once per point.  An integral whose nest fails reruns point
+by point for its error, and while ``evaluate`` is wrapped no nest runs,
+so the wrapper sees every point.  Custom ``functions``, trees built by
+hand or unpickled, trees over ``_MAX_COMPILED_NODES`` nodes, and any
+point where compiled code raises or meets a non-finite value run the
+checked interpreter, so values and errors are exactly the interpreter's.
 """
 
 from __future__ import annotations
@@ -109,10 +110,13 @@ class _Node(Record):
         return _postorder(self)
 
     @cached_property
+    def _nests(self) -> dict | None:
+        # as_function's loop nests by variable order; only a tree parse returned, under the node cap, gets code
+        return {} if self._names and len(self._order) <= _MAX_COMPILED_NODES else None
+
+    @cached_property
     def _program(self) -> Callable | None:
-        # only a tree parse returned, under the node cap, gets code
-        order = self._order
-        return _generate(order) if self._names and len(order) <= _MAX_COMPILED_NODES else None
+        return None if self._nests is None else _generate(self._order, self._names, False)
 
     def __getstate__(self) -> dict:
         # a generated function cannot be pickled; the fields are public names
@@ -395,62 +399,46 @@ def _all_finite(values: list[str]) -> str:
     return " and ".join("_isfinite(%s)" % " + ".join(values[k : k + 64]) for k in range(0, len(values), 64))
 
 
-def _generate(order: list[Expr]) -> Callable:
-    """Compile a parsed tree's post-order list to ``program(bindings)``.
+def _generate(order: list[Expr], variables: Sequence[str], loops: bool) -> Callable:
+    """Compile a parsed tree's post-order list to ``program(_b)`` or ``nest(axes)``.
 
-    The program does the interpreter's arithmetic under the default
-    builtins, one statement per non-leaf node.  It returns the value
-    only when no BinOp or Call result is non-finite; on any exception or
-    a failed check it returns None, and
-    evaluate reruns the interpreter, which raises the error.  Names,
-    constants and function keys are bound in the namespace, so no text
-    from the tree reaches the source.
-
-    Two shortcuts keep that true at less cost.  Each default operation
-    maps a non-finite operand to a non-finite result or raises, except
-    at a divisor, the operands of '^' and the argument of exp, so only
-    those and the root are tested.  And each node's statement sits at
-    its level: the position, in parse's declared order, of the last
-    variable it reads.  Constants sit at the first level, and with more
-    than three variables the levels before the third-from-last join it,
-    so blocks nest at most two deep.  Each level but the last keeps one
-    slot: the floats of its own and every earlier level's variables,
-    then the values a later level reads, stored as one tuple once the
-    level's tested values pass.  While each float ``is`` the one just
-    loaded the slot's values are reused, and only on a miss is the
-    earlier level's slot checked; holding the floats keeps their ids
-    from being reused.  So a tensor loop runs each statement once per
-    value of the last variable it reads.
+    Both do the interpreter's arithmetic under the default builtins, one
+    statement per non-leaf node, and return None on any exception or
+    failed test, and the caller reruns the checked route for the error.
+    No text from the tree reaches the source: names, constants and
+    function keys are bound in the namespace.  Only a divisor, the
+    operands of '^' and the argument of exp are tested, after the
+    statements computing them: elsewhere a default operation maps a
+    non-finite operand to a non-finite result, or raises.  ``program``
+    reads ``variables`` from the bindings ``_b``, then tests and returns
+    the root.  ``nest`` (with ``loops``) runs apply_rule_box's loops over
+    ``axes``, whose axis k binds ``variables[k]``, with each statement at
+    the top of the loop of the last axis it reads, or before the loops;
+    it builds, tests and returns the weighted terms as those loops do,
+    and a term's test covers its value's, as the weight is finite.
     """
-    names = order[-1]._names
-    last = len(names) - 1
-    first = max(0, last - 2)
-    position = {name: k for k, name in enumerate(names)}
-    read = sorted({position[node.name] for node in order if type(node) is Var})
+    position = {name: k for k, name in enumerate(variables)}  # a repeated name binds its last axis
+    depth = len(variables) if loops else 0
     ns: dict = {"_pow": math.pow, "_isfinite": math.isfinite, "_D": _DEFAULT_IMPLS}
-    ns.update(("_n%d" % k, names[k]) for k in read)
-    # per level: its statements, the values it tests, and the temps a later level reads
-    lines, tested, kept = ([[] for _ in names] for _ in range(3))
-    stack: list[tuple] = []  # per interpreter stack value: its source, level and whether it is a temp
-    for i, node in enumerate(order + [None]):  # None stands for the root's reader, at the last level
+    # per level, 0 before the loops and k + 1 in axis k's loop: its statements and the values it tests
+    lines, tested = ([[] for _ in range(depth + 1)] for _ in range(2))
+    stack: list[tuple] = []  # per interpreter stack value: its source and level
+    for i, node in enumerate(order):
         kind = type(node)
         if kind is Num:
             ns["_c%d" % i] = node.value
-            stack.append(("_c%d" % i, first, False))
+            stack.append(("_c%d" % i, 0))
             continue
         if kind is Var:
             k = position[node.name]
-            stack.append(("_v%d" % k, max(first, k), False))
+            if not loops and "_n%d" % k not in ns:  # the program loads each variable before its first use
+                ns["_n%d" % k] = node.name
+                lines[0].append("_v%d = float(_b[_n%d])" % (k, k))
+            stack.append(("_v%d" % k, k + 1 if loops else 0))
             continue
         operands = stack[-2:] if kind is BinOp else stack[-1:]
         del stack[-len(operands) :]
-        level = last if node is None else max(o[1] for o in operands)
-        for value, at, temp in operands:
-            if temp:  # each slot from the temp's level up to its reader's holds it
-                for k in range(at, level):
-                    kept[k].append(value)
-        if node is None:
-            break
+        level = max(at for _, at in operands)
         a, temp = operands[0][0], "_t%d" % i
         if kind is Neg:
             lines[level].append("%s = -%s" % (temp, a))
@@ -463,27 +451,27 @@ def _generate(order: list[Expr]) -> Callable:
             ns["_k%d" % i] = node.func
             lines[level].append("%s = _D[_k%d](%s)" % (temp, i, a))
             tested[level] += [a] if node.func == "exp" else []
-        stack.append((temp, level, True))
-    body = ["_v%d = float(_b[_n%d])" % (k, k) for k in read]
-    block: list[str] = []  # the earlier levels' code, run when this level's slot misses
-    for k in range(first, last):
-        if not lines[k]:
-            continue
-        key = ["_v%d" % j for j in read if j <= k]
-        # a slot whose level reads no float is filled once its values replace None
-        hit = " and ".join("_s[%d] is %s" % kv for kv in enumerate(key)) or "_s[0] is not None"
-        check = ["if not (%s):" % _all_finite(tested[k]), "    return None"] if tested[k] else []
-        ns["_M%d" % k] = [(None,)]
-        miss = block + lines[k] + check + ["_M%d[0] = (%s,)" % (k, ", ".join(key + kept[k]))]
-        block = ["_s = _M%d[0]" % k, "if %s:" % hit]
-        block += ["    %s = _s[%d]" % (value, j) for j, value in enumerate(kept[k], len(key))]
-        block += ["else:"] + ["    " + line for line in miss]
-    root = operands[0][0]
-    body += block + lines[last] + ["if %s:" % _all_finite(tested[last] + [root]), "    return " + root]
-    # on any exception the interpreter runs, and raises it again or the checked error
-    source = "def program(_b):\n    try:\n" + "".join("        %s\n" % line for line in body)
+        stack.append((temp, level))
+    root = stack[0][0]
+    if loops:  # the weights multiply as in apply_rule_box's loops, bit for bit
+        if depth > 1:
+            lines[2].append("_w01 = _w0 * _w1")
+        lines[depth].append("_term = %s * %s" % (("_w0", "_w01", "_w01 * _w2")[depth - 1], root))
+        root = "_term"
+    tested[depth].append(root)
+    body = ["_terms = []", "_append = _terms.append"] if loops else []
+    for level in range(depth + 1):
+        indent = "    " * level
+        if level:
+            body.append(indent[4:] + "for _v{0}, _w{0} in axes[{0}]:".format(level - 1))
+        check = ["if not (%s):" % _all_finite(tested[level]), "    return None"] if tested[level] else []
+        body += [indent + line for line in lines[level] + check]
+    body += [indent + "_append(_term)", "return _terms"] if loops else ["return " + root]
+    # on any exception the caller reruns the checked route, which raises it again or the checked error
+    name, arg = ("nest", "axes") if loops else ("program", "_b")
+    source = "def %s(%s):\n    try:\n" % (name, arg) + "".join("        %s\n" % line for line in body)
     exec(source + "    except Exception:\n        pass\n", ns)
-    return ns["program"]
+    return ns[name]
 
 
 def evaluate(
@@ -503,10 +491,9 @@ def evaluate(
 
     A tree from ``parse`` is compiled to Python code on its first
     evaluation with ``functions=None`` and the code is kept on the tree,
-    so trees evaluated in turn (f and f') each compile once.  A point
-    where the code fails, every point of any other tree or of a tree over
-    the node cap, and every evaluation with ``functions`` run the checked
-    interpreter.
+    so trees evaluated in turn (f and f') each compile once.  Points
+    where the code fails, other trees, trees over the node cap, and
+    evaluations with ``functions`` run the checked interpreter.
     """
     program = e._program if functions is None else None
     if program is not None:
@@ -521,6 +508,9 @@ def evaluate(
         raise
 
 
+_EVALUATE = evaluate
+
+
 def as_function(
     e: Expr,
     variables: Sequence[str],
@@ -531,8 +521,7 @@ def as_function(
     It takes exactly one value per variable; another count raises TypeError.
     """
     names = tuple(variables)
-    # one form per common arity, its names bound here and a dict display per
-    # point; evaluate is looked up per call, so a wrapper set on it sees every point
+    # one form per common arity, its names bound here and a dict display per point
     if len(names) == 1:
         (a,) = names
         def f(x: float) -> float:
@@ -550,6 +539,16 @@ def as_function(
             if len(values) != len(names):
                 raise TypeError(f"expected {len(names)} values, got {len(values)}")
             return evaluate(e, dict(zip(names, values)), functions)
+    if functions is None and e._nests is not None and set(e._names) <= set(names):
+        # apply_rule_box's whole grid as generated code; evaluate is looked up per call, and
+        # the nest runs only under evaluate itself, so a wrapper set on it sees every point
+        def nest(axes: list) -> list[float] | None:
+            if evaluate is not _EVALUATE or len(axes) != len(names):
+                return None
+            if names not in e._nests:
+                e._nests[names] = _generate(e._order, names, True)
+            return e._nests[names](axes)
+        f._nest = nest
     return f
 
 

@@ -177,6 +177,7 @@ def integrate_1d(f: Integrand, a: float, b: float, n: int) -> float:
     Exact (to rounding) for polynomials of degree up to 2n - 1.  The
     endpoints are never evaluated: all nodes are interior.
     """
+    _interval(a, b)  # before the rule, so a rejected interval builds none
     return apply_rule(gauss_rule(n), f, a, b)
 
 
@@ -205,37 +206,42 @@ def apply_rule_box(rule: QuadratureRule, f: Integrand, box: Box) -> float:
         [(jac * x + mid, scale * w) for x, w in zip(rule.nodes, rule.weights)]
         for (jac, mid), scale in zip(frames, scales)
     ]
-    terms = []
-    append, isfinite = terms.append, math.isfinite
-    # one loop per axis, with the weight products hoisted; math.prod
-    # multiplies ((1*wx)*wy)*wz and 1*wx is exactly wx, so the bits match it
-    if len(axes) == 1:
-        for x, wx in axes[0]:
-            v = f(x)
-            term = wx * v
-            if not isfinite(term):
-                raise _term_error(v, (x,))
-            append(term)
-    elif len(axes) == 2:
-        ax, ay = axes
-        for x, wx in ax:
-            for y, wy in ay:
-                v = f(x, y)
-                term = wx * wy * v
+    # an integrand from expr.as_function can run the whole grid as generated
+    # code; it returns None on any failure, and this loop raises the error
+    nest = getattr(f, "_nest", None)
+    terms = nest(axes) if nest is not None else None
+    if terms is None:
+        terms = []
+        append, isfinite = terms.append, math.isfinite
+        # one loop per axis, with the weight products hoisted; math.prod
+        # multiplies ((1*wx)*wy)*wz and 1*wx is exactly wx, so the bits match it
+        if len(axes) == 1:
+            for x, wx in axes[0]:
+                v = f(x)
+                term = wx * v
                 if not isfinite(term):
-                    raise _term_error(v, (x, y))
+                    raise _term_error(v, (x,))
                 append(term)
-    else:
-        ax, ay, az = axes
-        for x, wx in ax:
-            for y, wy in ay:
-                wxy = wx * wy
-                for z, wz in az:
-                    v = f(x, y, z)
-                    term = wxy * wz * v
+        elif len(axes) == 2:
+            ax, ay = axes
+            for x, wx in ax:
+                for y, wy in ay:
+                    v = f(x, y)
+                    term = wx * wy * v
                     if not isfinite(term):
-                        raise _term_error(v, (x, y, z))
+                        raise _term_error(v, (x, y))
                     append(term)
+        else:
+            ax, ay, az = axes
+            for x, wx in ax:
+                for y, wy in ay:
+                    wxy = wx * wy
+                    for z, wz in az:
+                        v = f(x, y, z)
+                        term = wxy * wz * v
+                        if not isfinite(term):
+                            raise _term_error(v, (x, y, z))
+                        append(term)
     total = _fsum(terms)
     try:
         return math.ldexp(total, shift)

@@ -245,6 +245,14 @@ def test_one_closure_between_tensor_sum_and_evaluate(capsys, monkeypatch):
     assert callers == {"apply_rule_box"}
 
 
+def test_rejected_bounds_build_and_cache_no_rule(capsys, tmp_path):
+    cache = tmp_path / "cache.gausstab"
+    assert run(capsys, "integrate", "x", "x", "0", "nan", "--n", "40") == (2, "", "error: bounds must be finite\n")
+    box = ("integrate", "x*y", "x", "0", "nan", "y", "0", "1", "--n", "30")
+    assert run(capsys, *box) == (2, "", "error: axis 0: bounds must be finite\n")
+    assert not cache.exists()
+
+
 def test_difference_step_that_does_not_move_the_point_exits_1(capsys):
     # a step lost to rounding measured a slope of 0: a failed verdict, a flat derivative
     assert run(capsys, "diffcheck", "x", "1", "1e308") == (

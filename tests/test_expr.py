@@ -386,7 +386,7 @@ def test_compiled_evaluation_matches_the_interpreter():
 def test_alternating_trees_generate_code_once_each(monkeypatch):
     generated = []
     generate = expr._generate
-    monkeypatch.setattr(expr, "_generate", lambda order: generated.append(order) or generate(order))
+    monkeypatch.setattr(expr, "_generate", lambda order, *rest: generated.append(order) or generate(order, *rest))
     f = as_function(parse("x^3 - 2*x", ["x"]), ["x"])
     fprime = as_function(parse("3*x^2 - 2", ["x"]), ["x"])
     trees = []
@@ -401,7 +401,7 @@ def test_alternating_trees_generate_code_once_each(monkeypatch):
 def test_only_parsed_trees_under_the_default_builtins_generate_code(monkeypatch):
     generated = []
     generate = expr._generate
-    monkeypatch.setattr(expr, "_generate", lambda order: generated.append(order) or generate(order))
+    monkeypatch.setattr(expr, "_generate", lambda order, *rest: generated.append(order) or generate(order, *rest))
     text = "sin(x)/y + ln(x*y)"
     parsed = parse(text, ["x", "y"])
     built = BinOp(
@@ -490,8 +490,8 @@ def test_a_late_non_finite_temp_fails_the_chunked_check():
 
 
 def test_variables_named_like_memo_names():
-    # the level code adds _s, _D, _M<k>, _v<k> and _n<k> to the generated names;
-    # with 12 variables the first nine share level 9, _n1 is level 10 and z level 11
+    # the generated code also binds _D, _v<k> and _n<k>, and the loop nest
+    # _w<k>, _w01, _terms, _term and _append; no variable name reaches its source
     names = ["_s", "_D", "_M1", "_F", "_b", "_v0", "_t1", "_c0", "_M0", "_v1", "_n1", "z"]
     text = "sin(_s)*exp(_D/_M1) + _F*_b - _v0^_t1/_c0 + _M0*ln(_v1) + sqrt(_n1) + cos(z)"
     tree = parse(text, names)
@@ -507,6 +507,14 @@ def test_variables_named_like_memo_names():
             )
             assert evaluate(tree, {**v, "z": z}) == expected
             assert f(*v.values(), z) == expected
+    box, rule = quadrature.Box((0.5,) * 3, (1.5,) * 3), quadrature.gauss_rule(3)
+    for names in (["_a0", "_w0", "_w01"], ["_terms", "_term", "_append"]):
+        a, b, c = names
+        tree = parse(f"sin({a})*exp({b}/2) + {c}/(1 + {a}*{a})", names)
+        value = quadrature.apply_rule_box(rule, as_function(tree, names), box)
+        assert list(tree._nests) == [tuple(names)]
+        plain = lambda x, y, z: math.sin(x) * math.exp(y / 2) + z / (1 + x * x)  # noqa: E731
+        assert value == quadrature.apply_rule_box(rule, plain, box)
 
 
 def test_a_tree_over_200_variables_compiles_and_gives_the_interpreters_bits():
@@ -533,17 +541,17 @@ _GRID_LITERALS = (0.5, 2.0, 3.0, 710.0, 800.0, 1e200, 1e-300)
 _GRID_VALUES = (0.0, -0.0, 1.0, -1.5, 0.75, 710.0, -745.5, 1e155, 1e300, math.inf, -math.inf, math.nan)
 
 
-def _grid_tree(rng, depth):
+def _grid_tree(rng, depth, names="xyz"):
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.4:
             return Num(rng.choice(_GRID_LITERALS), 0)
-        return Var(rng.choice("xyz"), 0)
+        return Var(rng.choice(names), 0)
     pick = rng.random()
     if pick < 0.1:
-        return Neg(_grid_tree(rng, depth - 1), 0)
+        return Neg(_grid_tree(rng, depth - 1, names), 0)
     if pick < 0.4:
-        return Call(rng.choice(_FUNCS), _grid_tree(rng, depth - 1), 0)
-    return BinOp(rng.choice("+-*/^"), _grid_tree(rng, depth - 1), _grid_tree(rng, depth - 1), 0)
+        return Call(rng.choice(_FUNCS), _grid_tree(rng, depth - 1, names), 0)
+    return BinOp(rng.choice("+-*/^"), _grid_tree(rng, depth - 1, names), _grid_tree(rng, depth - 1, names), 0)
 
 
 def test_grid_evaluation_matches_the_interpreter_in_every_loop_order():
@@ -604,7 +612,7 @@ def test_custom_functions_are_called_once_per_node_per_point():
 
 def test_a_box_computes_each_outer_factor_once_per_outer_point(monkeypatch):
     # sin reads x, cos y and exp z, so an n^3 grid calls them n, n^2 and n^3
-    # times; this relies on float(x) returning x itself for the loop's float objects
+    # times: the loop nest runs each call in the loop of the last axis it reads
     calls = {name: [] for name in ("sin", "cos", "exp")}
     for name, log in calls.items():
         monkeypatch.setitem(expr._DEFAULT_IMPLS, name, lambda t, log=log, f=getattr(math, name): log.append(t) or f(t))
@@ -620,6 +628,73 @@ def test_a_box_computes_each_outer_factor_once_per_outer_point(monkeypatch):
         order = expr._postorder(tree)
         checked = lambda x, y, z: expr._interpret(order, {"x": x, "y": y, "z": z}, expr._DEFAULT_IMPLS)  # noqa: E731
         assert value == quadrature.apply_rule_box(quadrature.gauss_rule(n), checked, box)
+
+
+_VANISHING = ("exp(-({v}*1e300))", "2/({v}*1e300) + 1", "({v}*1e300)^0", "0.5^({v}*1e300)", "1^({v}*1e300)")
+
+
+def _box_outcome(call):
+    try:
+        return float(call()).hex()
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc).__name__, str(exc), getattr(exc, "offset", None), getattr(exc, "source", None)
+
+
+def test_the_loop_nest_gives_the_per_point_loops_bits_and_errors(monkeypatch):
+    # under a wrapped evaluate, apply_rule_box calls the integrand point by
+    # point, here running the generated program or the checked interpreter
+    # (custom functions that change none); the nest must give the same bits, or
+    # the same error at the same point.  Hand-built rules put infinite and NaN
+    # nodes and weights on the axes.
+    rng = random.Random(2026)
+    real = expr.evaluate
+    routes = (
+        real,
+        lambda e, bindings, functions=None: real(e, bindings),
+        lambda e, bindings, functions=None: real(e, bindings, {}),
+    )
+    bounds = (-745.5, -1e300, -1.0, -0.0, 0.0, 5e-324, 0.5, 710.0, 1e300, 1.7e308)
+    pairs = [(a, b) for a in bounds for b in bounds if a < b]
+    odd = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 710.0, -745.5, math.inf, -math.inf, math.nan)
+    values, nested = 0, 0  # cases with a value, and those of them the nest summed
+    for k in range(360):
+        names = "xyz"[: 1 + k % 3]
+        if k % 6 == 5:  # a non-finite value that a tested operand alone stops from vanishing
+            text = rng.choice(_VANISHING).format(v=rng.choice(names))
+        else:
+            text = full_parens(_grid_tree(rng, 4, names))
+        tree = parse(text, list(names))
+        box = quadrature.Box(*zip(*(rng.choice(pairs) for _ in names)))
+        rule = quadrature.gauss_rule(rng.randint(1, 4))
+        if k % 4 == 0:
+            nodes = tuple(rng.choice(odd) for _ in range(rule.n))
+            rule = quadrature.QuadratureRule(rule.n, nodes, tuple(abs(rng.choice(odd)) for _ in nodes))
+        outcomes, served = [], []  # per route: its outcome, and what its nest returned
+        for evaluate in routes:
+            monkeypatch.setattr(expr, "evaluate", evaluate)
+            f = as_function(tree, list(names))
+            f._nest = lambda axes, nest=f._nest: served.append(nest(axes)) or served[-1]
+            outcomes.append(_box_outcome(lambda: quadrature.apply_rule_box(rule, f, box)))
+        assert outcomes[0] == outcomes[1] == outcomes[2], (text, box, rule)
+        assert served[1:] == [None, None]  # a wrapped evaluate turns the nest off
+        if isinstance(outcomes[0], str):
+            values += 1
+            nested += served[0] is not None
+    assert 0.2 * 360 < values < 0.8 * 360 and nested > 0.9 * values
+
+
+def test_a_wrapped_evaluate_sees_every_point_of_a_box(monkeypatch):
+    # the nest runs only under expr's own evaluate, so a wrapper set on it
+    # (a tracer counting evaluations) is called once per grid point
+    names, n = ["x", "y", "z"], 5
+    tree = parse("sin(x)*cos(y)*exp(z) + ln(x + y)", names)
+    rule, box = quadrature.gauss_rule(n), quadrature.Box((0.5,) * 3, (1.5,) * 3)
+    value = quadrature.apply_rule_box(rule, as_function(tree, names), box)
+    assert list(tree._nests) == [tuple(names)]
+    points, real = [], expr.evaluate
+    monkeypatch.setattr(expr, "evaluate", lambda e, bindings, functions=None: points.append(bindings) or real(e, bindings))
+    assert quadrature.apply_rule_box(rule, as_function(tree, names), box) == value
+    assert len(points) == n**3
 
 
 def test_threads_sharing_a_tree_get_the_interpreters_bits():

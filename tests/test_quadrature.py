@@ -216,6 +216,13 @@ def test_every_interval_is_checked_by_one_guard(a, b, message):
         assert str(info.value) == prefix + message
 
 
+def test_a_rejected_interval_builds_no_rule():
+    before = gauss_rule.cache_info()
+    with pytest.raises(DomainError, match="^bounds must be finite$"):
+        integrate_1d(math.sin, 0.0, math.nan, 64)
+    assert gauss_rule.cache_info() == before  # no miss, and no hit either
+
+
 def test_box_integrand_errors():
     with pytest.raises(NumericError):
         integrate_box(lambda x, y: float("nan"), Box((0, 0), (1, 1)), 2)

@@ -18,20 +18,21 @@ call, unary '-' and '^' exponent nests one level; past 100 levels the
 parser raises ParseError.  Printing and the checked evaluator use an
 explicit stack, so they work at any depth.
 
-Under the default builtins, ``evaluate`` compiles each tree that
-``parse`` returned to one Python function on first use, in the manner
-of SymPy's ``lambdify``: one statement per node, so depth does not
-matter either, testing finiteness only where a non-finite value can
-vanish.  A callable from ``as_function`` also carries the tree compiled
-to a box integral's whole loop nest, each operation in the loop of the
-last axis it reads: over x, y, z, ``sin(z)*exp(x)*ln(y)`` computes
-``exp(x)`` once per x, ``ln(y)`` once per (x, y), and ``sin(z)`` and the
-two products once per point.  An integral whose nest fails reruns point
-by point for its error, and while ``evaluate`` is wrapped no nest runs,
-so the wrapper sees every point.  Custom ``functions``, trees built by
-hand or unpickled, trees over ``_MAX_COMPILED_NODES`` nodes, and any
-point where compiled code raises or meets a non-finite value run the
-checked interpreter, so values and errors are exactly the interpreter's.
+``evaluate`` runs the checked interpreter: one stack loop over the
+tree's post-order list, testing every operation result.  A callable
+from ``as_function`` also carries the tree compiled, in the manner of
+SymPy's ``lambdify``, to a box integral's whole loop nest: one
+statement per node, so depth does not matter either, each in the loop
+of the last axis it reads.  Over x, y, z, ``sin(z)*exp(x)*ln(y)``
+computes ``exp(x)`` once per x, ``ln(y)`` once per (x, y), and
+``sin(z)`` and the two products once per point.  The nest tests
+finiteness only where a non-finite value can vanish; when it raises or
+a test fails it hands back the terms it finished, and the integral
+reruns the outer node it stopped in point by point, through the
+interpreter, for the error.  While ``evaluate`` is wrapped no nest
+runs, so the wrapper sees every point.  Custom ``functions``, trees
+built by hand or unpickled, and trees over ``_MAX_COMPILED_NODES``
+nodes get no nest, so values and errors are exactly the interpreter's.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ BUILTIN_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
 # Python's default recursion limit of 1000
 _MAX_NESTING = 100
 # generating code costs ~10 us a node, so a tree past this size is
-# interpreted: a 100 000-term sum evaluated once would wait ~2 s for it
+# interpreted: a 100 000-term sum integrated once would wait ~2 s for it
 _MAX_COMPILED_NODES = 1000
 # str.isdigit() also accepts '²', which float() rejects, and '١', which it reads as 1
 _DIGITS = "0123456789"
@@ -113,10 +114,6 @@ class _Node(Record):
     def _nests(self) -> dict | None:
         # as_function's loop nests by variable order; only a tree parse returned, under the node cap, gets code
         return {} if self._names and len(self._order) <= _MAX_COMPILED_NODES else None
-
-    @cached_property
-    def _program(self) -> Callable | None:
-        return None if self._nests is None else _generate(self._order, self._names, False)
 
     def __getstate__(self) -> dict:
         # a generated function cannot be pickled; the fields are public names
@@ -395,30 +392,32 @@ def _interpret(order: list[Expr], bindings: Mapping[str, float], impls: Mapping[
 
 
 def _all_finite(values: list[str]) -> str:
-    # a sum is non-finite when a term is; chunks keep compile() from nesting deeply
-    return " and ".join("_isfinite(%s)" % " + ".join(values[k : k + 64]) for k in range(0, len(values), 64))
+    # 0.0 * v is +-0 for a finite v and NaN otherwise, so a sum of them does not
+    # overflow where the values would; chunks keep compile() from nesting deeply
+    return " and ".join(
+        "_isfinite(%s)" % " + ".join("0.0 * " + v for v in values[k : k + 64]) for k in range(0, len(values), 64)
+    )
 
 
-def _generate(order: list[Expr], variables: Sequence[str], loops: bool) -> Callable:
-    """Compile a parsed tree's post-order list to ``program(_b)`` or ``nest(axes)``.
+def _generate(order: list[Expr], variables: Sequence[str]) -> Callable:
+    """Compile a parsed tree's post-order list to ``nest(axes)``.
 
-    Both do the interpreter's arithmetic under the default builtins, one
-    statement per non-leaf node, and return None on any exception or
-    failed test, and the caller reruns the checked route for the error.
-    No text from the tree reaches the source: names, constants and
-    function keys are bound in the namespace.  Only a divisor, the
-    operands of '^' and the argument of exp are tested, after the
-    statements computing them: elsewhere a default operation maps a
-    non-finite operand to a non-finite result, or raises.  ``program``
-    reads ``variables`` from the bindings ``_b``, then tests and returns
-    the root.  ``nest`` (with ``loops``) runs apply_rule_box's loops over
-    ``axes``, whose axis k binds ``variables[k]``, with each statement at
-    the top of the loop of the last axis it reads, or before the loops;
-    it builds, tests and returns the weighted terms as those loops do,
-    and a term's test covers its value's, as the weight is finite.
+    The nest runs apply_rule_box's loops over ``axes``, whose axis k
+    binds ``variables[k]``, doing the interpreter's arithmetic under the
+    default builtins: one statement per non-leaf node, at the top of the
+    loop of the last axis it reads, or before the loops.  No text from
+    the tree reaches the source: names, constants and function keys are
+    bound in the namespace.  Only a divisor, the operands of '^' and the
+    argument of exp are tested, after the statements computing them:
+    elsewhere a default operation maps a non-finite operand to a
+    non-finite result, or raises.  It builds, tests and returns the
+    weighted terms as those loops do, and a term's test covers its
+    value's, as the weight is finite.  On any exception or failed test
+    it returns the terms it has finished, and the caller reruns the
+    checked route from there for the error.
     """
     position = {name: k for k, name in enumerate(variables)}  # a repeated name binds its last axis
-    depth = len(variables) if loops else 0
+    depth = len(variables)
     ns: dict = {"_pow": math.pow, "_isfinite": math.isfinite, "_D": _DEFAULT_IMPLS}
     # per level, 0 before the loops and k + 1 in axis k's loop: its statements and the values it tests
     lines, tested = ([[] for _ in range(depth + 1)] for _ in range(2))
@@ -431,10 +430,7 @@ def _generate(order: list[Expr], variables: Sequence[str], loops: bool) -> Calla
             continue
         if kind is Var:
             k = position[node.name]
-            if not loops and "_n%d" % k not in ns:  # the program loads each variable before its first use
-                ns["_n%d" % k] = node.name
-                lines[0].append("_v%d = float(_b[_n%d])" % (k, k))
-            stack.append(("_v%d" % k, k + 1 if loops else 0))
+            stack.append(("_v%d" % k, k + 1))
             continue
         operands = stack[-2:] if kind is BinOp else stack[-1:]
         del stack[-len(operands) :]
@@ -452,26 +448,24 @@ def _generate(order: list[Expr], variables: Sequence[str], loops: bool) -> Calla
             lines[level].append("%s = _D[_k%d](%s)" % (temp, i, a))
             tested[level] += [a] if node.func == "exp" else []
         stack.append((temp, level))
-    root = stack[0][0]
-    if loops:  # the weights multiply as in apply_rule_box's loops, bit for bit
-        if depth > 1:
-            lines[2].append("_w01 = _w0 * _w1")
-        lines[depth].append("_term = %s * %s" % (("_w0", "_w01", "_w01 * _w2")[depth - 1], root))
-        root = "_term"
-    tested[depth].append(root)
-    body = ["_terms = []", "_append = _terms.append"] if loops else []
+    # the weights multiply as in apply_rule_box's loops, bit for bit
+    if depth > 1:
+        lines[2].append("_w01 = _w0 * _w1")
+    lines[depth].append("_term = %s * %s" % (("_w0", "_w01", "_w01 * _w2")[depth - 1], stack[0][0]))
+    tested[depth].append("_term")
+    body = []
     for level in range(depth + 1):
         indent = "    " * level
         if level:
             body.append(indent[4:] + "for _v{0}, _w{0} in axes[{0}]:".format(level - 1))
-        check = ["if not (%s):" % _all_finite(tested[level]), "    return None"] if tested[level] else []
+        check = ["if not (%s):" % _all_finite(tested[level]), "    return _terms"] if tested[level] else []
         body += [indent + line for line in lines[level] + check]
-    body += [indent + "_append(_term)", "return _terms"] if loops else ["return " + root]
-    # on any exception the caller reruns the checked route, which raises it again or the checked error
-    name, arg = ("nest", "axes") if loops else ("program", "_b")
-    source = "def %s(%s):\n    try:\n" % (name, arg) + "".join("        %s\n" % line for line in body)
-    exec(source + "    except Exception:\n        pass\n", ns)
-    return ns[name]
+    # on any exception too the nest returns the terms it finished; the caller reruns the
+    # checked route from there, which raises the exception again or the checked error
+    source = "def nest(axes):\n    _terms = []\n    _append = _terms.append\n    try:\n"
+    source += "".join("        %s\n" % line for line in body + [indent + "_append(_term)"])
+    exec(source + "    except Exception:\n        pass\n    return _terms\n", ns)
+    return ns["nest"]
 
 
 def evaluate(
@@ -479,7 +473,7 @@ def evaluate(
     bindings: Mapping[str, float],
     functions: Mapping[str, Callable[[float], float]] | None = None,
 ) -> float:
-    """Evaluate over real arithmetic.
+    """Evaluate over real arithmetic with the checked interpreter.
 
     Division by zero, ln of a non-positive value, sqrt of a negative,
     0 raised to a negative power, and any non-finite intermediate or
@@ -488,18 +482,7 @@ def evaluate(
     propagating NaN/inf; for overflow and a non-finite result its
     ``overflow`` is true.  ``functions`` can swap builtin
     implementations (e.g. CORDIC-backed sin/cos).
-
-    A tree from ``parse`` is compiled to Python code on its first
-    evaluation with ``functions=None`` and the code is kept on the tree,
-    so trees evaluated in turn (f and f') each compile once.  Points
-    where the code fails, other trees, trees over the node cap, and
-    evaluations with ``functions`` run the checked interpreter.
     """
-    program = e._program if functions is None else None
-    if program is not None:
-        value = program(bindings)
-        if value is not None:
-            return value
     impls = _DEFAULT_IMPLS if functions is None else {**_DEFAULT_IMPLS, **functions}
     try:
         return _interpret(e._order, bindings, impls)
@@ -518,36 +501,29 @@ def as_function(
 ) -> Callable[..., float]:
     """Wrap an Expr as a positional callable over ``variables``.
 
-    It takes exactly one value per variable; another count raises TypeError.
+    It takes exactly one value per variable; another count raises
+    TypeError.  Under the default builtins, a callable over a tree that
+    ``parse`` returned (under the node cap) also carries ``_nest``: the
+    tree compiled to apply_rule_box's whole loop nest, built once per
+    variable order and kept on the tree.
     """
     names = tuple(variables)
-    # one form per common arity, its names bound here and a dict display per point
-    if len(names) == 1:
-        (a,) = names
-        def f(x: float) -> float:
-            return evaluate(e, {a: x}, functions)
-    elif len(names) == 2:
-        a, b = names
-        def f(x: float, y: float) -> float:
-            return evaluate(e, {a: x, b: y}, functions)
-    elif len(names) == 3:
-        a, b, c = names
-        def f(x: float, y: float, z: float) -> float:
-            return evaluate(e, {a: x, b: y, c: z}, functions)
-    else:
-        def f(*values: float) -> float:
-            if len(values) != len(names):
-                raise TypeError(f"expected {len(names)} values, got {len(values)}")
-            return evaluate(e, dict(zip(names, values)), functions)
+
+    def f(*values: float) -> float:
+        if len(values) != len(names):
+            raise TypeError(f"expected {len(names)} values, got {len(values)}")
+        return evaluate(e, dict(zip(names, values)), functions)
+
     if functions is None and e._nests is not None and set(e._names) <= set(names):
-        # apply_rule_box's whole grid as generated code; evaluate is looked up per call, and
-        # the nest runs only under evaluate itself, so a wrapper set on it sees every point
-        def nest(axes: list) -> list[float] | None:
+        # evaluate is looked up per call, and the nest runs only under evaluate
+        # itself, so a wrapper set on it sees every point
+        def nest(axes: list) -> list[float]:
             if evaluate is not _EVALUATE or len(axes) != len(names):
-                return None
+                return []
             if names not in e._nests:
-                e._nests[names] = _generate(e._order, names, True)
+                e._nests[names] = _generate(e._order, names)
             return e._nests[names](axes)
+
         f._nest = nest
     return f
 

@@ -182,7 +182,13 @@ def integrate_1d(f: Integrand, a: float, b: float, n: int) -> float:
 
 
 def apply_rule_box(rule: QuadratureRule, f: Integrand, box: Box) -> float:
-    """Tensor-product application of one rule along every axis of a box."""
+    """Tensor-product application of one rule along every axis of a box.
+
+    A rule whose nodes and weights differ in length, or that has no node,
+    raises DomainError.
+    """
+    if not 0 < len(rule.nodes) == len(rule.weights):
+        raise DomainError("a rule needs as many weights as nodes, and at least one node")
     frames = [_jacobian_and_midpoint(a, b) for a, b in zip(box.lo, box.hi)]
     scales, shift = [jac for jac, _ in frames], 0
     # The loops multiply the axes' weights (b - a)/2 * w before the value.
@@ -207,41 +213,43 @@ def apply_rule_box(rule: QuadratureRule, f: Integrand, box: Box) -> float:
         for (jac, mid), scale in zip(frames, scales)
     ]
     # an integrand from expr.as_function can run the whole grid as generated
-    # code; it returns None on any failure, and this loop raises the error
+    # code; it returns the terms it finished, and these loops rerun the outer
+    # node it stopped in, raising the error at its point
     nest = getattr(f, "_nest", None)
-    terms = nest(axes) if nest is not None else None
-    if terms is None:
-        terms = []
-        append, isfinite = terms.append, math.isfinite
-        # one loop per axis, with the weight products hoisted; math.prod
-        # multiplies ((1*wx)*wy)*wz and 1*wx is exactly wx, so the bits match it
-        if len(axes) == 1:
-            for x, wx in axes[0]:
-                v = f(x)
-                term = wx * v
+    terms = nest(axes) if nest is not None else []
+    block = len(rule.nodes) ** (len(axes) - 1)  # the points of one outer node
+    start = len(terms) // block
+    del terms[start * block :]
+    append, isfinite = terms.append, math.isfinite
+    # one loop per axis, with the weight products hoisted; math.prod
+    # multiplies ((1*wx)*wy)*wz and 1*wx is exactly wx, so the bits match it
+    if len(axes) == 1:
+        for x, wx in axes[0][start:]:
+            v = f(x)
+            term = wx * v
+            if not isfinite(term):
+                raise _term_error(v, (x,))
+            append(term)
+    elif len(axes) == 2:
+        ax, ay = axes
+        for x, wx in ax[start:]:
+            for y, wy in ay:
+                v = f(x, y)
+                term = wx * wy * v
                 if not isfinite(term):
-                    raise _term_error(v, (x,))
+                    raise _term_error(v, (x, y))
                 append(term)
-        elif len(axes) == 2:
-            ax, ay = axes
-            for x, wx in ax:
-                for y, wy in ay:
-                    v = f(x, y)
-                    term = wx * wy * v
+    else:
+        ax, ay, az = axes
+        for x, wx in ax[start:]:
+            for y, wy in ay:
+                wxy = wx * wy
+                for z, wz in az:
+                    v = f(x, y, z)
+                    term = wxy * wz * v
                     if not isfinite(term):
-                        raise _term_error(v, (x, y))
+                        raise _term_error(v, (x, y, z))
                     append(term)
-        else:
-            ax, ay, az = axes
-            for x, wx in ax:
-                for y, wy in ay:
-                    wxy = wx * wy
-                    for z, wz in az:
-                        v = f(x, y, z)
-                        term = wxy * wz * v
-                        if not isfinite(term):
-                            raise _term_error(v, (x, y, z))
-                        append(term)
     total = _fsum(terms)
     try:
         return math.ldexp(total, shift)

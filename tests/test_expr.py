@@ -16,6 +16,7 @@ from calcverify import (
     cordic_sincos,
     cordic_table,
     evaluate,
+    integrate_1d,
     newton_solve,
     parse,
     to_string,
@@ -340,10 +341,30 @@ def _outcome(call):
     return f"{type(v).__name__} {float(v).hex()}"
 
 
+def _served(f):
+    # f's nest with what it returned recorded, copied before apply_rule_box extends it
+    served = []
+
+    def nest(axes, nest=f._nest):
+        terms = nest(axes)
+        served.append(list(terms))
+        return terms
+
+    f._nest = nest
+    return served
+
+
+def _number(v):
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        return 0.0
+
+
 def test_compiled_evaluation_matches_the_interpreter():
-    # under the default builtins evaluate runs each parsed tree's generated
-    # code and falls back to the interpreter per point; both routes must give
-    # the same bits or errors
+    # evaluate runs the checked interpreter under any functions; a parsed
+    # tree's loop nest, run over one point with unit weights, must give the
+    # interpreter's bits wherever it finishes the point
     swapped = {
         "sin": math.cos,
         "ln": math.log2,
@@ -375,11 +396,13 @@ def test_compiled_evaluation_matches_the_interpreter():
             if functions is not None or not expected.startswith(("float ", "int ")):
                 continue
             values += 1
-            value = tree._program(bindings)
-            if value is not None:
-                assert _outcome(lambda: value) == expected
+            # a binding the tree does not read may be missing or not a number
+            point = [_number(bindings.get(name)) for name in "xy"]
+            terms = as_function(tree, ["x", "y"])._nest([[(v, 1.0)] for v in point])
+            if terms:
+                assert _outcome(lambda: terms[0]) == expected
                 compiled += 1
-    # most values come from the generated code, not the fallback
+    # the nest finishes most points that have a value
     assert values > 3000 and compiled > 0.95 * values
 
 
@@ -395,7 +418,16 @@ def test_alternating_trees_generate_code_once_each(monkeypatch):
     assert newton_solve(f, 1.0, 2.0, fprime=fprime).converged
     verify_derivative(f, fprime, 0.7)
     switches = sum(a is not b for a, b in zip(trees, trees[1:]))
-    assert len(generated) == 2 and switches > 4
+    assert generated == [] and switches > 4  # point by point, evaluate is the interpreter
+    monkeypatch.setattr(expr, "evaluate", evaluate)
+    # a nest is generated once per tree and variable order, however the integrals alternate
+    rule, box = quadrature.gauss_rule(4), quadrature.Box((0.5, 1.0), (1.5, 2.0))
+    trees = [parse("x^3 - 2*y", ["x", "y"]), parse("3*x^2 - y", ["x", "y"])]
+    for _ in range(3):
+        for tree in trees:
+            for names in (["x", "y"], ["y", "x"]):
+                quadrature.apply_rule_box(rule, as_function(tree, names), box)
+    assert len(generated) == 4 and [list(tree._nests) for tree in trees] == [[("x", "y"), ("y", "x")]] * 2
 
 
 def test_only_parsed_trees_under_the_default_builtins_generate_code(monkeypatch):
@@ -419,8 +451,15 @@ def test_only_parsed_trees_under_the_default_builtins_generate_code(monkeypatch)
             expected = _outcome(lambda: expr._interpret(tree._order, bindings, impls))
             assert _outcome(lambda: evaluate(tree, bindings, functions)) == expected
             assert _outcome(lambda: as_function(tree, ["x", "y"], functions)(*bindings.values())) == expected
+    rule, box = quadrature.gauss_rule(3), quadrature.Box((0.5, 1.0), (1.5, 2.0))
+    for tree, functions in ((built, None), (unpickled, None), (parsed, swapped), (built, swapped)):
+        f = as_function(tree, ["x", "y"], functions)
+        assert not hasattr(f, "_nest")
+        quadrature.apply_rule_box(rule, f, box)
     assert generated == []
     assert evaluate(parsed, {"x": 0.5, "y": 2.0}) == math.sin(0.5) / 2.0 + math.log(1.0)
+    assert generated == []  # evaluate interprets; only an integral's nest is generated
+    quadrature.apply_rule_box(rule, as_function(parsed, ["x", "y"]), box)
     assert len(generated) == 1
 
 
@@ -471,27 +510,36 @@ def test_variables_named_like_generated_names():
         + math.sin(v["_n0"]) - v["_k1"] * v["_pow"] + v["_isfinite"] / v["program"] + 0.5
     )
     tree = parse(text, names)
-    assert tree._program is not None
     assert evaluate(tree, values) == expected
     assert as_function(tree, names)(*values.values()) == expected
+    # the loop nest's own names: the function, its argument, and its locals
+    box, rule = quadrature.Box((0.5,) * 3, (1.5,) * 3), quadrature.gauss_rule(3)
+    plain = lambda x, y, z: math.sin(x) * math.exp(y / 2) + z / (1 + x * x)  # noqa: E731
+    for names in (["nest", "axes", "_terms"], ["_append", "_term", "_w01"]):
+        a, b, c = names
+        tree = parse(f"sin({a})*exp({b}/2) + {c}/(1 + {a}*{a})", names)
+        f = as_function(tree, names)
+        served = _served(f)
+        assert quadrature.apply_rule_box(rule, f, box) == quadrature.apply_rule_box(rule, plain, box)
+        assert len(served[0]) == 3**3
 
 
 def test_a_late_non_finite_temp_fails_the_chunked_check():
-    # 200 finite partial sums, then y*y overflows and 1/(y*y) is 0, so
-    # only the last chunk of the finiteness check can see it
-    text = "+".join(["x"] * 200) + " + 1/(y*y)"
+    # y is tested as the divisor of 70 quotients, then y*y overflows and
+    # 1/(y*y) is 0, so only the second chunk of the y loop's check can see it
+    text = "+".join(["x/y"] * 70) + " + 1/(y*y)"
     tree = parse(text, ["x", "y"])
-    bindings = {"x": 1.0, "y": 1e200}
-    assert tree._program(bindings) is None
+    terms = as_function(tree, ["x", "y"])._nest([[(1.0, 1.0)], [(2.0, 1.0), (1e200, 1.0)]])
+    assert terms == [35.25]  # fewer terms than the grid has points: the nest stopped at y = 1e200
     with pytest.raises(EvalDomainError, match=f"non-finite result at offset {text.index('*')}") as info:
-        evaluate(tree, bindings)
+        evaluate(tree, {"x": 1.0, "y": 1e200})
     assert info.value.overflow
-    assert evaluate(tree, {"x": 1.0, "y": 2.0}) == 200.25
+    assert evaluate(tree, {"x": 1.0, "y": 2.0}) == 35.25
 
 
 def test_variables_named_like_memo_names():
-    # the generated code also binds _D, _v<k> and _n<k>, and the loop nest
-    # _w<k>, _w01, _terms, _term and _append; no variable name reaches its source
+    # the loop nest binds _pow, _isfinite, _D, _c<i>, _k<i>, _t<i>, _v<k>, _w<k>,
+    # _w01, _terms, _term and _append; no variable name reaches its source
     names = ["_s", "_D", "_M1", "_F", "_b", "_v0", "_t1", "_c0", "_M0", "_v1", "_n1", "z"]
     text = "sin(_s)*exp(_D/_M1) + _F*_b - _v0^_t1/_c0 + _M0*ln(_v1) + sqrt(_n1) + cos(z)"
     tree = parse(text, names)
@@ -517,12 +565,10 @@ def test_variables_named_like_memo_names():
         assert value == quadrature.apply_rule_box(rule, plain, box)
 
 
-def test_a_tree_over_200_variables_compiles_and_gives_the_interpreters_bits():
-    # the levels before the third-from-last join it, so the blocks nest two deep
+def test_a_tree_over_200_variables_gives_the_interpreters_bits():
     names = ["v%d" % k for k in range(200)]
     funcs = itertools.cycle(["sin", "exp", "sqrt", "cos"])
     tree = parse(" + ".join("%s(%s)" % (func, name) for func, name in zip(funcs, names)), names)
-    assert tree._program is not None
     order = expr._postorder(tree)
     f = as_function(tree, names)
     early = [k / 200 for k in range(197)]
@@ -555,25 +601,33 @@ def _grid_tree(rng, depth, names="xyz"):
 
 
 def test_grid_evaluation_matches_the_interpreter_in_every_loop_order():
-    # a tensor loop reuses each outer axis value's float object, which is what
-    # the memo sites key on; every loop order makes a different axis innermost
+    # every loop order makes a different axis innermost, so the loop nest of a
+    # parsed tree places each statement at another level; with unit weights,
+    # each term it finishes is the interpreter's value at that point
     rng = random.Random(1717)
+    finished = 0
     for k in range(150):
         tree = _grid_tree(rng, 5)
         if k % 3:
-            tree = parse(full_parens(tree), ["x", "y", "z"])  # declared names: outer-axis sites
+            tree = parse(full_parens(tree), ["x", "y", "z"])  # declared names: the tree gets a nest
         order = expr._postorder(tree)
         axes = {name: [rng.choice(_GRID_VALUES) for _ in range(3)] for name in "xyz"}
         for loop in itertools.permutations("xyz"):
+            expected = []
             for point in itertools.product(*(axes[name] for name in loop)):
                 bindings = dict(zip(loop, point))
-                expected = _outcome(lambda: expr._interpret(order, bindings, expr._DEFAULT_IMPLS))
-                assert _outcome(lambda: evaluate(tree, bindings)) == expected, (tree, bindings)
+                expected.append(_outcome(lambda: expr._interpret(order, bindings, expr._DEFAULT_IMPLS)))
+                assert _outcome(lambda: evaluate(tree, bindings)) == expected[-1], (tree, bindings)
+            if k % 3:
+                terms = as_function(tree, loop)._nest([[(v, 1.0) for v in axes[name]] for name in loop])
+                assert [_outcome(lambda: term) for term in terms] == expected[: len(terms)], (tree, loop)
+                finished += len(terms) == 27
+    assert finished > 100
 
 
 def test_a_failed_point_is_not_memoized():
-    # x*x overflows and 1/(x*x) is 0: the site fails its check and stores nothing,
-    # so the same float objects fail again
+    # x*x overflows and 1/(x*x) is 0: the interpreter keeps nothing between
+    # calls, so the same bindings fail again and a later point is unaffected
     text = "1/(x*x) + y"
     tree = parse(text, ["x", "y"])
     bindings = {"x": 1e200, "y": 1.0}
@@ -583,15 +637,18 @@ def test_a_failed_point_is_not_memoized():
     assert evaluate(tree, {"x": 2.0, "y": 1.0}) == 1.25
 
 
-def test_a_late_non_finite_divisor_fails_the_chunked_site_check():
-    # a site with 70 finite divisors before x*x, which overflows while 1/(x*x)
-    # is 0: only the last chunk of the site's check can see it
+def test_a_late_non_finite_divisor_fails_the_chunked_outer_loop_check():
+    # the x loop of the nest tests 70 finite divisors before x*x, which
+    # overflows while 1/(x*x) is 0: only the last chunk of that check can see
+    # it, and the nest stops before any point of x = 1e200
     text = "+".join(["1/x"] * 70) + " + 1/(x*x) + z"
     tree = parse(text, ["x", "z"])
     bindings = {"x": 1e200, "z": 1.0}
     for _ in range(2):
         with pytest.raises(EvalDomainError, match=f"non-finite result at offset {text.index('*')}"):
             evaluate(tree, bindings)
+    terms = as_function(tree, ["x", "z"])._nest([[(1.0, 1.0), (1e200, 1.0)], [(1.0, 1.0), (2.0, 1.0)]])
+    assert terms == [72.0, 73.0]
 
 
 def test_custom_functions_are_called_once_per_node_per_point():
@@ -604,7 +661,7 @@ def test_custom_functions_are_called_once_per_node_per_point():
     xs, ys = [0.1, 0.2, 0.3], [0.4, 0.5]
     for x in xs:
         for y in ys:
-            evaluate(tree, {"x": x, "y": y})  # fills the memo slots under the builtins
+            evaluate(tree, {"x": x, "y": y})  # the builtins, in between, call no custom function
             expected = math.sin(x) * math.cos(y) + math.sin(2 * x)
             assert evaluate(tree, {"x": x, "y": y}, functions) == expected
     assert sorted(calls) == ["cos"] * 6 + ["sin"] * 12
@@ -642,10 +699,10 @@ def _box_outcome(call):
 
 def test_the_loop_nest_gives_the_per_point_loops_bits_and_errors(monkeypatch):
     # under a wrapped evaluate, apply_rule_box calls the integrand point by
-    # point, here running the generated program or the checked interpreter
-    # (custom functions that change none); the nest must give the same bits, or
-    # the same error at the same point.  Hand-built rules put infinite and NaN
-    # nodes and weights on the axes.
+    # point, here running the checked interpreter under the default builtins
+    # or under custom functions that change none; the nest must give the same
+    # bits, or the same error at the same point.  Hand-built rules put
+    # infinite and NaN nodes and weights on the axes.
     rng = random.Random(2026)
     real = expr.evaluate
     routes = (
@@ -673,14 +730,59 @@ def test_the_loop_nest_gives_the_per_point_loops_bits_and_errors(monkeypatch):
         for evaluate in routes:
             monkeypatch.setattr(expr, "evaluate", evaluate)
             f = as_function(tree, list(names))
-            f._nest = lambda axes, nest=f._nest: served.append(nest(axes)) or served[-1]
+            log = _served(f)
             outcomes.append(_box_outcome(lambda: quadrature.apply_rule_box(rule, f, box)))
+            served += log
         assert outcomes[0] == outcomes[1] == outcomes[2], (text, box, rule)
-        assert served[1:] == [None, None]  # a wrapped evaluate turns the nest off
+        assert served[1:] == [[], []]  # a wrapped evaluate turns the nest off
         if isinstance(outcomes[0], str):
             values += 1
-            nested += served[0] is not None
+            nested += len(served[0]) == rule.n ** len(names)
     assert 0.2 * 360 < values < 0.8 * 360 and nested > 0.9 * values
+
+
+def test_finite_tested_values_whose_sum_overflows_pass_the_check():
+    # both divisors are ~1e308, so their sum overflows, yet each is finite
+    names, n = ["x", "y", "z"], 16
+    f = as_function(parse("1/(z + 1e308) + 2/(z + 1e308) + x*y", names), names)
+    served = _served(f)
+    assert quadrature.apply_rule_box(quadrature.gauss_rule(n), f, quadrature.Box((0.0,) * 3, (1.0,) * 3)) == 0.25
+    assert len(served[0]) == n**3
+
+
+def test_a_stopped_nest_reruns_one_outer_node(monkeypatch):
+    # the nest stops at x's last node, at (x, y) = (7, 7), at the very last
+    # point, and in a 2-D box; apply_rule_box keeps the outer nodes it finished
+    # and calls the integrand at most n^(d-1) times for the error, which must
+    # be the one the per-point loop under a wrapped evaluate raises
+    n = 8
+    rule, real = quadrature.gauss_rule(n), expr.evaluate
+    for text, d in (("ln(0.97 - x)*y*z", 3), ("ln(0.95 - x*y)*z", 3), ("exp(800*x*y*z)", 3), ("sqrt(0.9 - x*y)", 2)):
+        names, box = list("xyz"[:d]), quadrature.Box((0.0,) * d, (1.0,) * d)
+        tree = parse(text, names)
+        f, calls = as_function(tree, names), []
+        counted = lambda *point, f=f: calls.append(point) or f(*point)  # noqa: E731
+        counted._nest = f._nest
+        served = _served(counted)
+        outcome = _box_outcome(lambda: quadrature.apply_rule_box(rule, counted, box))
+        assert (n - 1) * n ** (d - 1) <= len(served[0]) < n**d and 0 < len(calls) <= n ** (d - 1), text
+        with monkeypatch.context() as m:
+            m.setattr(expr, "evaluate", lambda e, bindings, functions=None: real(e, bindings))
+            assert _box_outcome(lambda: quadrature.apply_rule_box(rule, as_function(tree, names), box)) == outcome
+        assert (outcome[0], outcome[3]) == ("EvalDomainError", text)
+    # an infinite second node stops the nest at a divisor that the interpreter
+    # takes to 0 (in 2-D at the second point, inside the first outer node):
+    # the per-point loop finishes the integral from the outer node it stopped in
+    g = quadrature.gauss_rule(4)
+    rule = quadrature.QuadratureRule(4, (g.nodes[0], math.inf, *g.nodes[2:]), g.weights)
+    for text, d in (("1/x", 1), ("1/x + 1/y", 2)):
+        names, box = list("xy"[:d]), quadrature.Box((0.0,) * d, (1.0,) * d)
+        tree = parse(text, names)
+        f = as_function(tree, names)
+        served = _served(f)
+        value = quadrature.apply_rule_box(rule, f, box)
+        checked = lambda *point: expr._interpret(tree._order, dict(zip(names, point)), expr._DEFAULT_IMPLS)  # noqa: E731
+        assert len(served[0]) == 1 and value == quadrature.apply_rule_box(rule, checked, box), text
 
 
 def test_a_wrapped_evaluate_sees_every_point_of_a_box(monkeypatch):
@@ -698,23 +800,25 @@ def test_a_wrapped_evaluate_sees_every_point_of_a_box(monkeypatch):
 
 
 def test_threads_sharing_a_tree_get_the_interpreters_bits():
-    # each thread keeps replacing the shared memo slots with its own floats; a
-    # slot read half-written would pair one thread's key with another's value
-    names = ["x", "y", "z"]
-    tree = parse("sin(x)*cos(y)*exp(z) + ln(x + y)", names)
+    # the threads integrate one tree in all six variable orders, so they
+    # build and run the nests of its shared _nests dict at once; each integral
+    # must give the bits of the per-point loop through the interpreter
+    tree = parse("sin(x)*cos(y)*exp(z) + ln(x + y)", ["x", "y", "z"])
     order = expr._postorder(tree)
+    rule = quadrature.gauss_rule(5)
     failures, done = [], []
 
-    def sweep(offset):
-        axis = [offset + k / 7 for k in range(5)]
+    def sweep(k):
+        names = list(itertools.permutations("xyz"))[k]
+        box = quadrature.Box((0.5 + k,) * 3, (1.5 + k,) * 3)
+        checked = lambda *point: expr._interpret(order, dict(zip(names, point)), expr._DEFAULT_IMPLS)  # noqa: E731
+        expected = quadrature.apply_rule_box(rule, checked, box)
         for _ in range(10):
-            for point in itertools.product(axis, axis, axis):
-                bindings = dict(zip(names, point))
-                if evaluate(tree, bindings) != expr._interpret(order, bindings, expr._DEFAULT_IMPLS):
-                    failures.append(point)
-        done.append(offset)
+            if quadrature.apply_rule_box(rule, as_function(tree, names), box) != expected:
+                failures.append(k)
+        done.append(k)
 
-    threads = [threading.Thread(target=sweep, args=(0.5 + k,)) for k in range(6)]
+    threads = [threading.Thread(target=sweep, args=(k,)) for k in range(6)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -725,13 +829,14 @@ def test_threads_sharing_a_tree_get_the_interpreters_bits():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert failures == [] and len(done) == len(threads)
+    assert failures == [] and len(done) == len(threads) and len(tree._nests) == 6
 
 
 def test_trees_past_the_node_cap_are_interpreted():
     small = parse("+".join(["x"] * 400), ["x"])
     large = parse("+".join(["x"] * 600), ["x"])
-    assert small._program is not None and large._program is None
+    assert small._nests is not None and large._nests is None
+    assert hasattr(as_function(small, ["x"]), "_nest") and not hasattr(as_function(large, ["x"]), "_nest")
     assert evaluate(small, {"x": 0.5}) == 200.0 and evaluate(large, {"x": 0.5}) == 300.0
 
 
@@ -766,15 +871,18 @@ def test_errors_carry_the_parsed_text():
     interpreted = "+".join(["x"] * 600) + "+ln(x)"  # past the node cap
     for text in (compiled, interpreted):
         tree = parse(text, ["x"])
-        assert (tree._program is None) == (text is interpreted)
+        assert (tree._nests is None) == (text is interpreted)
         with pytest.raises(EvalDomainError) as info:
             evaluate(tree, {"x": -1.0})
         assert info.value.source == text
         assert text[info.value.offset :].startswith("ln(")
-        # the positional callable raises the same error
-        with pytest.raises(EvalDomainError) as info:
-            as_function(tree, ["x"])(-1.0)
-        assert info.value.source == text
+        # the positional callable raises the same error, and so does an
+        # integral, whose nest stops at the first point
+        for call in (lambda: as_function(tree, ["x"])(-1.0), lambda: integrate_1d(as_function(tree, ["x"]), -2, -1, 3)):
+            with pytest.raises(EvalDomainError) as info:
+                call()
+            assert info.value.source == text
+            assert text[info.value.offset :].startswith("ln(")
 
 
 def test_trees_not_from_parse_carry_no_text():

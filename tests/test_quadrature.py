@@ -12,6 +12,7 @@ from calcverify import (
     CapabilityError,
     DomainError,
     NumericError,
+    QuadratureRule,
     apply_rule_box,
     as_function,
     convergence_table,
@@ -221,6 +222,24 @@ def test_a_rejected_interval_builds_no_rule():
     with pytest.raises(DomainError, match="^bounds must be finite$"):
         integrate_1d(math.sin, 0.0, math.nan, 64)
     assert gauss_rule.cache_info() == before  # no miss, and no hit either
+
+
+def test_a_rule_whose_nodes_and_weights_differ_in_length_or_are_empty_is_rejected():
+    # zip would drop the unmatched nodes or weights, and max() fails on no weights
+    g = gauss_rule(2)
+    rules = (
+        QuadratureRule(2, g.nodes, g.weights[:1]),
+        QuadratureRule(2, g.nodes[:1], g.weights),
+        QuadratureRule(0, (), ()),
+    )
+    square = as_function(parse("x^2", ["x"]), ["x"])
+    for rule in rules:
+        for f in (lambda x: x * x, square):
+            with pytest.raises(DomainError, match="^a rule needs as many weights as nodes, and at least one node$"):
+                apply_rule(rule, f, -1.0, 1.0)
+        with pytest.raises(DomainError, match="^a rule needs as many weights"):
+            apply_rule_box(rule, lambda x, y: x * y, Box((0, 0), (1, 1)))
+    assert apply_rule(g, square, -1.0, 1.0) == pytest.approx(2 / 3, rel=1e-15)
 
 
 def test_box_integrand_errors():

@@ -11,7 +11,6 @@ import math
 from collections.abc import Callable
 
 from ._record import Record
-from .diffcheck import central_diff
 from .errors import DomainError, NumericError, _finite, _positive
 
 DEFAULT_TOL = 1e-10
@@ -85,6 +84,9 @@ def newton_solve(
     x = float(x0)
     _finite("c", c)
     _finite("x0", x)
+
+    if fprime is None:  # only the difference slope needs diffcheck
+        from .diffcheck import central_diff
 
     def slope(x: float, r: float) -> float:
         return fprime(x) if fprime is not None else central_diff(g, x, FD_STEP)

@@ -501,6 +501,9 @@ def test_every_node_kind_is_an_expr():
 
 
 def test_variables_named_like_generated_names():
+    # the loop nest nest(axes) binds _pow, _isfinite, _c<i>, _f<i>, _t<i>,
+    # _v<k>, _w<k>, _w01, _r<k> (axis k's table), _terms, _term and _append;
+    # no variable name reaches its source
     names = ["_F", "_b", "_v0", "_t1", "_c0", "float", "_n0", "_k1", "_pow", "_isfinite", "program"]
     values = {name: 1.0 + i / 8 for i, name in enumerate(names)}
     text = "_F*_b + _v0 - _t1/_c0 + float^2 + sin(_n0) - _k1*_pow + _isfinite/program + 0.5"
@@ -512,36 +515,8 @@ def test_variables_named_like_generated_names():
     tree = parse(text, names)
     assert evaluate(tree, values) == expected
     assert as_function(tree, names)(*values.values()) == expected
-    # the loop nest's own names: the function, its argument, and its locals
-    box, rule = quadrature.Box((0.5,) * 3, (1.5,) * 3), quadrature.gauss_rule(3)
-    plain = lambda x, y, z: math.sin(x) * math.exp(y / 2) + z / (1 + x * x)  # noqa: E731
-    for names in (["nest", "axes", "_terms"], ["_append", "_term", "_w01"]):
-        a, b, c = names
-        tree = parse(f"sin({a})*exp({b}/2) + {c}/(1 + {a}*{a})", names)
-        f = as_function(tree, names)
-        served = _served(f)
-        assert quadrature.apply_rule_box(rule, f, box) == quadrature.apply_rule_box(rule, plain, box)
-        assert len(served[0]) == 3**3
-
-
-def test_a_late_non_finite_temp_fails_the_chunked_check():
-    # y is tested as the divisor of 70 quotients, then y*y overflows and
-    # 1/(y*y) is 0, so only the second chunk of the y loop's check can see it
-    text = "+".join(["x/y"] * 70) + " + 1/(y*y)"
-    tree = parse(text, ["x", "y"])
-    terms = as_function(tree, ["x", "y"])._nest([[(1.0, 1.0)], [(2.0, 1.0), (1e200, 1.0)]])
-    assert terms == [35.25]  # fewer terms than the grid has points: the nest stopped at y = 1e200
-    with pytest.raises(EvalDomainError, match=f"non-finite result at offset {text.index('*')}") as info:
-        evaluate(tree, {"x": 1.0, "y": 1e200})
-    assert info.value.overflow
-    assert evaluate(tree, {"x": 1.0, "y": 2.0}) == 35.25
-
-
-def test_variables_named_like_memo_names():
-    # the loop nest binds _pow, _isfinite, _D, _c<i>, _k<i>, _t<i>, _v<k>, _w<k>,
-    # _w01, _terms, _term and _append; no variable name reaches its source
-    names = ["_s", "_D", "_M1", "_F", "_b", "_v0", "_t1", "_c0", "_M0", "_v1", "_n1", "z"]
-    text = "sin(_s)*exp(_D/_M1) + _F*_b - _v0^_t1/_c0 + _M0*ln(_v1) + sqrt(_n1) + cos(z)"
+    names = ["_s", "_D", "_M1", "_f3", "_r1", "_v1", "_w1", "_c0", "_M0", "_r2", "_n1", "z"]
+    text = "sin(_s)*exp(_D/_M1) + _f3*_r1 - _v1^_w1/_c0 + _M0*ln(_r2) + sqrt(_n1) + cos(z)"
     tree = parse(text, names)
     f = as_function(tree, names)
     values = {name: 1.0 + i / 8 for i, name in enumerate(names[:-2])}
@@ -549,20 +524,36 @@ def test_variables_named_like_memo_names():
         for z in (0.25, 0.5, 0.75):
             v = {**values, "_n1": n1}
             expected = (
-                math.sin(v["_s"]) * math.exp(v["_D"] / v["_M1"]) + v["_F"] * v["_b"]
-                - math.pow(v["_v0"], v["_t1"]) / v["_c0"] + v["_M0"] * math.log(v["_v1"])
+                math.sin(v["_s"]) * math.exp(v["_D"] / v["_M1"]) + v["_f3"] * v["_r1"]
+                - math.pow(v["_v1"], v["_w1"]) / v["_c0"] + v["_M0"] * math.log(v["_r2"])
                 + math.sqrt(n1) + math.cos(z)
             )
             assert evaluate(tree, {**v, "z": z}) == expected
             assert f(*v.values(), z) == expected
+    # the same names as the variables of a box whose second and third axes get a table
     box, rule = quadrature.Box((0.5,) * 3, (1.5,) * 3), quadrature.gauss_rule(3)
-    for names in (["_a0", "_w0", "_w01"], ["_terms", "_term", "_append"]):
+    plain = lambda x, y, z: math.sin(x) * math.exp(y / 2) + z / (1 + x * x) + math.cos(z)  # noqa: E731
+    for names in (["nest", "axes", "_terms"], ["_append", "_term", "_w01"], ["_a0", "_w0", "_r1"], ["_f3", "_r2", "_t1"]):
         a, b, c = names
-        tree = parse(f"sin({a})*exp({b}/2) + {c}/(1 + {a}*{a})", names)
-        value = quadrature.apply_rule_box(rule, as_function(tree, names), box)
-        assert list(tree._nests) == [tuple(names)]
-        plain = lambda x, y, z: math.sin(x) * math.exp(y / 2) + z / (1 + x * x)  # noqa: E731
-        assert value == quadrature.apply_rule_box(rule, plain, box)
+        tree = parse(f"sin({a})*exp({b}/2) + {c}/(1 + {a}*{a}) + cos({c})", names)
+        f = as_function(tree, names)
+        served = _served(f)
+        assert quadrature.apply_rule_box(rule, f, box) == quadrature.apply_rule_box(rule, plain, box)
+        assert len(served[0]) == 3**3 and list(tree._nests) == [tuple(names)]
+
+
+def test_a_late_non_finite_temp_fails_the_chunked_check():
+    # y is tested as the divisor of 70 quotients, then x*y*y overflows and
+    # 1/(x*y*y) is 0, so only the second chunk of the y loop's check can see
+    # it; the divisor reads x as well, so it stays in the y loop, not y's table
+    text = "+".join(["x/y"] * 70) + " + 1/(x*y*y)"
+    tree = parse(text, ["x", "y"])
+    terms = as_function(tree, ["x", "y"])._nest([[(1.0, 1.0)], [(2.0, 1.0), (1e200, 1.0)]])
+    assert terms == [35.25]  # fewer terms than the grid has points: the nest stopped at y = 1e200
+    with pytest.raises(EvalDomainError, match=f"non-finite result at offset {text.rindex('*')}") as info:
+        evaluate(tree, {"x": 1.0, "y": 1e200})
+    assert info.value.overflow
+    assert evaluate(tree, {"x": 1.0, "y": 2.0}) == 35.25
 
 
 def test_a_tree_over_200_variables_gives_the_interpreters_bits():
@@ -667,21 +658,21 @@ def test_custom_functions_are_called_once_per_node_per_point():
     assert sorted(calls) == ["cos"] * 6 + ["sin"] * 12
 
 
-def test_a_box_computes_each_outer_factor_once_per_outer_point(monkeypatch):
-    # sin reads x, cos y and exp z, so an n^3 grid calls them n, n^2 and n^3
-    # times: the loop nest runs each call in the loop of the last axis it reads
+def test_a_box_computes_each_one_axis_factor_once_per_node(monkeypatch):
+    # sin reads x, cos y and exp z, so an n^3 grid calls each n times: the
+    # loop nest runs x's calls in x's loop and tabulates those of y and z
+    # once per node; cos(y*z) reads two axes and still runs once per point
     calls = {name: [] for name in ("sin", "cos", "exp")}
     for name, log in calls.items():
         monkeypatch.setitem(expr._DEFAULT_IMPLS, name, lambda t, log=log, f=getattr(math, name): log.append(t) or f(t))
     names = ["x", "y", "z"]
     n, box = 6, quadrature.Box((0.0,) * 3, (1.0,) * 3)
-    for text in ("sin(x)*cos(y)*exp(z)", "sin(x) + cos(y)*exp(z)"):
+    for text, cos_calls in (("sin(x)*cos(y)*exp(z)", n), ("sin(x) + cos(y)*exp(z)", n), ("sin(x)*cos(y*z)*exp(z)", n**3)):
         for log in calls.values():
             log.clear()
         tree = parse(text, names)
         value = quadrature.apply_rule_box(quadrature.gauss_rule(n), as_function(tree, names), box)
-        assert len(calls["sin"]) == n
-        assert (len(calls["cos"]), len(calls["exp"])) == (n * n, n * n * n)
+        assert (len(calls["sin"]), len(calls["cos"]), len(calls["exp"])) == (n, cos_calls, n), text
         order = expr._postorder(tree)
         checked = lambda x, y, z: expr._interpret(order, {"x": x, "y": y, "z": z}, expr._DEFAULT_IMPLS)  # noqa: E731
         assert value == quadrature.apply_rule_box(quadrature.gauss_rule(n), checked, box)
@@ -741,6 +732,38 @@ def test_the_loop_nest_gives_the_per_point_loops_bits_and_errors(monkeypatch):
     assert 0.2 * 360 < values < 0.8 * 360 and nested > 0.9 * values
 
 
+def test_a_stopped_table_gives_the_per_point_loops_bits_and_errors(monkeypatch):
+    # each pattern reads one inner axis alone, so the nest computes it in that
+    # axis's table before any loop runs: where the table stops, the nest has
+    # finished no term, and the integral must still give the per-point loop's
+    # bits under a wrapped evaluate, or the same error at the same point
+    real = expr.evaluate
+    errors = values = 0
+    for names, v in ((["x", "y"], "y"), (["x", "y", "z"], "y"), (["x", "y", "z"], "z")):
+        others = "*".join(name for name in names if name != v)
+        for pattern in _VANISHING + ("ln(0.97 - {v})",):
+            text = f"{others}*({pattern.format(v=v)})"
+            tree = parse(text, names)
+            for lo, hi in ((0.0, 1.0), (-1.0, 0.0), (0.0, 1e300), (-1e-300, 1e-300)):
+                box = quadrature.Box(*zip(*((lo, hi) if name == v else (0.0, 1.0) for name in names)))
+                for n in (3, 8):
+                    rule = quadrature.gauss_rule(n)
+                    f = as_function(tree, names)
+                    served = _served(f)
+                    outcome = _box_outcome(lambda: quadrature.apply_rule_box(rule, f, box))
+                    with monkeypatch.context() as m:
+                        m.setattr(expr, "evaluate", lambda e, bindings, functions=None: real(e, bindings))
+                        g = as_function(tree, names)
+                        assert _box_outcome(lambda: quadrature.apply_rule_box(rule, g, box)) == outcome, (text, box, n)
+                    if isinstance(outcome, str):
+                        values += 1
+                        assert len(served[0]) == n ** len(names), (text, box, n)
+                    else:
+                        errors += 1
+                        assert served[0] == [] and outcome[3] == text, (text, box, n)
+    assert errors > 30 and values > 30
+
+
 def test_finite_tested_values_whose_sum_overflows_pass_the_check():
     # both divisors are ~1e308, so their sum overflows, yet each is finite
     names, n = ["x", "y", "z"], 16
@@ -771,11 +794,12 @@ def test_a_stopped_nest_reruns_one_outer_node(monkeypatch):
             assert _box_outcome(lambda: quadrature.apply_rule_box(rule, as_function(tree, names), box)) == outcome
         assert (outcome[0], outcome[3]) == ("EvalDomainError", text)
     # an infinite second node stops the nest at a divisor that the interpreter
-    # takes to 0 (in 2-D at the second point, inside the first outer node):
-    # the per-point loop finishes the integral from the outer node it stopped in
+    # takes to 0 (in 2-D at the second point, inside the first outer node, as
+    # the quotient reads both axes and so runs in the y loop): the per-point
+    # loop finishes the integral from the outer node it stopped in
     g = quadrature.gauss_rule(4)
     rule = quadrature.QuadratureRule(4, (g.nodes[0], math.inf, *g.nodes[2:]), g.weights)
-    for text, d in (("1/x", 1), ("1/x + 1/y", 2)):
+    for text, d in (("1/x", 1), ("1/x/y", 2)):
         names, box = list("xy"[:d]), quadrature.Box((0.0,) * d, (1.0,) * d)
         tree = parse(text, names)
         f = as_function(tree, names)

@@ -97,7 +97,8 @@ SUBCOMMAND_MODULES = [
     (["diffcheck", "x^2", "2*x", "1"], {"expr", "diffcheck"}),
     (["antideriv", "2*x", "x^2", "0", "1"], {"expr", "diffcheck", "quadrature", "legendre"}),
     (["solve", "x^2 - 2", "--x0", "1"], {"expr", "diffcheck", "solvers"}),
-    (["solve", "x^2 - 2", "--method", "secant", "--x0", "1", "--x1", "2"], {"expr", "diffcheck", "solvers"}),
+    (["solve", "x^2 - 2", "--x0", "1", "--fprime", "2*x"], {"expr", "solvers"}),
+    (["solve", "x^2 - 2", "--method", "secant", "--x0", "1", "--x1", "2"], {"expr", "solvers"}),
 ]
 
 

@@ -515,6 +515,11 @@ def test_variables_named_like_generated_names():
     tree = parse(text, names)
     assert evaluate(tree, values) == expected
     assert as_function(tree, names)(*values.values()) == expected
+
+
+def test_variables_named_like_memo_names():
+    # names the former memo levels generated (_s, _D, _M<k>, _n<k>) mixed with
+    # the loop nest's own (_f<i>, _r<k>, _v<k>, _w<k>, _c<i>)
     names = ["_s", "_D", "_M1", "_f3", "_r1", "_v1", "_w1", "_c0", "_M0", "_r2", "_n1", "z"]
     text = "sin(_s)*exp(_D/_M1) + _f3*_r1 - _v1^_w1/_c0 + _M0*ln(_r2) + sqrt(_n1) + cos(z)"
     tree = parse(text, names)

@@ -30,6 +30,14 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
+def _integer(name: str, value: int) -> int:
+    # a float or a string count would fail inside range() or a cache as a
+    # bare TypeError; True is an int to Python but no count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _positive(name: str, value: float) -> float:
     if not value > 0:
         raise DomainError(f"{name} must be positive, got {value!r}")

@@ -14,8 +14,8 @@ from functools import lru_cache
 from collections.abc import Callable, Sequence
 
 from ._record import Record
-from .errors import CapabilityError, DomainError, NumericError, _finite, _finite_result, _interval
-from .legendre import RootSet, gauss_weight, legendre_roots, positive_roots_fixed
+from .errors import CapabilityError, DomainError, NumericError, _finite, _finite_result, _integer, _interval
+from .legendre import RootSet, closed_form_weight, gauss_weight, legendre_roots, positive_roots_and_derivatives
 
 MAX_POINTS = 64
 # The exact moment-system solve slows steeply with the node count (its
@@ -59,22 +59,34 @@ class Box(Record):
         return len(self.lo)
 
 
-@lru_cache(maxsize=None)
 def gauss_rule(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule via the closed-form weights.
 
-    Nodes are the roots of P_n (identical to ``legendre_roots(n)``);
-    each weight is the closed form evaluated at the high-precision root,
-    so nodes and weights are both correctly rounded doubles.
+    Nodes are the roots of P_n (identical to ``legendre_roots(n)``).
+    Each positive root's weight is the closed form at the high-precision
+    root, with P_n' taken from the fixed-point pass that polished the
+    root; only the zero node of odd n takes a pass of its own.  Nodes
+    and weights are both correctly rounded doubles.  Built rules are
+    cached; ``cache_info`` and ``cache_clear`` reach that cache.
     """
+    # checked before the cache, which hashes n and takes 2.0 for 2
+    return _gauss_rule(_integer("point count", n))
+
+
+@lru_cache(maxsize=None)
+def _gauss_rule(n: int) -> QuadratureRule:
     if not 1 <= n <= MAX_POINTS:
         raise CapabilityError(f"point count must be in 1..{MAX_POINTS}, got {n}")
-    pos_weights = [gauss_weight(n, x) for x in positive_roots_fixed(n)]
+    pos_weights = [closed_form_weight(n, x, d) for x, d in zip(*positive_roots_and_derivatives(n))]
     weights = list(reversed(pos_weights))
     if n % 2 == 1:
         weights.append(gauss_weight(n, 0))
     weights.extend(pos_weights)
     return QuadratureRule(n=n, nodes=legendre_roots(n).roots, weights=tuple(weights))
+
+
+gauss_rule.cache_info = _gauss_rule.cache_info
+gauss_rule.cache_clear = _gauss_rule.cache_clear
 
 
 def gauss_weights_linear_system(nodes: RootSet | Sequence[float]) -> tuple[float, ...]:
@@ -277,6 +289,8 @@ def convergence_table(
     """Rows (n, value, abs_error) against a supplied reference value."""
     if len(orders) == 0:
         raise DomainError("orders must be nonempty")
+    for n in orders:
+        _integer("point count", n)
     if any(n2 <= n1 for n1, n2 in zip(orders, orders[1:])):
         raise DomainError("orders must be strictly ascending")
     _finite("reference", reference)

@@ -22,8 +22,11 @@ from calcverify.legendre import (
     _newton_root,
     _recurrence_exact,
     analytic_inner_product,
+    closed_form_weight,
+    gauss_weight,
     integer_coefficients,
     legendre_value_and_derivative,
+    positive_roots_and_derivatives,
     positive_roots_fixed,
 )
 
@@ -213,3 +216,21 @@ def test_fixed_roots_bracket_a_sign_change_within_2_to_the_minus_90(n):
         below = _sign_of_scaled_legendre(n, r - radius)
         above = _sign_of_scaled_legendre(n, r + radius)
         assert below * above == -1, (n, r)
+
+
+def test_the_roots_pass_weights_match_the_reference_route_for_every_root():
+    # The pass takes S 2^n P_n' at the grid root x by a Taylor step from the
+    # float root x0.  |x - x0| < 2^-52 (1.1e-16 measured) and the third
+    # derivative is at most P_n'''(1) = 15 C(n+3, 6) on [-1, 1], so the
+    # step's remainder stays below 15 C(n+3, 6) 2^-105 in units of 2^-n S;
+    # the truncations of both passes add 2 n sum|c_i| units at most
+    for n in range(1, 65):
+        roots, derivatives = positive_roots_and_derivatives(n)
+        assert roots == positive_roots_fixed(n)
+        bound = (15 * math.comb(n + 3, 6) << (n + _FIXED_BITS - 105)) + 2 * n * sum(
+            abs(c) for c in integer_coefficients(n)
+        )
+        for r, d in zip(roots, derivatives):
+            reference = _horner_fixed(n, r << (_FIXED_BITS - _GRID_BITS))[1]
+            assert abs(d - reference) <= bound, (n, r)
+            assert closed_form_weight(n, r, d) == gauss_weight(n, r), (n, r)

@@ -20,10 +20,13 @@ from calcverify import (
     gauss_weights_linear_system,
     integrate_1d,
     integrate_box,
+    legendre_gram_schmidt,
+    legendre_recurrence,
     legendre_roots,
     parse,
     verify_antiderivative,
 )
+from calcverify import legendre
 from calcverify.quadrature import _fsum, _jacobian_and_midpoint, _term_error, apply_rule
 
 
@@ -222,6 +225,39 @@ def test_a_rejected_interval_builds_no_rule():
     with pytest.raises(DomainError, match="^bounds must be finite$"):
         integrate_1d(math.sin, 0.0, math.nan, 64)
     assert gauss_rule.cache_info() == before  # no miss, and no hit either
+
+
+@pytest.mark.parametrize("count", [2.0, 2.5, "3", [2], True, None])
+def test_a_count_that_is_not_an_int_raises_a_domain_error(count):
+    # range(), a comparison or the rule cache, which takes 2.0 for a cached 2,
+    # saw these first
+    gauss_rule(2)
+    calls = (
+        gauss_rule,
+        legendre_roots,
+        legendre_recurrence,
+        legendre_gram_schmidt,
+        lambda n: integrate_1d(math.sin, 0.0, 1.0, n),
+        lambda n: integrate_box(lambda x, y: x * y, Box((0.0, 0.0), (1.0, 1.0)), n),
+        lambda n: convergence_table(math.sin, 0.0, 1.0, [1, n], 1 - math.cos(1.0)),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match=r"^(point count|root count|degree) must be an integer, got "):
+            call(count)
+
+
+def test_gauss_rule_runs_one_horner_pass_per_positive_root(monkeypatch):
+    # the roots' own pass yields their weights' P_n'; the zero node of odd n
+    # takes the one further pass
+    calls = []
+    horner = legendre._horner_fixed
+    monkeypatch.setattr(legendre, "_horner_fixed", lambda n, x: calls.append(n) or horner(n, x))
+    for n in (1, 2, 7, 8, 63, 64):
+        legendre.positive_roots_and_derivatives.cache_clear()
+        gauss_rule.cache_clear()
+        calls.clear()
+        assert gauss_rule(n).n == n
+        assert calls == [n] * (n // 2 + n % 2)
 
 
 def test_a_rule_whose_nodes_and_weights_differ_in_length_or_are_empty_is_rejected():

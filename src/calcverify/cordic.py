@@ -14,7 +14,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from ._record import Record
-from .errors import CapabilityError, DomainError, _finite
+from .errors import CapabilityError, DomainError, _finite, _integer
 
 MAX_ITERATIONS = 60
 DEFAULT_ITERATIONS = 40
@@ -38,15 +38,20 @@ class SinCos(namedtuple("SinCos", "sin cos")):
     __slots__ = ()
 
 
-@lru_cache(maxsize=None)
 def cordic_table(iters: int = DEFAULT_ITERATIONS) -> CordicTable:
     """Table of angles arctan(2**-k), k < iters, and the gain product.
 
     Host arctan/sqrt are allowed here only; the iteration itself never
-    multiplies.
+    multiplies.  Built tables are cached.
     """
-    if not 1 <= iters <= MAX_ITERATIONS:
+    # checked before the cache, which hashes iters and takes 2.0 for 2
+    if not 1 <= _integer("iteration count", iters) <= MAX_ITERATIONS:
         raise CapabilityError(f"iteration count must be in 1..{MAX_ITERATIONS}, got {iters}")
+    return _cordic_table(iters)
+
+
+@lru_cache(maxsize=None)
+def _cordic_table(iters: int) -> CordicTable:
     angles = tuple(math.atan(math.ldexp(1.0, -k)) for k in range(iters))
     gain = 1.0
     for k in range(iters):

@@ -186,7 +186,6 @@ def _newton_root(n: int, guess: float) -> float:
     )
 
 
-@lru_cache(maxsize=None)
 def integer_coefficients(n: int) -> tuple[int, ...]:
     """Coefficients of 2^n P_n, which are integers; entry i multiplies x^i.
 
@@ -225,7 +224,6 @@ def _horner_fixed(n: int, x: int) -> tuple[int, int]:
     return q, (x * dq) >> (_FIXED_BITS - 1)
 
 
-@lru_cache(maxsize=None)
 def positive_roots_and_derivatives(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Ascending positive roots of P_n on the 2^-120 grid, and S 2^n P_n' there.
 
@@ -241,7 +239,9 @@ def positive_roots_and_derivatives(n: int) -> tuple[tuple[int, ...], tuple[int, 
     (1 - x^2) P_n'' = 2x P_n' - n(n+1) P_n in the same integers.  Its
     truncation error is S 2^n P_n'''(xi) (x - x0)^2 / 2: with
     |x - x0| < 2^-52 and |P_n'''| <= P_n'''(1) = 15 C(n+3, 6), below
-    2^-77 of the derivative for n <= 64 (2^-89 measured).
+    2^-77 of the derivative for n <= 64 (2^-89 measured).  Each root
+    is within ~2^-90 of the true root: the integer 2^n P_n changes sign
+    between root - 2^-90 and root + 2^-90.
     """
     pairs = []
     shrink = 1.0 - (n - 1) / (8.0 * n**3)
@@ -260,17 +260,6 @@ def positive_roots_and_derivatives(n: int) -> tuple[tuple[int, ...], tuple[int, 
     return tuple(r for r, _ in pairs), tuple(d for _, d in pairs)
 
 
-def positive_roots_fixed(n: int) -> tuple[int, ...]:
-    """Ascending positive roots of P_n as integer multiples of 2^-120.
-
-    They come out of the one fixed-point pass per root of
-    ``positive_roots_and_derivatives``.  Each root is within ~2^-90 of
-    the true root: the integer 2^n P_n changes sign between
-    root - 2^-90 and root + 2^-90.
-    """
-    return positive_roots_and_derivatives(n)[0]
-
-
 def closed_form_weight(n: int, root: int, d: int) -> float:
     """Gauss weight w = 2 / ((1 - x^2) P_n'(x)^2) at x = root / 2^120.
 
@@ -286,31 +275,38 @@ def closed_form_weight(n: int, root: int, d: int) -> float:
 def gauss_weight(n: int, root: int) -> float:
     """Gauss weight at x = root / 2^120, by the reference route.
 
-    ``root`` is 0 or one of ``positive_roots_fixed(n)``.  A Horner pass
-    at the root itself gives D off by ~n parts in 2^240.  ``gauss_rule``
-    calls this for the zero node of odd n alone.  Its positive roots
-    take D from ``positive_roots_and_derivatives`` instead, whose Taylor
+    ``root`` is 0 or a root from ``positive_roots_and_derivatives(n)``.
+    A Horner pass at the root itself gives D off by ~n parts in 2^240;
+    ``gauss_nodes_and_weights`` takes it for the zero node of odd n
+    alone.  The positive roots take D from their own pass, whose Taylor
     step adds a truncation error below 2^-77 of D (2^-89 measured);
     every weight for n = 1..64 is the same double both ways.
     """
     return closed_form_weight(n, root, _horner_fixed(n, root << _GRID_SHIFT)[1])
 
 
-def legendre_roots(n: int) -> RootSet:
-    """All n roots of P_n, ascending.
+@lru_cache(maxsize=None)
+def gauss_nodes_and_weights(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and weights of the n-point Gauss rule, ascending; n >= 1.
 
-    Only the positive half is computed; the negative half is mirrored
-    and an exact zero is inserted for odd n, so symmetry holds
-    structurally.
+    Each positive root, rounded once from the 2^-120 grid, is paired with
+    its ``closed_form_weight``, whose P_n' comes from the pass that
+    polished the root; odd n adds the exact zero node with its
+    ``gauss_weight``.  The negative half mirrors nodes and weights
+    together, so symmetry holds structurally.  This is the one cache of
+    built rules: ``gauss_rule`` and ``legendre_roots`` both read it.
     """
+    roots, derivatives = positive_roots_and_derivatives(n)
+    pairs = [(x / (1 << _GRID_BITS), closed_form_weight(n, x, d)) for x, d in zip(roots, derivatives)]
+    middle = [(0.0, gauss_weight(n, 0))] if n % 2 else []
+    return tuple(zip(*[(-x, w) for x, w in reversed(pairs)], *middle, *pairs))
+
+
+def legendre_roots(n: int) -> RootSet:
+    """All n roots of P_n, ascending: the nodes of ``gauss_nodes_and_weights``."""
     if _integer("root count", n) < 1:
         raise DomainError("root count must be a positive integer")
-    positive = [x / (1 << _GRID_BITS) for x in positive_roots_fixed(n)]
-    roots = [-r for r in reversed(positive)]
-    if n % 2 == 1:
-        roots.append(0.0)
-    roots.extend(positive)
-    return RootSet(roots=tuple(roots), n=n)
+    return RootSet(roots=gauss_nodes_and_weights(n)[0], n=n)
 
 
 def analytic_inner_product(p: Polynomial, q: Polynomial) -> float:

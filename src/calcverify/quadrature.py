@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from collections.abc import Callable, Sequence
 
 from ._record import Record
 from .errors import CapabilityError, DomainError, NumericError, _finite, _finite_result, _integer, _interval
-from .legendre import RootSet, closed_form_weight, gauss_weight, legendre_roots, positive_roots_and_derivatives
+from .legendre import RootSet, gauss_nodes_and_weights
 
 MAX_POINTS = 64
 # The exact moment-system solve slows steeply with the node count (its
@@ -65,28 +64,18 @@ def gauss_rule(n: int) -> QuadratureRule:
     Nodes are the roots of P_n (identical to ``legendre_roots(n)``).
     Each positive root's weight is the closed form at the high-precision
     root, with P_n' taken from the fixed-point pass that polished the
-    root; only the zero node of odd n takes a pass of its own.  Nodes
-    and weights are both correctly rounded doubles.  Built rules are
-    cached; ``cache_info`` and ``cache_clear`` reach that cache.
+    root; only the zero node of odd n takes a pass of its own.  Both
+    are correctly rounded doubles, cached by
+    ``legendre.gauss_nodes_and_weights``, which ``cache_info`` and
+    ``cache_clear`` reach; each call returns an equal, new ``QuadratureRule``.
     """
-    # checked before the cache, which hashes n and takes 2.0 for 2
-    return _gauss_rule(_integer("point count", n))
-
-
-@lru_cache(maxsize=None)
-def _gauss_rule(n: int) -> QuadratureRule:
-    if not 1 <= n <= MAX_POINTS:
+    if not 1 <= _integer("point count", n) <= MAX_POINTS:
         raise CapabilityError(f"point count must be in 1..{MAX_POINTS}, got {n}")
-    pos_weights = [closed_form_weight(n, x, d) for x, d in zip(*positive_roots_and_derivatives(n))]
-    weights = list(reversed(pos_weights))
-    if n % 2 == 1:
-        weights.append(gauss_weight(n, 0))
-    weights.extend(pos_weights)
-    return QuadratureRule(n=n, nodes=legendre_roots(n).roots, weights=tuple(weights))
+    return QuadratureRule(n, *gauss_nodes_and_weights(n))
 
 
-gauss_rule.cache_info = _gauss_rule.cache_info
-gauss_rule.cache_clear = _gauss_rule.cache_clear
+gauss_rule.cache_info = gauss_nodes_and_weights.cache_info
+gauss_rule.cache_clear = gauss_nodes_and_weights.cache_clear
 
 
 def gauss_weights_linear_system(nodes: RootSet | Sequence[float]) -> tuple[float, ...]:

@@ -11,7 +11,7 @@ import math
 from collections.abc import Callable
 
 from ._record import Record
-from .errors import DomainError, NumericError, _finite, _positive
+from .errors import DomainError, NumericError, _finite, _integer, _positive
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 100
@@ -30,7 +30,7 @@ class SolveResult(Record):
 def _check_options(tol: float, max_iters: int) -> None:
     # positive and finite: an infinite tolerance would call any start a root
     _positive("tolerance", tol)
-    if max_iters < 1:
+    if _integer("max_iters", max_iters) < 1:
         raise DomainError(f"max_iters must be at least 1, got {max_iters!r}")
 
 

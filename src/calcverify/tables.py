@@ -18,7 +18,7 @@ import sys
 from collections.abc import Iterable
 
 from . import quadrature
-from .errors import TableError
+from .errors import TableError, _integer
 from .legendre import legendre_value_and_derivative
 from .quadrature import QuadratureRule
 
@@ -238,6 +238,9 @@ def get_or_build(cache_path: str, n: int) -> QuadratureRule:
     warning on stderr; the cache is derived data, so this is recovery,
     not failure.  A corrupt block for another n is found on a miss.
     """
+    # checked before the file is read: a cached 2 would answer 2.0, and True
+    # would find the 1-point rule
+    _integer("point count", n)
     cache_path = os.fspath(cache_path)
     if os.path.islink(cache_path):
         # read and replace what the link names; the link stays a link

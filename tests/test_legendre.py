@@ -27,7 +27,6 @@ from calcverify.legendre import (
     integer_coefficients,
     legendre_value_and_derivative,
     positive_roots_and_derivatives,
-    positive_roots_fixed,
 )
 
 
@@ -170,7 +169,7 @@ def test_parity_horner_matches_the_full_pass():
     one = 1 << _FIXED_BITS
     for n in range(1, 65):
         bound = 2 * n * sum(abs(c) for c in integer_coefficients(n))
-        points = [r << (_FIXED_BITS - _GRID_BITS) for r in positive_roots_fixed(n)]
+        points = [r << (_FIXED_BITS - _GRID_BITS) for r in positive_roots_and_derivatives(n)[0]]
         points += [rng.randrange(-one, one + 1) for _ in range(20)]
         for x in points:
             p, d = _horner_fixed(n, x)
@@ -212,7 +211,7 @@ def _sign_of_scaled_legendre(n, x):
 @pytest.mark.parametrize("n", range(2, 65))
 def test_fixed_roots_bracket_a_sign_change_within_2_to_the_minus_90(n):
     radius = 1 << (_GRID_BITS - 90)
-    for r in positive_roots_fixed(n):
+    for r in positive_roots_and_derivatives(n)[0]:
         below = _sign_of_scaled_legendre(n, r - radius)
         above = _sign_of_scaled_legendre(n, r + radius)
         assert below * above == -1, (n, r)
@@ -226,7 +225,6 @@ def test_the_roots_pass_weights_match_the_reference_route_for_every_root():
     # the truncations of both passes add 2 n sum|c_i| units at most
     for n in range(1, 65):
         roots, derivatives = positive_roots_and_derivatives(n)
-        assert roots == positive_roots_fixed(n)
         bound = (15 * math.comb(n + 3, 6) << (n + _FIXED_BITS - 105)) + 2 * n * sum(
             abs(c) for c in integer_coefficients(n)
         )

@@ -16,14 +16,18 @@ from calcverify import (
     apply_rule_box,
     as_function,
     convergence_table,
+    cordic_table,
     gauss_rule,
     gauss_weights_linear_system,
+    get_or_build,
     integrate_1d,
     integrate_box,
     legendre_gram_schmidt,
     legendre_recurrence,
     legendre_roots,
+    newton_solve,
     parse,
+    secant_solve,
     verify_antiderivative,
 )
 from calcverify import legendre
@@ -228,10 +232,12 @@ def test_a_rejected_interval_builds_no_rule():
 
 
 @pytest.mark.parametrize("count", [2.0, 2.5, "3", [2], True, None])
-def test_a_count_that_is_not_an_int_raises_a_domain_error(count):
-    # range(), a comparison or the rule cache, which takes 2.0 for a cached 2,
-    # saw these first
+def test_a_count_that_is_not_an_int_raises_a_domain_error(count, tmp_path):
+    # range(), a comparison, a memo or the cache file saw these first; a memo
+    # or the file took 2.0 for a cached 2, and the file True for its 1-point rule
     gauss_rule(2)
+    cache = str(tmp_path / "rules.gausstab")
+    get_or_build(cache, 2)
     calls = (
         gauss_rule,
         legendre_roots,
@@ -240,9 +246,14 @@ def test_a_count_that_is_not_an_int_raises_a_domain_error(count):
         lambda n: integrate_1d(math.sin, 0.0, 1.0, n),
         lambda n: integrate_box(lambda x, y: x * y, Box((0.0, 0.0), (1.0, 1.0)), n),
         lambda n: convergence_table(math.sin, 0.0, 1.0, [1, n], 1 - math.cos(1.0)),
+        cordic_table,
+        lambda n: newton_solve(math.sin, 0.0, 0.5, max_iters=n),
+        lambda n: secant_solve(math.sin, 0.0, 0.5, 0.6, max_iters=n),
+        lambda n: get_or_build(cache, n),
     )
+    counts = r"(point count|root count|degree|iteration count|max_iters)"
     for call in calls:
-        with pytest.raises(DomainError, match=r"^(point count|root count|degree) must be an integer, got "):
+        with pytest.raises(DomainError, match=rf"^{counts} must be an integer, got "):
             call(count)
 
 
@@ -253,10 +264,11 @@ def test_gauss_rule_runs_one_horner_pass_per_positive_root(monkeypatch):
     horner = legendre._horner_fixed
     monkeypatch.setattr(legendre, "_horner_fixed", lambda n, x: calls.append(n) or horner(n, x))
     for n in (1, 2, 7, 8, 63, 64):
-        legendre.positive_roots_and_derivatives.cache_clear()
         gauss_rule.cache_clear()
         calls.clear()
         assert gauss_rule(n).n == n
+        assert calls == [n] * (n // 2 + n % 2)
+        legendre_roots(n)  # served by the same build
         assert calls == [n] * (n // 2 + n % 2)
 
 

@@ -31,7 +31,13 @@ def _json_scalar(v) -> str:
         return f"{v:.17g}"
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_scalar(x) for x in v) + "]"
-    import json  # only --json output needs it, so a plain call never loads it
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if type(v) is int:
+        return str(v)
+    if type(v) is str and v.isascii() and v.isprintable() and '"' not in v and "\\" not in v:
+        return f'"{v}"'  # every field name and verdict: nothing to escape
+    import json  # only a string that needs escaping loads it
 
     return json.dumps(v)
 

@@ -20,6 +20,14 @@ MAX_POINTS = 64
 # The exact moment-system solve slows steeply with the node count (its
 # rationals grow); the closed form is authoritative above this cap.
 LINEAR_SYSTEM_MAX_POINTS = 20
+# The fewest grid points (n^d) for which apply_rule_box runs an integrand's
+# loop nest; below it, importing the generator and generating the nest cost
+# more than they save.  Measured as the first integral in a fresh `python -S`
+# process from bytecode (CPython 3.11, 2-term integrands): the nest costs
+# ~0.44 ms there; it never wins in 1-D (+0.16 ms at n = 64), and 2-D grids
+# break even near 118 points, 3-D near 106.  From source, which compiles the
+# generator module too, 2-D breaks even near 330 points.
+_NEST_MIN_POINTS = 110
 
 Integrand = Callable[..., float]
 
@@ -213,10 +221,12 @@ def apply_rule_box(rule: QuadratureRule, f: Integrand, box: Box) -> float:
         [(jac * x + mid, scale * w) for x, w in zip(rule.nodes, rule.weights)]
         for (jac, mid), scale in zip(frames, scales)
     ]
-    # an integrand from expr.as_function can run the whole grid as generated
-    # code; it returns the terms it finished, and these loops rerun the outer
-    # node it stopped in, raising the error at its point
-    nest = getattr(f, "_nest", None)
+    # an integrand from expr.as_function can run a grid of _NEST_MIN_POINTS
+    # points or more as generated code; it returns the terms it finished, and
+    # these loops rerun the outer node it stopped in, raising the error at its
+    # point.  A smaller grid runs these loops alone: the same bits and errors,
+    # without generating (or importing the generator of) code it would run once
+    nest = getattr(f, "_nest", None) if len(rule.nodes) ** len(axes) >= _NEST_MIN_POINTS else None
     terms = nest(axes) if nest is not None else []
     block = len(rule.nodes) ** (len(axes) - 1)  # the points of one outer node
     start = len(terms) // block

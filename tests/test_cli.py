@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from calcverify import expr, gauss_rule, load_tables
-from calcverify.cli import main
+from calcverify.cli import _json_scalar, main
 
 
 @pytest.fixture(autouse=True)
@@ -188,6 +188,13 @@ def test_json_contains_every_plain_field(capsys):
         _, as_json, _ = run(capsys, *argv, "--json")
         payload = json.loads(as_json)
         assert set(plain_keys) <= set(payload)
+
+
+def test_json_scalars_print_as_json_dumps_prints_them():
+    # ints, booleans and plain ASCII words print without json; a string that
+    # needs escaping goes through json.dumps
+    for v in (0, -7, 10**30, True, False, "pass", "sin_abs_diff", 'a"b', "a\\b", "\x7f", "\n", "é"):
+        assert _json_scalar(v) == json.dumps(v), v
 
 
 def test_usage_errors_exit_two(capsys):

@@ -22,7 +22,7 @@ from calcverify import (
     to_string,
     verify_derivative,
 )
-from calcverify import expr, quadrature
+from calcverify import _nest, expr, quadrature
 from calcverify.expr import BinOp, Call, Neg, Num, Var
 
 
@@ -354,6 +354,13 @@ def _served(f):
     return served
 
 
+@pytest.fixture
+def nest_every_grid(monkeypatch):
+    # apply_rule_box hands only grids of _NEST_MIN_POINTS points or more to the
+    # nest; the tests that take this keep their small grids and run the nest
+    monkeypatch.setattr(quadrature, "_NEST_MIN_POINTS", 1)
+
+
 def _number(v):
     try:
         return float(v)
@@ -406,10 +413,10 @@ def test_compiled_evaluation_matches_the_interpreter():
     assert values > 3000 and compiled > 0.95 * values
 
 
-def test_alternating_trees_generate_code_once_each(monkeypatch):
+def test_alternating_trees_generate_code_once_each(monkeypatch, nest_every_grid):
     generated = []
-    generate = expr._generate
-    monkeypatch.setattr(expr, "_generate", lambda order, *rest: generated.append(order) or generate(order, *rest))
+    generate = _nest._generate
+    monkeypatch.setattr(_nest, "_generate", lambda order, *rest: generated.append(order) or generate(order, *rest))
     f = as_function(parse("x^3 - 2*x", ["x"]), ["x"])
     fprime = as_function(parse("3*x^2 - 2", ["x"]), ["x"])
     trees = []
@@ -430,10 +437,10 @@ def test_alternating_trees_generate_code_once_each(monkeypatch):
     assert len(generated) == 4 and [list(tree._nests) for tree in trees] == [[("x", "y"), ("y", "x")]] * 2
 
 
-def test_only_parsed_trees_under_the_default_builtins_generate_code(monkeypatch):
+def test_only_parsed_trees_under_the_default_builtins_generate_code(monkeypatch, nest_every_grid):
     generated = []
-    generate = expr._generate
-    monkeypatch.setattr(expr, "_generate", lambda order, *rest: generated.append(order) or generate(order, *rest))
+    generate = _nest._generate
+    monkeypatch.setattr(_nest, "_generate", lambda order, *rest: generated.append(order) or generate(order, *rest))
     text = "sin(x)/y + ln(x*y)"
     parsed = parse(text, ["x", "y"])
     built = BinOp(
@@ -517,7 +524,7 @@ def test_variables_named_like_generated_names():
     assert as_function(tree, names)(*values.values()) == expected
 
 
-def test_variables_named_like_memo_names():
+def test_variables_named_like_memo_names(nest_every_grid):
     # names the former memo levels generated (_s, _D, _M<k>, _n<k>) mixed with
     # the loop nest's own (_f<i>, _r<k>, _v<k>, _w<k>, _c<i>)
     names = ["_s", "_D", "_M1", "_f3", "_r1", "_v1", "_w1", "_c0", "_M0", "_r2", "_n1", "z"]
@@ -693,7 +700,7 @@ def _box_outcome(call):
         return type(exc).__name__, str(exc), getattr(exc, "offset", None), getattr(exc, "source", None)
 
 
-def test_the_loop_nest_gives_the_per_point_loops_bits_and_errors(monkeypatch):
+def test_the_loop_nest_gives_the_per_point_loops_bits_and_errors(monkeypatch, nest_every_grid):
     # under a wrapped evaluate, apply_rule_box calls the integrand point by
     # point, here running the checked interpreter under the default builtins
     # or under custom functions that change none; the nest must give the same
@@ -737,7 +744,7 @@ def test_the_loop_nest_gives_the_per_point_loops_bits_and_errors(monkeypatch):
     assert 0.2 * 360 < values < 0.8 * 360 and nested > 0.9 * values
 
 
-def test_a_stopped_table_gives_the_per_point_loops_bits_and_errors(monkeypatch):
+def test_a_stopped_table_gives_the_per_point_loops_bits_and_errors(monkeypatch, nest_every_grid):
     # each pattern reads one inner axis alone, so the nest computes it in that
     # axis's table before any loop runs: where the table stops, the nest has
     # finished no term, and the integral must still give the per-point loop's
@@ -778,7 +785,7 @@ def test_finite_tested_values_whose_sum_overflows_pass_the_check():
     assert len(served[0]) == n**3
 
 
-def test_a_stopped_nest_reruns_one_outer_node(monkeypatch):
+def test_a_stopped_nest_reruns_one_outer_node(monkeypatch, nest_every_grid):
     # the nest stops at x's last node, at (x, y) = (7, 7), at the very last
     # point, and in a 2-D box; apply_rule_box keeps the outer nodes it finished
     # and calls the integrand at most n^(d-1) times for the error, which must
@@ -812,6 +819,35 @@ def test_a_stopped_nest_reruns_one_outer_node(monkeypatch):
         value = quadrature.apply_rule_box(rule, f, box)
         checked = lambda *point: expr._interpret(tree._order, dict(zip(names, point)), expr._DEFAULT_IMPLS)  # noqa: E731
         assert len(served[0]) == 1 and value == quadrature.apply_rule_box(rule, checked, box), text
+
+
+def test_only_a_grid_of_the_threshold_or_more_generates_code(monkeypatch):
+    # 2-D grids of T - 1 and T points, at the threshold and at one lowered to
+    # 8^2: both give the per-point interpreter's bits, or for ln(0.97 - x)*y,
+    # whose last x nodes pass 0.97, its exact error, offset and source; only
+    # the T-point grid generates code
+    generated, generate, real = [], _nest._generate, expr.evaluate
+    monkeypatch.setattr(_nest, "_generate", lambda order, *rest: generated.append(order) or generate(order, *rest))
+    names, box = ["x", "y"], quadrature.Box((0.0, 0.0), (1.0, 1.0))
+    below = math.isqrt(quadrature._NEST_MIN_POINTS - 1)  # below^2 <= T - 1 < (below + 1)^2
+    cases = [(below, None, False), (below + 1, None, True), (8, 65, False), (8, 64, True)]
+    errors = 0
+    for text in ("sin(x)*exp(y) + x/(1 + y)", "ln(0.97 - x)*y"):
+        for n, threshold, nested in cases:
+            rule = quadrature.gauss_rule(n)
+            with monkeypatch.context() as m:
+                m.setattr(expr, "evaluate", lambda e, bindings, functions=None: real(e, bindings))
+                expected = _box_outcome(lambda: quadrature.apply_rule_box(rule, as_function(parse(text, names), names), box))
+            with monkeypatch.context() as m:
+                if threshold is not None:
+                    m.setattr(quadrature, "_NEST_MIN_POINTS", threshold)
+                assert (n * n >= quadrature._NEST_MIN_POINTS) == nested
+                del generated[:]
+                f = as_function(parse(text, names), names)
+                assert _box_outcome(lambda: quadrature.apply_rule_box(rule, f, box)) == expected, (text, n)
+                assert len(generated) == nested, (text, n, threshold)
+            errors += not isinstance(expected, str)
+    assert errors == len(cases)
 
 
 def test_a_wrapped_evaluate_sees_every_point_of_a_box(monkeypatch):
@@ -906,7 +942,7 @@ def test_errors_carry_the_parsed_text():
         assert info.value.source == text
         assert text[info.value.offset :].startswith("ln(")
         # the positional callable raises the same error, and so does an
-        # integral, whose nest stops at the first point
+        # integral, whose 3-point grid runs no nest
         for call in (lambda: as_function(tree, ["x"])(-1.0), lambda: integrate_1d(as_function(tree, ["x"]), -2, -1, 3)):
             with pytest.raises(EvalDomainError) as info:
                 call()

@@ -52,7 +52,7 @@ def test_resolving_every_export_loads_neither_typing_nor_importlib():
 
 
 def test_json_output_still_loads(capsys, tmp_path, monkeypatch):
-    # json is imported only on the --json path
+    # --json prints what json reads back, with or without importing it
     monkeypatch.setenv("CALCVERIFY_CACHE", str(tmp_path / "cache.gausstab"))
     for argv in (
         ["integrate", "x^2", "x", "0", "1", "--json"],
@@ -93,6 +93,11 @@ SUBCOMMAND_MODULES = [
     (["cordic", "1"], {"cordic"}),
     (["nodes", "3"], {"quadrature", "legendre", "tables"}),
     (["integrate", "x^2", "x", "0", "1"], {"expr", "quadrature", "legendre", "tables"}),
+    # a grid of 5^3 points is large enough to run the loop nest, so its generator loads
+    (
+        ["integrate", "x*y*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
+        {"expr", "_nest", "quadrature", "legendre", "tables"},
+    ),
     (["integrate", "x^", "x", "0", "1"], {"expr"}),  # a parse error builds no rule
     (["diffcheck", "x^2", "2*x", "1"], {"expr", "diffcheck"}),
     (["antideriv", "2*x", "x^2", "0", "1"], {"expr", "diffcheck", "quadrature", "legendre"}),
@@ -119,7 +124,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules)
 def run_clean(argv, cwd):
     # one CLI call in a fresh -S process on the cache in cwd; the exit code and
     # which of the watched modules it loaded go to a file, past the CLI's output
-    watched = ("argparse", "tempfile", "typing", "importlib", "re")
+    watched = ("argparse", "tempfile", "typing", "importlib", "re", "json")
     code = (
         "import sys\n"
         "from calcverify.cli import main\n"
@@ -135,11 +140,11 @@ def run_clean(argv, cwd):
 
 
 PLAIN_ARGV = [
-    ["integrate", "x^2", "x", "0", "1", "--n", "3"],
+    ["integrate", "x^2", "x", "0", "1", "--n", "3", "--json"],
     ["diffcheck", "x^2", "2*x", "1", "--json"],
     ["antideriv", "2*x", "x^2", "0", "1"],
-    ["solve", "x^2 - 2", "--x0", "1", "--method", "secant", "--x1", "2"],
-    ["nodes", "3"],
+    ["solve", "x^2 - 2", "--x0", "1", "--method", "secant", "--x1", "2", "--json"],
+    ["nodes", "3", "--json"],
     ["cordic", "-1"],
 ]
 
@@ -151,8 +156,8 @@ def test_plain_argv_runs_without_argparse(tmp_path, argv):
         fh.write(dumps_tables([gauss_rule(3)]))
     code, loaded, out, err = run_clean(argv, tmp_path)
     assert (code, err) == (0, "") and out
-    # json loads re; a plain call without --json loads none of the watched modules
-    assert loaded <= ({"re"} if "--json" in argv else set())
+    # --json prints ints, booleans and plain words without json, so no call loads a watched module
+    assert loaded == set()
 
 
 @pytest.mark.parametrize(

@@ -31,10 +31,6 @@ _SUM_TOL = 1e-12
 _GAUSS_TOL = 64
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def rule_violation(rule: QuadratureRule) -> str | None:
     """Description of the first violated rule invariant, or None."""
     n, nodes, weights = rule.n, rule.nodes, rule.weights
@@ -91,7 +87,7 @@ def dumps_tables(rules: Iterable[QuadratureRule]) -> str:
     for n in sorted(by_n):
         rule = by_n[n]
         lines.append(f"N {n}")
-        lines.extend(f"{_fmt(x)} {_fmt(w)}" for x, w in zip(rule.nodes, rule.weights))
+        lines.extend(f"{x:.17g} {w:.17g}" for x, w in zip(rule.nodes, rule.weights))
     return "\n".join(lines) + "\n"
 
 

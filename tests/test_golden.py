@@ -94,3 +94,14 @@ def test_golden_covers_every_rule():
 @pytest.mark.parametrize("n", list(range(1, 65)))
 def test_rule_and_roots_bit_identical(n):
     assert _digest(n) == GOLDEN[n]
+
+
+# SHA-256 of the space-joined ``float.hex`` strings of ``legendre_roots(n).roots``
+# for n = 65..128 in turn, taken at commit 97d5427: no rule above 64 points
+# has a digest of its own
+ROOTS_65_TO_128 = "13fc8f80d5162007504d67e3d7c40bbf5bb5c25e0ff62f00f7ff3f156c7b1f48"
+
+
+def test_roots_above_64_points_bit_identical():
+    values = [v for n in range(65, 129) for v in legendre_roots(n).roots]
+    assert hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest() == ROOTS_65_TO_128

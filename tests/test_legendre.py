@@ -15,9 +15,11 @@ from calcverify import (
     poly_derivative,
     poly_eval,
 )
+from calcverify import legendre
 from calcverify.legendre import (
     _FIXED_BITS,
     _GRID_BITS,
+    _horner_coefficients,
     _horner_fixed,
     _newton_root,
     _recurrence_exact,
@@ -162,9 +164,67 @@ def _horner_full(n, x):
     return p, d
 
 
+def _horner_truncating(n, x):
+    # the parity pass with y = x^2 truncated to scale S too: the reference
+    # that _horner_fixed, which squares x exactly, equals where 2s <= F
+    coeffs = _horner_coefficients(n)
+    y = (x * x) >> _FIXED_BITS
+    q, dq = coeffs[0], 0
+    for c in coeffs[1:]:
+        dq = ((dq * y) >> _FIXED_BITS) + q
+        q = ((q * y) >> _FIXED_BITS) + c
+    if n % 2:
+        return (x * q) >> _FIXED_BITS, q + ((y * dq) >> (_FIXED_BITS - 1))
+    return q, (x * dq) >> (_FIXED_BITS - 1)
+
+
+def _float_roots(monkeypatch, n):
+    # the float roots that positive_roots_and_derivatives(n) polishes, ascending
+    found = []
+    newton = legendre._newton_root
+    monkeypatch.setattr(legendre, "_newton_root", lambda *a: found.append(newton(*a)) or found[-1])
+    roots = positive_roots_and_derivatives(n)[0]
+    monkeypatch.setattr(legendre, "_newton_root", newton)
+    return sorted(found), roots
+
+
+def test_the_exact_square_gives_the_truncating_pass_integers_at_half_width_points(monkeypatch):
+    # a point with at most F/2 fractional bits squares to at most F bits, so
+    # truncating x^2 to scale S drops nothing: both passes give equal integers
+    # at every float root, at 0 and at points on the 2^-(F/2) grid
+    rng = random.Random(29)
+    half = _FIXED_BITS // 2
+    for n in range(1, 65):
+        x0s = [int(x * 2.0**_FIXED_BITS) for x in _float_roots(monkeypatch, n)[0]]
+        assert len(x0s) == n // 2
+        points = x0s + [-x for x in x0s] + [0]
+        points += [rng.randrange(-(1 << half), (1 << half) + 1) << half for _ in range(10)]
+        for x in points:
+            assert _horner_fixed(n, x) == _horner_truncating(n, x), (n, x)
+
+
+def test_newton_stops_within_2_to_the_minus_52_of_every_grid_root(monkeypatch):
+    # the Taylor step to each root's P_n' assumes |x - x0| < 2^-52
+    for n in range(1, 65):
+        x0s, roots = _float_roots(monkeypatch, n)
+        for x0, r in zip(x0s, roots):
+            assert abs(int(x0 * 2.0**_GRID_BITS) - r) < 1 << (_GRID_BITS - 52), (n, r)
+
+
+def test_all_64_rules_take_at_most_1600_float_evaluations(monkeypatch):
+    # Tricomi's guess with its n^-4 term and the stop on Newton's own error
+    # estimate; the n^-3 guess with the step-size stop alone took 2063
+    calls = []
+    value = legendre.legendre_value_and_derivative
+    monkeypatch.setattr(legendre, "legendre_value_and_derivative", lambda n, x: calls.append(n) or value(n, x))
+    for n in range(1, 65):
+        positive_roots_and_derivatives(n)
+    assert len(calls) <= 1600
+
+
 def test_parity_horner_matches_the_full_pass():
-    # both truncate each product to scale 2^240; the difference stays
-    # within 2 n sum|c_i| units of 2^-240 (0.59 of that measured)
+    # both truncate each product to scale S; the difference stays
+    # within 2 n sum|c_i| units of 1/S (0.002 of that measured)
     rng = random.Random(13)
     one = 1 << _FIXED_BITS
     for n in range(1, 65):

@@ -82,7 +82,7 @@ def _cmd_integrate(args) -> int:
 
     # the bounds are checked before the rule is fetched, so a rejected call builds and caches none
     domain = _interval(lo[0], hi[0]) if len(names) == 1 else quadrature.Box(tuple(lo), tuple(hi))
-    rule = tables.get_or_build(args.cache or tables.default_cache_path(), args.n)
+    rule = tables.get_or_build(tables.default_cache_path(), args.n)
     if len(names) == 1:
         value = quadrature.apply_rule(rule, f, *domain)
     else:
@@ -189,7 +189,6 @@ _COMMANDS = {
                   "help": "1 to 3 axis triplets, e.g. x 0 1 y 0 1"}),
         ("--n", {"type": int, "default": 20, "help": "points per axis (default 20)"}),
         ("--json", _FLAG),
-        ("--cache", {"help": "rule cache file (default $CALCVERIFY_CACHE)"}),
     ]),
     "diffcheck": (_cmd_diffcheck, "verify an analytic derivative at a point", [
         ("function", {}), ("derivative", {}), ("point", _FLOAT), ("--var", _VAR),
@@ -291,13 +290,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CalcVerifyError as exc:
         message, source = str(exc), getattr(exc, "source", None)
         if source is not None:  # a parse or evaluation error: point at the offset
+            # the tokenizer skips any whitespace: echoed as one space, each character takes one column
+            source = "".join(" " if c.isspace() else c for c in source)
             message += f"\n  {source}\n  {' ' * max(0, min(exc.offset, len(source)))}^"
         # overflow and non-finite values are numeric failures (exit 1)
-        if isinstance(exc, NumericError) or getattr(exc, "overflow", False):
-            print(f"numeric error: {message}", file=sys.stderr)
-            return 1
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+        numeric = isinstance(exc, NumericError) or getattr(exc, "overflow", False)
+        print(f"{'numeric error' if numeric else 'error'}: {message}", file=sys.stderr)
+        return 1 if numeric else 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

@@ -153,14 +153,12 @@ def _fsum(terms: list[float], subject: str = "the sum of the weighted integrand 
         raise NumericError(f"{subject} overflows") from None
 
 
-def _jacobian_and_midpoint(a: float, b: float) -> tuple[float, float]:
-    # u = jac * x + mid maps [-1, 1] onto [a, b].  The sum of finite bounds
-    # may overflow where its half fits; halving each bound first would
-    # round subnormal ones, so that is the fallback only
+def _midpoint(a: float, b: float) -> float:
+    # u = jac * x + mid maps [-1, 1] onto [a, b], jac the half-width.  The sum
+    # of finite bounds may overflow where its half fits; halving each bound
+    # first would round subnormal ones, so that is the fallback only
     mid = (b + a) / 2.0
-    if not math.isfinite(mid):
-        mid = b / 2.0 + a / 2.0
-    return math.ldexp(*_half_width(a, b)), mid
+    return mid if math.isfinite(mid) else b / 2.0 + a / 2.0
 
 
 def _half_width(a: float, b: float) -> tuple[float, int]:
@@ -198,8 +196,9 @@ def apply_rule_box(rule: QuadratureRule, f: Integrand, box: Box) -> float:
     """
     if not 0 < len(rule.nodes) == len(rule.weights):
         raise DomainError("a rule needs as many weights as nodes, and at least one node")
-    frames = [_jacobian_and_midpoint(a, b) for a, b in zip(box.lo, box.hi)]
-    scales, shift = [jac for jac, _ in frames], 0
+    halves = list(map(_half_width, box.lo, box.hi))
+    jacs = [math.ldexp(m, e) for m, e in halves]
+    scales, shift = jacs, 0
     # The loops multiply the axes' weights (b - a)/2 * w before the value.
     # Where that product is not finite at the largest weights (an axis wider
     # than the largest double included), no integrand gives a finite sum;
@@ -211,7 +210,6 @@ def apply_rule_box(rule: QuadratureRule, f: Integrand, box: Box) -> float:
     peak, widest = 1.0, max(rule.weights)
     for a, b in zip(box.lo, box.hi):
         peak *= (b - a) / 2.0 * widest
-    halves = list(map(_half_width, box.lo, box.hi))
     tiny = any(e < sys.float_info.min_exp for _, e in halves)
     if tiny or not math.isfinite(peak):
         halve = 1 if tiny else 0
@@ -219,7 +217,7 @@ def apply_rule_box(rule: QuadratureRule, f: Integrand, box: Box) -> float:
         shift = sum(e + halve for _, e in halves)
     axes = [
         [(jac * x + mid, scale * w) for x, w in zip(rule.nodes, rule.weights)]
-        for (jac, mid), scale in zip(frames, scales)
+        for jac, mid, scale in zip(jacs, map(_midpoint, box.lo, box.hi), scales)
     ]
     # an integrand from expr.as_function can run a grid of _NEST_MIN_POINTS
     # points or more as generated code; it returns the terms it finished, and

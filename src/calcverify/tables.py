@@ -268,9 +268,15 @@ def get_or_build(cache_path: str, n: int) -> QuadratureRule:
 
 
 def default_cache_path() -> str:
-    """CALCVERIFY_CACHE if set, else a per-user cache directory."""
+    """CALCVERIFY_CACHE if set, else a per-user cache directory.
+
+    That directory is $XDG_CACHE_HOME when it is an absolute path, else
+    ~/.cache: the XDG Base Directory spec makes a relative value invalid.
+    """
     env = os.environ.get("CALCVERIFY_CACHE")
     if env:
         return env
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "calcverify", "rules.gausstab")

@@ -60,9 +60,10 @@ def test_integrate_domain_and_usage_errors(capsys):
     assert run(capsys, "integrate", "ln(x)", "x", "-1", "1")[0] == 2  # eval domain error
 
 
-def test_integrate_writes_cache(capsys, tmp_path):
+def test_integrate_writes_cache(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "explicit.gausstab"
-    code, _, _ = run(capsys, "integrate", "x", "x", "0", "1", "--n", "7", "--cache", str(cache))
+    monkeypatch.setenv("CALCVERIFY_CACHE", str(cache))
+    code, _, _ = run(capsys, "integrate", "x", "x", "0", "1", "--n", "7")
     assert code == 0
     assert load_tables(cache)[7] == gauss_rule(7)
 
@@ -203,11 +204,12 @@ def test_usage_errors_exit_two(capsys):
     assert main(["integrate"]) == 2
 
 
-def test_integrate_rebuilds_cached_rule_that_is_not_gauss(capsys, tmp_path):
+def test_integrate_rebuilds_cached_rule_that_is_not_gauss(capsys, tmp_path, monkeypatch):
     # passes the cheap table invariants, but x^2 on [-1, 1] would come out 0.5
     cache = tmp_path / "bad.gausstab"
     cache.write_text("GAUSSTAB 1\nN 2\n-0.5 1\n0.5 1\n")
-    argv = ("integrate", "x^2", "x", "-1", "1", "--n", "2", "--cache", str(cache))
+    monkeypatch.setenv("CALCVERIFY_CACHE", str(cache))
+    argv = ("integrate", "x^2", "x", "-1", "1", "--n", "2")
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert float(out) == pytest.approx(2 / 3, rel=1e-9)
@@ -215,19 +217,21 @@ def test_integrate_rebuilds_cached_rule_that_is_not_gauss(capsys, tmp_path):
     assert load_tables(cache)[2] == gauss_rule(2)
 
 
-def test_integrate_rebuilds_cache_whose_weights_overflow_a_sum(capsys, tmp_path):
+def test_integrate_rebuilds_cache_whose_weights_overflow_a_sum(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "huge.gausstab"
     cache.write_text("GAUSSTAB 1\nN 2\n-0.5 1e308\n0.5 1e308\n")
-    code, out, err = run(capsys, "integrate", "x", "x", "0", "1", "--n", "2", "--cache", str(cache))
+    monkeypatch.setenv("CALCVERIFY_CACHE", str(cache))
+    code, out, err = run(capsys, "integrate", "x", "x", "0", "1", "--n", "2")
     assert (code, out) == (0, "0.5\n")
     assert err.startswith("warning: discarding corrupt rule cache") and "Traceback" not in err
     assert load_tables(cache)[2] == gauss_rule(2)
 
 
-def test_integrate_rebuilds_cache_whose_weights_are_not_symmetric(capsys, tmp_path):
+def test_integrate_rebuilds_cache_whose_weights_are_not_symmetric(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "asymmetric.gausstab"
     cache.write_text("GAUSSTAB 1\nN 3\n-0.5 0.6\n0 0.9\n0.6 0.5\n")
-    code, out, err = run(capsys, "integrate", "x", "x", "0", "1", "--n", "3", "--cache", str(cache))
+    monkeypatch.setenv("CALCVERIFY_CACHE", str(cache))
+    code, out, err = run(capsys, "integrate", "x", "x", "0", "1", "--n", "3")
     assert (code, out) == (0, "0.5\n")
     assert err == (
         f"warning: discarding corrupt rule cache ({cache}: rule n=3 violates an invariant: "
@@ -485,10 +489,35 @@ def test_overflowing_estimate_or_difference_is_numeric_error(capsys, argv, messa
     assert (code, out, err) == (1, "", f"numeric error: {message}\n")
 
 
-def test_unreadable_cache_is_an_io_error(capsys, tmp_path):
-    code, out, err = run(capsys, "integrate", "x", "x", "0", "1", "--cache", str(tmp_path))
+def test_unreadable_cache_is_an_io_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("CALCVERIFY_CACHE", str(tmp_path))
+    code, out, err = run(capsys, "integrate", "x", "x", "0", "1")
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("io error: ") and str(tmp_path) in err
+
+
+def test_cache_is_placed_by_the_environment_alone(capsys, tmp_path):
+    # --cache duplicated CALCVERIFY_CACHE: it is an unknown option, and writes nothing
+    path = tmp_path / "P"
+    code, out, err = run(capsys, "integrate", "x", "x", "0", "1", "--cache", str(path))
+    assert (code, out) == (2, "")
+    assert err.endswith(f"calcverify: error: unrecognized arguments: --cache {path}\n")
+    assert not path.exists()
+    assert run(capsys, "integrate", "--help")[0] == 0
+    assert "--cache" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source", ["x +\t\tq", "x +\n q", "x +\r q", "x +\x0b\u3000q"])
+def test_caret_echo_takes_one_column_a_character(capsys, source):
+    # the tokenizer skips any whitespace; echoed raw, a tab or a newline
+    # would move the caret off the character it points at
+    code, out, err = run(capsys, "integrate", source, "x", "0", "1")
+    assert (code, out) == (2, "")
+    lines = err.split("\n")
+    assert len(lines) == 4 and lines[3] == ""  # three lines, each ended
+    assert lines[0] == "error: unknown variable 'q' at offset 5 (expected one of: x)"
+    assert lines[1] == "  x +  q"
+    assert lines[2] == " " * 7 + "^" and lines[1][7] == "q"
 
 
 def test_diffcheck_step_that_overflows_the_point_is_a_numeric_error(capsys):

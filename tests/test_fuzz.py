@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from calcverify import cli, gauss_rule, get_or_build
 from calcverify.cli import main
 from calcverify.expr import BUILTIN_FUNCTIONS
-from calcverify.tables import dumps_tables, gauss_violation
+from calcverify.tables import dumps_tables, gauss_violation, load_tables
 
 PIECES = [*"0123456789.eE+-*/^()", " ", "x", "y", "²", "١", *BUILTIN_FUNCTIONS]
 EXPRESSIONS = st.lists(st.sampled_from(PIECES)).map("".join)
@@ -27,12 +28,16 @@ EXPRESSIONS = st.lists(st.sampled_from(PIECES)).map("".join)
 
 @pytest.fixture(scope="module")
 def cache(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("fuzz") / "cache.gausstab")
+    # the module's rule cache, placed as the CLI reads it: by the environment
+    path = str(tmp_path_factory.mktemp("fuzz") / "cache.gausstab")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CALCVERIFY_CACHE", path)
+        yield path
 
 
-def argv_for(command, text, cache):
+def argv_for(command, text):
     if command == "integrate":
-        return ["integrate", text, "x", "0", "1", "y", "0", "1", "--n", "4", "--cache", cache]
+        return ["integrate", text, "x", "0", "1", "y", "0", "1", "--n", "4"]
     if command == "diffcheck":
         return ["diffcheck", text, text, "0.5"]
     return ["solve", text, "--x0", "0.5"]
@@ -43,17 +48,17 @@ def argv_for(command, text, cache):
 def test_every_expression_ends_in_a_documented_exit_status(cache, command, text):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv_for(command, text, cache))
+        code = main(argv_for(command, text))
     assert code in (0, 1, 2), (code, err.getvalue())
 
 
 WRAPPERS = [("(", ")"), ("-", ""), ("2^", ""), ("sin(", ")")]
 
 
-def deep_argv(command, text, cache):
+def deep_argv(command, text):
     # "--" keeps argparse from reading a leading '-' as an option
     if command == "integrate":
-        return ["integrate", "--n", "2", "--cache", cache, "--", text, "x", "0", "1"]
+        return ["integrate", "--n", "2", "--", text, "x", "0", "1"]
     if command == "diffcheck":
         return ["diffcheck", "--", text, text, "0.5"]
     return ["solve", "--x0", "0.5", "--", text]
@@ -70,9 +75,19 @@ def test_deep_nesting_ends_in_a_documented_exit_status(cache, command, wrapper, 
     text = wrapper[0] * depth + core + wrapper[1] * depth
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(deep_argv(command, text, cache))
+        code = main(deep_argv(command, text))
     assert code in (0, 1, 2), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_the_fuzzed_integrate_argv_reach_the_integral(cache, capsys):
+    # the fuzz tests above accept exit 2, which argparse also gives an argv it
+    # rejects: each helper's integrate argv must get to the integral, and the
+    # rules it uses land in the cache the environment names
+    for argv in (argv_for("integrate", "x*y"), deep_argv("integrate", "x^3")):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "0.25\n"
+    assert {2, 4} <= set(load_tables(os.environ["CALCVERIFY_CACHE"]))
 
 
 OPTIONS = [
@@ -88,7 +103,7 @@ ARGV_POOL = OPTIONS + ["--", "--n=3", "--tol=-1"] + NUMBERS + WORDS + CACHES
 
 @pytest.fixture(scope="module")
 def argv_dir(tmp_path_factory):
-    # every path the CLI may write, by --cache, a positional or the
+    # every path the CLI may write, by a positional or the
     # environment, lands in one temporary directory
     root = tmp_path_factory.mktemp("argv")
     (root / "nodes.txt").write_text("not a directory\n")
@@ -153,8 +168,9 @@ def test_every_hand_edited_cache_integrates_with_the_gauss_rule(cache, data, k):
     with open(path, "w") as fh:
         fh.write(data.draw(cache_texts(k)))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["integrate", "x", "x", "0", "1", "--n", str(k), "--cache", path])
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.setenv("CALCVERIFY_CACHE", path)
+        code = main(["integrate", "x", "x", "0", "1", "--n", str(k)])
     assert (code, out.getvalue()) == (0, "0.5\n"), err.getvalue()
     assert not any(line.startswith("table error") for line in err.getvalue().splitlines())
 
@@ -187,7 +203,7 @@ def test_every_numeric_option_ends_in_a_documented_exit_status(argv_dir, data, c
         drawn["--x0"] = drawn["--x0"] or "1"  # a required option
         lead = ["--method", method]
     elif command == "integrate":
-        lead = ["--n", "3", "--cache", "cache.gausstab"]
+        lead = ["--n", "3"]
     # the '=' form and '--' let values and bounds start with '-'
     argv = [command, *lead] + [f"{name}={v}" for name, v in drawn.items() if v is not None]
     argv += ["--", *texts] + [data.draw(value, label="positional") for _ in range(count)]
@@ -196,6 +212,7 @@ def test_every_numeric_option_ends_in_a_documented_exit_status(argv_dir, data, c
         code = main(argv)
     assert code in (0, 1, 2), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert "usage:" not in err.getvalue(), argv  # argparse reads every argv drawn here
     if any(drawn.get(name) in ("nan", "inf", "-inf") for name in STEPS_AND_TOLERANCES):
         assert code == 2, (argv, err.getvalue())
 
@@ -227,7 +244,7 @@ def test_every_bound_ends_in_a_documented_exit_status(argv_dir, data, command, d
     axes = [(data.draw(bound, label="a"), data.draw(bound, label="b")) for _ in range(dims)]
     if command == "integrate":
         triplets = [text for name, (a, b) in zip("xyz", axes) for text in (name, a, b)]
-        argv = ["integrate", "--n", str(n), "--cache", "cache.gausstab", "--json", "--", "1e-300", *triplets]
+        argv = ["integrate", "--n", str(n), "--json", "--", "1e-300", *triplets]
     else:
         axes = axes[:1]
         argv = ["antideriv", "--n", str(n), "--json", "--", "1e-300", "1e-300*x", *axes[0]]
@@ -236,6 +253,7 @@ def test_every_bound_ends_in_a_documented_exit_status(argv_dir, data, command, d
         code = main(argv)
     assert code in (0, 1, 2), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert "usage:" not in err.getvalue(), argv  # argparse reads every argv drawn here
     bounds = [float(text) for pair in axes for text in pair]
     if not all(map(math.isfinite, bounds)):
         assert code == 2, (argv, err.getvalue())
@@ -256,7 +274,7 @@ def test_every_bound_ends_in_a_documented_exit_status(argv_dir, data, command, d
 
 # subcommand -> (count of positionals, its options)
 COMMANDS = {
-    "integrate": (4, ["--n", "--json", "--cache"]),
+    "integrate": (4, ["--n", "--json"]),
     "diffcheck": (3, ["--var", "--h", "--tol-abs", "--tol-rel", "--json"]),
     "antideriv": (4, ["--var", "--n", "--tol", "--json"]),
     "solve": (1, ["--x0", "--c", "--method", "--x1", "--fprime", "--var", "--tol", "--max-iters", "--json"]),

@@ -210,6 +210,12 @@ def test_default_cache_path(monkeypatch):
     monkeypatch.delenv("CALCVERIFY_CACHE")
     monkeypatch.setenv("XDG_CACHE_HOME", "/tmp/xdg")
     assert default_cache_path() == "/tmp/xdg/calcverify/rules.gausstab"
+    # the XDG Base Directory spec makes a relative value invalid: ~/.cache
+    # is used, not a directory under wherever the call runs
+    monkeypatch.setenv("HOME", "/tmp/home")
+    for relative in ("rel", "./rel", ""):
+        monkeypatch.setenv("XDG_CACHE_HOME", relative)
+        assert default_cache_path() == "/tmp/home/.cache/calcverify/rules.gausstab"
 
 
 # A cache path that names no regular file.  Every path here is made under
@@ -222,8 +228,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 def test_cli_cache_on_a_fifo_exits_2_without_waiting(tmp_path):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    argv = [sys.executable, "-m", "calcverify.cli", "integrate", "x", "x", "0", "1", "--cache", str(fifo)]
-    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = [sys.executable, "-m", "calcverify.cli", "integrate", "x", "x", "0", "1"]
+    env = dict(os.environ, PYTHONPATH=SRC, CALCVERIFY_CACHE=str(fifo))
     # a regression would block on open() for a writer: the timeout fails it
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
     assert (proc.returncode, proc.stdout) == (2, "")

@@ -6,6 +6,8 @@ three-term recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}.  Each
 route serves as an oracle for the other.  Both are carried out in exact
 rational arithmetic and rounded to floats only at the API boundary, so
 the emitted coefficients are correctly rounded regardless of degree.
+The Gauss rule builder polishes in integer fixed point the roots that
+float Newton finds with ``quadrature``'s float recurrence for P_n.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from functools import lru_cache
 
 from ._record import Record
 from .errors import CapabilityError, DomainError, NumericError, _integer
+from .quadrature import legendre_value_and_derivative
 
 # Monomial Gram-Schmidt is kept within a documented degree cap; the
 # recurrence route is authoritative beyond it.
@@ -147,28 +150,6 @@ def legendre_recurrence(n: int) -> list[Polynomial]:
     if _integer("degree", n) < 0:
         raise DomainError("degree must be nonnegative")
     return _to_polynomials(_recurrence_exact(n))
-
-
-@lru_cache(maxsize=None)
-def _recurrence_floats(n: int) -> tuple[tuple[float, float, float], ...]:
-    # (2k+1, k, k+1) for k = 1..n-1 as floats: each small integer converts
-    # exactly, so the recurrence rounds as with ints, minus the conversions
-    return tuple((2.0 * k + 1.0, float(k), k + 1.0) for k in range(1, n))
-
-
-def legendre_value_and_derivative(n: int, x: float) -> tuple[float, float]:
-    """(P_n(x), P_n'(x)) by the value recurrence."""
-    if n == 0:
-        return 1.0, 0.0
-    prev, cur = 1.0, x
-    for a, b, c in _recurrence_floats(n):
-        prev, cur = cur, (a * x * cur - b * prev) / c
-    if x == 1.0 or x == -1.0:
-        d = 0.5 * n * (n + 1)
-        if x < 0.0 and n % 2 == 0:
-            d = -d
-        return cur, d
-    return cur, n * (x * cur - prev) / (x * x - 1.0)
 
 
 def _newton_root(n: int, guess: float) -> float:

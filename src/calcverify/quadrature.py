@@ -3,7 +3,9 @@
 Weights come from two independent routes: the closed form
 w_i = 2 / ((1 - x_i^2) P_n'(x_i)^2), evaluated in integer fixed point,
 and the Vandermonde moment system (rows of node powers, right-hand side
-the monomial moments), solved exactly over the rationals.
+the monomial moments), solved exactly over the rationals.  The float
+recurrence for P_n and P_n' is here, for the cache's Gauss check, so a
+cached rule loads no ``legendre``, the builder, until a rule is built.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Sequence
+from functools import lru_cache
 
 from ._record import Record
 from .errors import CapabilityError, DomainError, NumericError, _finite, _finite_result, _integer, _interval
-from .legendre import RootSet, gauss_nodes_and_weights
 
 MAX_POINTS = 64
 # The exact moment-system solve slows steeply with the node count (its
@@ -66,6 +68,28 @@ class Box(Record):
         return len(self.lo)
 
 
+@lru_cache(maxsize=None)
+def _recurrence_floats(n: int) -> tuple[tuple[float, float, float], ...]:
+    # (2k+1, k, k+1) for k = 1..n-1 as floats: each small integer converts
+    # exactly, so the recurrence rounds as with ints, minus the conversions
+    return tuple((2.0 * k + 1.0, float(k), k + 1.0) for k in range(1, n))
+
+
+def legendre_value_and_derivative(n: int, x: float) -> tuple[float, float]:
+    """(P_n(x), P_n'(x)) by the value recurrence."""
+    if n == 0:
+        return 1.0, 0.0
+    prev, cur = 1.0, x
+    for a, b, c in _recurrence_floats(n):
+        prev, cur = cur, (a * x * cur - b * prev) / c
+    if x == 1.0 or x == -1.0:
+        d = 0.5 * n * (n + 1)
+        if x < 0.0 and n % 2 == 0:
+            d = -d
+        return cur, d
+    return cur, n * (x * cur - prev) / (x * x - 1.0)
+
+
 def gauss_rule(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule via the closed-form weights.
 
@@ -79,11 +103,17 @@ def gauss_rule(n: int) -> QuadratureRule:
     """
     if not 1 <= _integer("point count", n) <= MAX_POINTS:
         raise CapabilityError(f"point count must be in 1..{MAX_POINTS}, got {n}")
-    return QuadratureRule(n, *gauss_nodes_and_weights(n))
+    return QuadratureRule(n, *_built_rules()(n))
 
 
-gauss_rule.cache_info = gauss_nodes_and_weights.cache_info
-gauss_rule.cache_clear = gauss_nodes_and_weights.cache_clear
+def _built_rules():
+    from .legendre import gauss_nodes_and_weights  # on a build, not on a cache hit
+
+    return gauss_nodes_and_weights
+
+
+gauss_rule.cache_info = lambda: _built_rules().cache_info()
+gauss_rule.cache_clear = lambda: _built_rules().cache_clear()
 
 
 def gauss_weights_linear_system(nodes: RootSet | Sequence[float]) -> tuple[float, ...]:
@@ -95,6 +125,8 @@ def gauss_weights_linear_system(nodes: RootSet | Sequence[float]) -> tuple[float
     Vandermonde systems (Math. Comp. 24 (1970) 893-903), and each weight
     is rounded once, so the Vandermonde conditioning costs no accuracy.
     """
+    from .legendre import RootSet
+
     xs = nodes.roots if isinstance(nodes, RootSet) else tuple(float(x) for x in nodes)
     n = len(xs)
     if n == 0:

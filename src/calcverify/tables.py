@@ -19,8 +19,7 @@ from collections.abc import Iterable
 
 from . import quadrature
 from .errors import TableError, _integer
-from .legendre import legendre_value_and_derivative
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, legendre_value_and_derivative
 
 FORMAT_NAME = "GAUSSTAB"
 FORMAT_VERSION = 1
@@ -150,11 +149,17 @@ def _read_table(path: str) -> str:
         if stat.S_ISDIR(mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         raise OSError(f"{path}: not a regular file")
+    # bytes: a text-mode read costs more, and loads an encoding module
+    with open(fd, "rb") as fh:
+        data = fh.read()
     try:
-        with open(fd, encoding="ascii") as fh:
-            return fh.read()
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise TableError(f"{path}: not a text table ({exc})") from None
+    # universal newlines, as text mode read them: _cached_rule searches for "\n"
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _parse_tables(text: str, path: str) -> dict[int, QuadratureRule]:
@@ -272,11 +277,21 @@ def default_cache_path() -> str:
 
     That directory is $XDG_CACHE_HOME when it is an absolute path, else
     ~/.cache: the XDG Base Directory spec makes a relative value invalid.
+    A relative $HOME gives way to the account's home directory, as an
+    unset one does; OSError if the account has none.
     """
     env = os.environ.get("CALCVERIFY_CACHE")
     if env:
         return env
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
-        base = os.path.join(os.path.expanduser("~"), ".cache")
+        home = os.path.expanduser("~")
+        if not os.path.isabs(home):
+            import pwd  # only this fallback needs it
+
+            try:
+                home = pwd.getpwuid(os.getuid()).pw_dir
+            except KeyError:
+                raise OSError("no home directory for the rule cache; set CALCVERIFY_CACHE") from None
+        base = os.path.join(home, ".cache")
     return os.path.join(base, "calcverify", "rules.gausstab")

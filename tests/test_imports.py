@@ -72,9 +72,9 @@ def test_module_runs_as_cli():
     assert proc.stdout == dumps_tables([gauss_rule(2)])
 
 
-def loaded_modules(code, *args, cwd=None):
-    # the calcverify.* modules a fresh -S process has loaded after running code
-    report = "import sys; print(*sorted(m for m in sys.modules if m.startswith('calcverify.')))"
+def loaded_modules(code, *args, cwd=None, prefixes=("calcverify.",)):
+    # the modules under prefixes that a fresh -S process has loaded after running code
+    report = f"import sys; print(*sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     argv = [sys.executable, "-S", "-c", f"{code}\n{report}", *args]
     proc = subprocess.run(argv, env=ENV, capture_output=True, text=True, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
@@ -107,18 +107,42 @@ SUBCOMMAND_MODULES = [
 ]
 
 
+# one CLI call on the cache in the working directory; its output goes to a
+# file, so stdout is the module list alone
+RUN_MAIN = (
+    "import contextlib, os, sys\n"
+    "os.environ['CALCVERIFY_CACHE'] = 'cache.gausstab'\n"
+    "from calcverify.cli import main\n"
+    "with open('out.txt', 'w') as out, contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+    "    main(sys.argv[1:])"
+)
+
+
 @pytest.mark.parametrize("argv, modules", SUBCOMMAND_MODULES, ids=[" ".join(a) for a, _ in SUBCOMMAND_MODULES])
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules):
-    # the run's output goes to a file, so stdout is the module list alone
-    code = (
-        "import contextlib, os, sys\n"
-        "os.environ['CALCVERIFY_CACHE'] = 'cache.gausstab'\n"
-        "from calcverify.cli import main\n"
-        "with open('out.txt', 'w') as out, contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
-        "    main(sys.argv[1:])"
-    )
-    loaded = loaded_modules(code, *argv, cwd=tmp_path)
+    loaded = loaded_modules(RUN_MAIN, *argv, cwd=tmp_path)
     assert loaded - CLI_MODULES == {f"calcverify.{m}" for m in modules}
+
+
+# argv on a cache that holds its rule -> the modules it loads besides cli, errors and _record
+WARM_MODULES = [
+    (["integrate", "x^2", "x", "0", "1", "--n", "5"], {"expr", "quadrature", "tables"}),
+    (
+        ["integrate", "x*y*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
+        {"expr", "_nest", "quadrature", "tables"},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, modules", WARM_MODULES, ids=[" ".join(a) for a, _ in WARM_MODULES])
+def test_an_integral_on_a_warm_cache_loads_no_rule_builder(tmp_path, argv, modules):
+    # a hit checks the rule with quadrature's float recurrence, so legendre
+    # stays unloaded; the file is read as bytes, so no text codec loads either
+    (tmp_path / "cache.gausstab").write_text(dumps_tables([gauss_rule(5)]))
+    loaded = loaded_modules(RUN_MAIN, *argv, cwd=tmp_path, prefixes=("calcverify.", "encodings."))
+    assert {m for m in loaded if m.startswith("calcverify.")} - CLI_MODULES == {f"calcverify.{m}" for m in modules}
+    assert "encodings.ascii" not in loaded - stdlib_baseline()
+    assert (tmp_path / "cache.gausstab").read_text() == dumps_tables([gauss_rule(5)])
 
 
 def run_clean(argv, cwd):

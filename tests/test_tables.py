@@ -1,4 +1,5 @@
 import os
+import pwd
 import signal
 import stat
 import subprocess
@@ -15,6 +16,7 @@ from calcverify import (
     load_tables,
     save_tables,
 )
+from calcverify.cli import main
 from calcverify.tables import default_cache_path, dumps_tables, gauss_violation, rule_violation
 
 # Passes every invariant of rule_violation (weights sum to 2, zero first
@@ -216,6 +218,30 @@ def test_default_cache_path(monkeypatch):
     for relative in ("rel", "./rel", ""):
         monkeypatch.setenv("XDG_CACHE_HOME", relative)
         assert default_cache_path() == "/tmp/home/.cache/calcverify/rules.gausstab"
+    # a relative HOME is passed over the same way, for the account's home
+    # directory, as when HOME is unset
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    account = os.path.join(pwd.getpwuid(os.getuid()).pw_dir, ".cache", "calcverify", "rules.gausstab")
+    for relative in ("relhome", "./relhome"):
+        monkeypatch.setenv("HOME", relative)
+        assert default_cache_path() == account
+
+
+def test_default_cache_path_without_any_home_is_an_os_error(monkeypatch, capsys):
+    # neither HOME nor the account gives an absolute home: no path under the
+    # working directory is made up, and the CLI prints an io error
+    def no_account(uid):
+        raise KeyError(uid)
+
+    monkeypatch.delenv("CALCVERIFY_CACHE", raising=False)
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.setenv("HOME", "relhome")
+    monkeypatch.setattr(pwd, "getpwuid", no_account)
+    message = "no home directory for the rule cache; set CALCVERIFY_CACHE"
+    with pytest.raises(OSError, match=f"^{message}$"):
+        default_cache_path()
+    assert main(["integrate", "x", "x", "0", "1", "--n", "3"]) == 2
+    assert capsys.readouterr() == ("", f"io error: {message}\n")
 
 
 # A cache path that names no regular file.  Every path here is made under
@@ -347,6 +373,41 @@ def test_a_hit_missed_by_the_block_search_is_read_through_the_full_parse(tmp_pat
     assert bits(get_or_build(path, 3)) == bits(gauss_rule(3))
     assert capsys.readouterr().err == ""
     assert (path.read_bytes(), os.stat(path).st_mtime_ns) == before
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_a_cache_with_other_line_ends_gives_the_same_rule(tmp_path, monkeypatch, capsys, newline):
+    # the file is read as bytes, and its line ends read as text mode read
+    # them: the block search finds the rule, so a hit rewrites nothing
+    lf = tmp_path / "lf.gausstab"
+    save_tables([gauss_rule(3), gauss_rule(5)], lf)
+    path = tmp_path / "other.gausstab"
+    path.write_bytes(lf.read_bytes().replace(b"\n", newline.encode()))
+    before = path.read_bytes()
+
+    def refuse(*args):
+        raise AssertionError("a hit loaded or wrote the whole file")
+
+    monkeypatch.setattr(calcverify.tables, "load_tables", refuse)
+    monkeypatch.setattr(calcverify.tables, "save_tables", refuse)
+    bits = lambda rule: (rule.n, [v.hex() for v in rule.nodes + rule.weights])
+    assert bits(get_or_build(path, 5)) == bits(get_or_build(lf, 5)) == bits(gauss_rule(5))
+    outputs = []
+    for cache in (lf, path):
+        monkeypatch.setenv("CALCVERIFY_CACHE", str(cache))
+        assert main(["integrate", "x^8", "x", "-1", "1", "--n", "5", "--json"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[1].err == ""
+    assert path.read_bytes() == before
+
+
+def test_a_cache_that_is_not_ascii_is_a_table_error(tmp_path):
+    # the position counts from the start of the file
+    path = tmp_path / "cache.gausstab"
+    text = dumps_tables([gauss_rule(2)])
+    path.write_bytes(text.encode() + b"\xc3\xa9\n")
+    with pytest.raises(TableError, match=rf"not a text table .* 0xc3 in position {len(text)}: "):
+        load_tables(path)
 
 
 def test_rule_violation_counts_the_node_weight_pairs():

@@ -35,7 +35,7 @@ _EXPORTS = {
             "gauss_weights_linear_system integrate_1d integrate_box",
         ),
         ("solvers", "SolveResult newton_solve secant_solve"),
-        ("tables", "default_cache_path get_or_build load_tables save_tables"),
+        ("tables", "get_or_build load_tables save_tables"),
     )
     for name in names.split()
 }

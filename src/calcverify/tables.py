@@ -18,7 +18,7 @@ import sys
 from collections.abc import Iterable
 
 from . import quadrature
-from .errors import TableError, _integer
+from .errors import DomainError, TableError, _integer
 from .quadrature import QuadratureRule, legendre_value_and_derivative
 
 FORMAT_NAME = "GAUSSTAB"
@@ -34,7 +34,7 @@ def rule_violation(rule: QuadratureRule) -> str | None:
     """Description of the first violated rule invariant, or None."""
     n, nodes, weights = rule.n, rule.nodes, rule.weights
     if n < 1 or len(nodes) != n or len(weights) != n:
-        return f"expected {n} node/weight pairs, found {len(nodes)}"
+        return f"expected {n} node/weight pairs, found {len(nodes)} nodes and {len(weights)} weights"
     for x in nodes:
         if not -1.0 < x < 1.0:
             return f"node {x!r} outside the open interval (-1, 1)"
@@ -80,11 +80,13 @@ def gauss_violation(rule: QuadratureRule) -> str | None:
 
 
 def dumps_tables(rules: Iterable[QuadratureRule]) -> str:
-    """Serialize rules (deduplicated by n, ascending) to the text format."""
+    """Serialize rules (deduplicated by n, ascending); DomainError unless each has n nodes and n weights."""
     by_n = {rule.n: rule for rule in rules}
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
     for n in sorted(by_n):
         rule = by_n[n]
+        if not len(rule.nodes) == len(rule.weights) == n:
+            raise DomainError(f"rule n={n} has {len(rule.nodes)} nodes and {len(rule.weights)} weights")
         lines.append(f"N {n}")
         lines.extend(f"{x:.17g} {w:.17g}" for x, w in zip(rule.nodes, rule.weights))
     return "\n".join(lines) + "\n"
@@ -235,9 +237,9 @@ def get_or_build(cache_path: str, n: int) -> QuadratureRule:
     block, against the invariants and the Gauss property
     (``gauss_violation``), so a warm lookup stays cheap.  Otherwise the
     same text is parsed whole: a corrupt cache, including one whose
-    n-point rule is not the Gauss rule, is rebuilt from scratch after a
-    warning on stderr; the cache is derived data, so this is recovery,
-    not failure.  A corrupt block for another n is found on a miss.
+    n-point rule is not the Gauss rule, is rebuilt from scratch, warning on
+    stderr once the rule is built; the cache is derived data, so this is
+    recovery, not failure.  A corrupt block for another n is found on a miss.
     """
     # checked before the file is read: a cached 2 would answer 2.0, and True
     # would find the 1-point rule
@@ -247,6 +249,7 @@ def get_or_build(cache_path: str, n: int) -> QuadratureRule:
         # read and replace what the link names; the link stays a link
         cache_path = os.path.realpath(cache_path)
     rules: dict[int, QuadratureRule] = {}
+    corrupt = None
     try:
         text = _read_table(cache_path)
         rule = _cached_rule(text, n)
@@ -259,39 +262,14 @@ def get_or_build(cache_path: str, n: int) -> QuadratureRule:
     except FileNotFoundError:
         pass
     except TableError as exc:
-        print(
-            f"warning: discarding corrupt rule cache ({exc}); rebuilding",
-            file=sys.stderr,
-        )
-        rules = {}
+        corrupt, rules = exc, {}
     if n in rules:
         return rules[n]
+    # built before the warning: a point count gauss_rule rejects discards nothing
     rule = quadrature.gauss_rule(n)
+    if corrupt is not None:
+        print(f"warning: discarding corrupt rule cache ({corrupt}); rebuilding", file=sys.stderr)
     rules[n] = rule
     save_tables(rules.values(), cache_path)
     return rule
 
-
-def default_cache_path() -> str:
-    """CALCVERIFY_CACHE if set, else a per-user cache directory.
-
-    That directory is $XDG_CACHE_HOME when it is an absolute path, else
-    ~/.cache: the XDG Base Directory spec makes a relative value invalid.
-    A relative $HOME gives way to the account's home directory, as an
-    unset one does; OSError if the account has none.
-    """
-    env = os.environ.get("CALCVERIFY_CACHE")
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        home = os.path.expanduser("~")
-        if not os.path.isabs(home):
-            import pwd  # only this fallback needs it
-
-            try:
-                home = pwd.getpwuid(os.getuid()).pw_dir
-            except KeyError:
-                raise OSError("no home directory for the rule cache; set CALCVERIFY_CACHE") from None
-        base = os.path.join(home, ".cache")
-    return os.path.join(base, "calcverify", "rules.gausstab")

@@ -496,6 +496,58 @@ def test_unreadable_cache_is_an_io_error(capsys, tmp_path, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("io error: ") and str(tmp_path) in err
 
 
+def test_corrupt_cache_and_a_rejected_point_count_print_one_line(capsys, tmp_path, monkeypatch):
+    # the count is rejected before the cache is discarded: no warning, no rewrite
+    cache = tmp_path / "corrupt.gausstab"
+    cache.write_text("GAUSSTAB 1\nN 1\n0 3\n")
+    monkeypatch.setenv("CALCVERIFY_CACHE", str(cache))
+    code, out, err = run(capsys, "integrate", "x", "x", "0", "1", "--n", "65")
+    assert (code, out, err) == (2, "", "error: point count must be in 1..64, got 65\n")
+    assert cache.read_text() == "GAUSSTAB 1\nN 1\n0 3\n"
+
+
+UNCACHED_ARGV = [
+    ["integrate", "x^2", "x", "-1", "1", "--n", "12"],
+    ["integrate", "x*y*exp(z)", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5", "--json"],
+]
+
+
+def files_under(path):
+    return sorted(p.relative_to(path) for p in path.rglob("*"))
+
+
+@pytest.mark.parametrize("argv", UNCACHED_ARGV, ids=["1-D", "3-D"])
+@pytest.mark.parametrize("name", ["unset", "empty"])
+def test_integrate_without_a_cache_writes_no_file(capsys, tmp_path, monkeypatch, argv, name):
+    # with no CALCVERIFY_CACHE the rule is built in process, as nodes builds it;
+    # a cache round-trips the rule's bits, so either route prints the same
+    monkeypatch.setenv("CALCVERIFY_CACHE", str(tmp_path / "cache.gausstab"))
+    cached = [run(capsys, *argv) for _ in range(2)]  # a miss, then a hit
+    assert cached[0] == cached[1] and cached[0][0] == 0
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.chdir(home)
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home / "xdg"))
+    if name == "unset":
+        monkeypatch.delenv("CALCVERIFY_CACHE")
+    else:
+        monkeypatch.setenv("CALCVERIFY_CACHE", "")
+    assert run(capsys, *argv) == cached[0]
+    assert files_under(home) == []
+
+
+def test_integrate_without_a_cache_runs_when_home_is_a_file(capsys, tmp_path, monkeypatch):
+    home = tmp_path / "home"
+    home.write_text("")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CALCVERIFY_CACHE")
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.setenv("HOME", str(home))
+    assert run(capsys, "integrate", "x^2", "x", "0", "1", "--n", "4") == (0, "0.3333333333\n", "")
+    assert files_under(tmp_path) == [home.relative_to(tmp_path)]
+
+
 def test_cache_is_placed_by_the_environment_alone(capsys, tmp_path):
     # --cache duplicated CALCVERIFY_CACHE: it is an unknown option, and writes nothing
     path = tmp_path / "P"

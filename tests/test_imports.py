@@ -145,6 +145,25 @@ def test_an_integral_on_a_warm_cache_loads_no_rule_builder(tmp_path, argv, modul
     assert (tmp_path / "cache.gausstab").read_text() == dumps_tables([gauss_rule(5)])
 
 
+# argv with no cache named -> the modules it loads besides cli, errors and _record
+UNCACHED_MODULES = [
+    (["integrate", "x^2", "x", "0", "1", "--n", "5"], {"expr", "quadrature", "legendre"}),
+    (
+        ["integrate", "x*y*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
+        {"expr", "_nest", "quadrature", "legendre"},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, modules", UNCACHED_MODULES, ids=[" ".join(a) for a, _ in UNCACHED_MODULES])
+def test_an_integral_with_no_cache_builds_its_rule_without_tables(tmp_path, argv, modules):
+    uncached = RUN_MAIN.replace("os.environ['CALCVERIFY_CACHE'] = 'cache.gausstab'", "os.environ.pop('CALCVERIFY_CACHE', None)")
+    assert uncached != RUN_MAIN
+    loaded = loaded_modules(uncached, *argv, cwd=tmp_path)
+    assert loaded - CLI_MODULES == {f"calcverify.{m}" for m in modules}
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 def run_clean(argv, cwd):
     # one CLI call in a fresh -S process on the cache in cwd; the exit code and
     # which of the watched modules it loaded go to a file, past the CLI's output

@@ -1,5 +1,4 @@
 import os
-import pwd
 import signal
 import stat
 import subprocess
@@ -9,6 +8,7 @@ import pytest
 
 import calcverify.quadrature
 from calcverify import (
+    DomainError,
     QuadratureRule,
     TableError,
     gauss_rule,
@@ -17,7 +17,7 @@ from calcverify import (
     save_tables,
 )
 from calcverify.cli import main
-from calcverify.tables import default_cache_path, dumps_tables, gauss_violation, rule_violation
+from calcverify.tables import dumps_tables, gauss_violation, rule_violation
 
 # Passes every invariant of rule_violation (weights sum to 2, zero first
 # moment, symmetric) but is not the 2-point Gauss rule: it integrates x^2
@@ -206,44 +206,6 @@ def test_get_or_build_rebuilds_a_cached_rule_that_is_not_gauss(tmp_path, capsys)
     assert load_tables(path)[2] == gauss_rule(2)
 
 
-def test_default_cache_path(monkeypatch):
-    monkeypatch.setenv("CALCVERIFY_CACHE", "/tmp/somewhere/rules.tab")
-    assert default_cache_path() == "/tmp/somewhere/rules.tab"
-    monkeypatch.delenv("CALCVERIFY_CACHE")
-    monkeypatch.setenv("XDG_CACHE_HOME", "/tmp/xdg")
-    assert default_cache_path() == "/tmp/xdg/calcverify/rules.gausstab"
-    # the XDG Base Directory spec makes a relative value invalid: ~/.cache
-    # is used, not a directory under wherever the call runs
-    monkeypatch.setenv("HOME", "/tmp/home")
-    for relative in ("rel", "./rel", ""):
-        monkeypatch.setenv("XDG_CACHE_HOME", relative)
-        assert default_cache_path() == "/tmp/home/.cache/calcverify/rules.gausstab"
-    # a relative HOME is passed over the same way, for the account's home
-    # directory, as when HOME is unset
-    monkeypatch.delenv("XDG_CACHE_HOME")
-    account = os.path.join(pwd.getpwuid(os.getuid()).pw_dir, ".cache", "calcverify", "rules.gausstab")
-    for relative in ("relhome", "./relhome"):
-        monkeypatch.setenv("HOME", relative)
-        assert default_cache_path() == account
-
-
-def test_default_cache_path_without_any_home_is_an_os_error(monkeypatch, capsys):
-    # neither HOME nor the account gives an absolute home: no path under the
-    # working directory is made up, and the CLI prints an io error
-    def no_account(uid):
-        raise KeyError(uid)
-
-    monkeypatch.delenv("CALCVERIFY_CACHE", raising=False)
-    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
-    monkeypatch.setenv("HOME", "relhome")
-    monkeypatch.setattr(pwd, "getpwuid", no_account)
-    message = "no home directory for the rule cache; set CALCVERIFY_CACHE"
-    with pytest.raises(OSError, match=f"^{message}$"):
-        default_cache_path()
-    assert main(["integrate", "x", "x", "0", "1", "--n", "3"]) == 2
-    assert capsys.readouterr() == ("", f"io error: {message}\n")
-
-
 # A cache path that names no regular file.  Every path here is made under
 # tmp_path; a real device is never used.
 needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
@@ -412,7 +374,21 @@ def test_a_cache_that_is_not_ascii_is_a_table_error(tmp_path):
 
 def test_rule_violation_counts_the_node_weight_pairs():
     rule = QuadratureRule(n=3, nodes=(0.0,), weights=(2.0,))
-    assert rule_violation(rule) == "expected 3 node/weight pairs, found 1"
+    assert rule_violation(rule) == "expected 3 node/weight pairs, found 1 nodes and 1 weights"
+    # counts that disagree are both named
+    rule = QuadratureRule(3, (-0.5, 0.0, 0.5), (0.6, 0.8))
+    assert rule_violation(rule) == "expected 3 node/weight pairs, found 3 nodes and 2 weights"
+
+
+def test_a_rule_whose_counts_disagree_is_never_written(tmp_path):
+    # its N 3 block would hold 2 lines, which load_tables rejects as truncated
+    rule = QuadratureRule(3, (-0.5, 0.0, 0.5), (0.6, 0.8))
+    with pytest.raises(DomainError, match=r"^rule n=3 has 3 nodes and 2 weights$"):
+        dumps_tables([gauss_rule(2), rule])
+    path = tmp_path / "dir" / "cache.gausstab"
+    with pytest.raises(DomainError):
+        save_tables([rule], path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

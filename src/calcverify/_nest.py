@@ -9,9 +9,8 @@ and a call that integrates no such grid never loads it.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
 
-from .expr import _DEFAULT_IMPLS, BinOp, Expr, Neg, Num, Var
+from .expr import _DEFAULT_IMPLS, BinOp, Neg, Num, Var
 
 
 def _all_finite(values: list[str]) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 import types
-from collections.abc import Callable, Sequence
 
 from .errors import CalcVerifyError, DomainError, NumericError, _interval
 
@@ -158,7 +157,7 @@ def _cmd_nodes(args) -> int:
     else:
         from . import tables
 
-        sys.stdout.write(tables.dumps_tables([rule]))
+        print(tables.dumps_tables([rule]), end="")
     return 0
 
 
@@ -294,7 +293,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exit_:  # argparse exits 2 on usage errors, 0 on --help
             return int(exit_.code) if exit_.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # closed stdout: print wrote nothing
+            sys.stdout.flush()  # here, so a write that fails is an io error like any other
+        return code
     except CalcVerifyError as exc:
         message, source = str(exc), getattr(exc, "source", None)
         if source is not None:  # a parse or evaluation error: point at the offset
@@ -307,6 +309,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1 if numeric else 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):  # the reader has gone: what is left goes nowhere at exit
+            import os
+
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
         return 2
 
 

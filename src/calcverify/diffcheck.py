@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Sequence
 
 from ._record import Record
 from .errors import DomainError, NumericError, _finite, _finite_result, _interval, _positive

@@ -47,13 +47,11 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Callable, Mapping, Sequence
 from functools import cached_property
 
 from ._record import Record
 from .errors import CalcVerifyError, DomainError
 
-BUILTIN_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
 # the parser recurses a few frames per level; this keeps it far from
 # Python's default recursion limit of 1000
 _MAX_NESTING = 100
@@ -72,6 +70,7 @@ _DEFAULT_IMPLS: dict[str, Callable[[float], float]] = {
     "sqrt": math.sqrt,
     "abs": math.fabs,
 }
+BUILTIN_FUNCTIONS = tuple(_DEFAULT_IMPLS)
 
 
 class ParseError(CalcVerifyError):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Sequence
 from functools import lru_cache
 
 from ._record import Record
@@ -30,8 +29,6 @@ LINEAR_SYSTEM_MAX_POINTS = 20
 # break even near 118 points, 3-D near 106.  From source, which compiles the
 # generator module too, 2-D breaks even near 330 points.
 _NEST_MIN_POINTS = 110
-
-Integrand = Callable[..., float]
 
 
 class QuadratureRule(Record):
@@ -98,22 +95,14 @@ def gauss_rule(n: int) -> QuadratureRule:
     root, with P_n' taken from the fixed-point pass that polished the
     root; only the zero node of odd n takes a pass of its own.  Both
     are correctly rounded doubles, cached by
-    ``legendre.gauss_nodes_and_weights``, which ``cache_info`` and
-    ``cache_clear`` reach; each call returns an equal, new ``QuadratureRule``.
+    ``legendre.gauss_nodes_and_weights``; each call returns an equal, new
+    ``QuadratureRule``.
     """
     if not 1 <= _integer("point count", n) <= MAX_POINTS:
         raise CapabilityError(f"point count must be in 1..{MAX_POINTS}, got {n}")
-    return QuadratureRule(n, *_built_rules()(n))
+    from .legendre import gauss_nodes_and_weights  # here: a rule read from a cache file loads no legendre
 
-
-def _built_rules():
-    from .legendre import gauss_nodes_and_weights  # on a build, not on a cache hit
-
-    return gauss_nodes_and_weights
-
-
-gauss_rule.cache_info = lambda: _built_rules().cache_info()
-gauss_rule.cache_clear = lambda: _built_rules().cache_clear()
+    return QuadratureRule(n, *gauss_nodes_and_weights(n))
 
 
 def gauss_weights_linear_system(nodes: RootSet | Sequence[float]) -> tuple[float, ...]:
@@ -203,14 +192,14 @@ def _half_width(a: float, b: float) -> tuple[float, int]:
     return math.frexp(b / 2.0 - a / 2.0)
 
 
-def apply_rule(rule: QuadratureRule, f: Integrand, a: float, b: float) -> float:
+def apply_rule(rule: QuadratureRule, f: Callable[..., float], a: float, b: float) -> float:
     """Apply an existing rule to the integral of f over [a, b]."""
     _interval(a, b)
     # an interval is the one-axis box
     return _tensor_sum(rule, f, Box((a,), (b,)))
 
 
-def integrate_1d(f: Integrand, a: float, b: float, n: int) -> float:
+def integrate_1d(f: Callable[..., float], a: float, b: float, n: int) -> float:
     """Gauss-Legendre approximation of the integral of f over [a, b].
 
     Exact (to rounding) for polynomials of degree up to 2n - 1.  The
@@ -220,7 +209,7 @@ def integrate_1d(f: Integrand, a: float, b: float, n: int) -> float:
     return apply_rule(gauss_rule(n), f, a, b)
 
 
-def apply_rule_box(rule: QuadratureRule, f: Integrand, box: Box) -> float:
+def apply_rule_box(rule: QuadratureRule, f: Callable[..., float], box: Box) -> float:
     """Tensor-product application of one rule along every axis of a box.
 
     A rule whose nodes and weights differ in length, or that has no node,
@@ -303,13 +292,13 @@ def apply_rule_box(rule: QuadratureRule, f: Integrand, box: Box) -> float:
 _tensor_sum = apply_rule_box
 
 
-def integrate_box(f: Integrand, box: Box, n_per_axis: int) -> float:
+def integrate_box(f: Callable[..., float], box: Box, n_per_axis: int) -> float:
     """Integral of f over an axis-aligned box, same order on every axis."""
     return apply_rule_box(gauss_rule(n_per_axis), f, box)
 
 
 def convergence_table(
-    f: Integrand,
+    f: Callable[..., float],
     a: float,
     b: float,
     orders: Sequence[int],

@@ -8,7 +8,6 @@ path as solving g(x) = 0 with g = f - c.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
 from ._record import Record
 from .errors import DomainError, NumericError, _finite, _integer, _positive

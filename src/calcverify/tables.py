@@ -15,7 +15,6 @@ import math
 import os
 import stat
 import sys
-from collections.abc import Iterable
 
 from . import quadrature
 from .errors import DomainError, TableError, _integer

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
@@ -576,3 +578,46 @@ def test_diffcheck_step_that_overflows_the_point_is_a_numeric_error(capsys):
     code, out, err = run(capsys, "diffcheck", "sin(x)", "cos(x)", "1.7976931348623157e308", "--h", "1e300")
     assert (code, out) == (1, "")
     assert err == "numeric error: step h=1e+300 moves the point 1.7976931348623157e+308 to inf\n"
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# one call of each subcommand that exits 0 and prints to stdout
+EVERY_SUBCOMMAND = [
+    ["integrate", "x^2", "x", "0", "1"],
+    ["diffcheck", "x^3", "3*x^2", "2"],
+    ["antideriv", "2*x", "x^2", "0", "1"],
+    ["solve", "x^2 - 2", "--x0", "1"],
+    ["nodes", "64"],
+    ["cordic", "1"],
+]
+
+
+def run_process(argv, unbuffered=False, **kwargs):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "calcverify.cli", *argv]
+    return subprocess.run(argv, env=env, stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=[a[0] for a in EVERY_SUBCOMMAND])
+def test_a_closed_stdout_prints_nothing_and_exits_0(argv):
+    # with fd 1 closed, sys.stdout is None: print writes nothing, and no subcommand may write past it
+    proc = run_process(argv, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=[a[0] for a in EVERY_SUBCOMMAND])
+def test_a_stdout_whose_reader_has_gone_is_one_io_error(argv, unbuffered):
+    # buffered, print writes nothing until a flush: main flushes, or the write would fail at exit,
+    # past its handler; fd 1 then points at devnull, so the flush at exit does not fail again
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_process(argv, unbuffered, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "io error: [Errno 32] Broken pipe\n")

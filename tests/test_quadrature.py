@@ -225,10 +225,10 @@ def test_every_interval_is_checked_by_one_guard(a, b, message):
 
 
 def test_a_rejected_interval_builds_no_rule():
-    before = gauss_rule.cache_info()
+    before = legendre.gauss_nodes_and_weights.cache_info()
     with pytest.raises(DomainError, match="^bounds must be finite$"):
         integrate_1d(math.sin, 0.0, math.nan, 64)
-    assert gauss_rule.cache_info() == before  # no miss, and no hit either
+    assert legendre.gauss_nodes_and_weights.cache_info() == before  # no miss, and no hit either
 
 
 @pytest.mark.parametrize("count", [2.0, 2.5, "3", [2], True, None])
@@ -264,7 +264,7 @@ def test_gauss_rule_runs_one_horner_pass_per_positive_root(monkeypatch):
     horner = legendre._horner_fixed
     monkeypatch.setattr(legendre, "_horner_fixed", lambda n, x: calls.append(n) or horner(n, x))
     for n in (1, 2, 7, 8, 63, 64):
-        gauss_rule.cache_clear()
+        legendre.gauss_nodes_and_weights.cache_clear()
         calls.clear()
         assert gauss_rule(n).n == n
         assert calls == [n] * (n // 2 + n % 2)

@@ -284,16 +284,25 @@ def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
     return types.SimpleNamespace(**values)
 
 
+def _devnull(fd: int) -> None:
+    # the reader of fd has gone: what is left for it goes nowhere at exit
+    import os
+
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_argv(argv)
-    if args is None:  # help, a usage error or an unusual argv: argparse answers as always
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exit_:  # argparse exits 2 on usage errors, 0 on --help
-            return int(exit_.code) if exit_.code else 0
     try:
-        code = args.func(args)
+        try:
+            # None for help, a usage error or an unusual argv: argparse answers as always
+            args = _read_argv(argv) or build_parser().parse_args(argv)
+        except SystemExit as exit_:  # argparse exits 2 on usage errors, 0 on --help
+            code = int(exit_.code) if exit_.code else 0
+        else:
+            code = args.func(args)
         if sys.stdout is not None:  # closed stdout: print wrote nothing
             sys.stdout.flush()  # here, so a write that fails is an io error like any other
         return code
@@ -305,17 +314,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             message += f"\n  {source}\n  {' ' * max(0, min(exc.offset, len(source)))}^"
         # overflow and non-finite values are numeric failures (exit 1)
         numeric = isinstance(exc, NumericError) or getattr(exc, "overflow", False)
-        print(f"{'numeric error' if numeric else 'error'}: {message}", file=sys.stderr)
-        return 1 if numeric else 2
+        line, code = f"{'numeric error' if numeric else 'error'}: {message}", 1 if numeric else 2
     except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        if isinstance(exc, BrokenPipeError):  # the reader has gone: what is left goes nowhere at exit
-            import os
-
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, 1)
-            os.close(devnull)
-        return 2
+        line, code = f"io error: {exc}", 2
+        if isinstance(exc, BrokenPipeError):
+            _devnull(1)
+    try:
+        print(line, file=sys.stderr)
+    except OSError:  # best effort: the exit status stays the one of the error reported
+        _devnull(2)
+    return code
 
 
 def entry() -> None:

@@ -98,8 +98,6 @@ def save_tables(rules: Iterable[QuadratureRule], path: str) -> None:
     created with mode 0600.  Raises OSError if ``path`` exists and is not
     a regular file: a symlink, device or FIFO is never replaced.
     """
-    import tempfile  # with random, a few ms at start; a warm cache hit never writes
-
     path = os.fspath(path)
     text = dumps_tables(rules)
     try:
@@ -112,11 +110,12 @@ def save_tables(rules: Iterable[QuadratureRule], path: str) -> None:
             raise OSError(f"{path}: not a regular file")
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gausstab.")
+    tmp = os.path.join(directory, f".gausstab.{os.getpid()}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with os.fdopen(fd, "w") as fh:
             if mode is not None:
-                # mkstemp made the temp file 0600
+                # os.open made the temp file 0600
                 os.fchmod(fh.fileno(), stat.S_IMODE(mode))
             fh.write(text)
         os.replace(tmp, path)
@@ -150,20 +149,20 @@ def _read_table(path: str) -> str:
         if stat.S_ISDIR(mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         raise OSError(f"{path}: not a regular file")
-    # bytes: a text-mode read costs more, and loads an encoding module
+    # bytes: a text-mode read costs more, and loads an encoding module; the
+    # parse splits lines as text mode would, so "\r\n" and "\r" end lines too
     with open(fd, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise TableError(f"{path}: not a text table ({exc})") from None
-    # universal newlines, as text mode read them: _cached_rule searches for "\n"
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
 
 
-def _parse_tables(text: str, path: str) -> dict[int, QuadratureRule]:
+def _parse_tables(text: str, path: str, only: int | None = None) -> dict[int, QuadratureRule]:
+    # with only=n, every 'N k' header is still read and checked, but the rows of
+    # any other block are skipped by its count, and block n alone is parsed
     lines = text.splitlines()
     if not lines:
         raise TableError(f"{path}:1: empty file, expected '{FORMAT_NAME} <version>'")
@@ -173,6 +172,7 @@ def _parse_tables(text: str, path: str) -> dict[int, QuadratureRule]:
     if header[1] != str(FORMAT_VERSION):
         raise TableError(f"{path}:1: unsupported format version {header[1]!r}")
     rules: dict[int, QuadratureRule] = {}
+    seen: set[int] = set()
     ln = 1
     while ln < len(lines):
         parts = lines[ln].split()
@@ -184,61 +184,46 @@ def _parse_tables(text: str, path: str) -> dict[int, QuadratureRule]:
             raise TableError(f"{path}:{ln + 1}: malformed point count {parts[1]!r}") from None
         if n < 1:
             raise TableError(f"{path}:{ln + 1}: point count must be positive, got {n}")
-        if n in rules:
+        if n in seen:
             raise TableError(f"{path}:{ln + 1}: duplicate rule for n={n}")
-        nodes, weights = [], []
-        for k in range(n):
-            ln += 1
-            if ln >= len(lines):
-                raise TableError(
-                    f"{path}:{ln + 1}: truncated rule block for n={n} "
-                    f"(expected {n} node/weight lines, found {k})"
-                )
-            pair = lines[ln].split()
-            try:
-                if len(pair) != 2:
-                    raise ValueError
-                nodes.append(float(pair[0]))
-                weights.append(float(pair[1]))
-            except ValueError:
-                raise TableError(
-                    f"{path}:{ln + 1}: malformed line, expected '<node> <weight>'"
-                ) from None
-        rule = QuadratureRule(n=n, nodes=tuple(nodes), weights=tuple(weights))
-        violation = rule_violation(rule)
-        if violation is not None:
-            raise TableError(f"{path}: rule n={n} violates an invariant: {violation}")
-        rules[n] = rule
-        ln += 1
+        seen.add(n)
+        rows = lines[ln + 1 : ln + 1 + n]
+        if len(rows) < n:
+            raise TableError(
+                f"{path}:{len(lines) + 1}: truncated rule block for n={n} "
+                f"(expected {n} node/weight lines, found {len(rows)})"
+            )
+        if only is None or n == only:
+            nodes, weights = [], []
+            for row_ln, row in enumerate(rows, ln + 2):
+                pair = row.split()
+                try:
+                    if len(pair) != 2:
+                        raise ValueError
+                    nodes.append(float(pair[0]))
+                    weights.append(float(pair[1]))
+                except ValueError:
+                    raise TableError(f"{path}:{row_ln}: malformed line, expected '<node> <weight>'") from None
+            rule = QuadratureRule(n=n, nodes=tuple(nodes), weights=tuple(weights))
+            violation = rule_violation(rule)
+            if violation is not None:
+                raise TableError(f"{path}: rule n={n} violates an invariant: {violation}")
+            rules[n] = rule
+        ln += n + 1
     return rules
-
-
-def _cached_rule(text: str, n: int) -> QuadratureRule | None:
-    # the n-point rule parsed from the header and its own block alone, when
-    # that block is unique and holds the Gauss rule; else None, and the
-    # whole text is parsed
-    marker = f"\nN {n}\n"
-    start = text.find(marker)
-    if start < 0 or text.find(marker, start + 1) >= 0:
-        return None
-    block = text[start + 1 :].split("\n", n + 1)[: n + 1]  # "N n" and the n lines after it
-    try:
-        rule = _parse_tables("\n".join([text[: text.index("\n")], *block]), "")[n]
-    except TableError:
-        return None
-    return rule if gauss_violation(rule) is None else None
 
 
 def get_or_build(cache_path: str, n: int) -> QuadratureRule:
     """Return the cached n-point rule, building and appending on a miss.
 
-    A hit reads the file once and parses and checks only the n-point
-    block, against the invariants and the Gauss property
-    (``gauss_violation``), so a warm lookup stays cheap.  Otherwise the
-    same text is parsed whole: a corrupt cache, including one whose
-    n-point rule is not the Gauss rule, is rebuilt from scratch, warning on
-    stderr once the rule is built; the cache is derived data, so this is
-    recovery, not failure.  A corrupt block for another n is found on a miss.
+    A hit reads the file once: it reads and checks every ``N k`` header,
+    skipping each other block by its count, and parses and checks only the
+    n-point block, against the invariants and the Gauss property
+    (``gauss_violation``), so a warm lookup stays cheap.  A miss parses the
+    same text whole.  A corrupt cache, including one whose n-point rule is
+    not the Gauss rule, is rebuilt from scratch, warning on stderr once the
+    rule is built; the cache is derived data, so this is recovery, not
+    failure.  A bad row in a block for another n is found on a miss.
     """
     # checked before the file is read: a cached 2 would answer 2.0, and True
     # would find the 1-point rule
@@ -251,19 +236,17 @@ def get_or_build(cache_path: str, n: int) -> QuadratureRule:
     corrupt = None
     try:
         text = _read_table(cache_path)
-        rule = _cached_rule(text, n)
+        rule = _parse_tables(text, cache_path, only=n).get(n)
         if rule is not None:
-            return rule
-        rules = _parse_tables(text, cache_path)
-        violation = gauss_violation(rules[n]) if n in rules else None
-        if violation is not None:
+            violation = gauss_violation(rule)
+            if violation is None:
+                return rule
             raise TableError(f"{cache_path}: rule n={n} is not a Gauss rule: {violation}")
+        rules = _parse_tables(text, cache_path)
     except FileNotFoundError:
         pass
     except TableError as exc:
-        corrupt, rules = exc, {}
-    if n in rules:
-        return rules[n]
+        corrupt = exc
     # built before the warning: a point count gauss_rule rejects discards nothing
     rule = quadrature.gauss_rule(n)
     if corrupt is not None:
@@ -271,4 +254,3 @@ def get_or_build(cache_path: str, n: int) -> QuadratureRule:
     rules[n] = rule
     save_tables(rules.values(), cache_path)
     return rule
-

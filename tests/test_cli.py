@@ -599,7 +599,7 @@ def run_process(argv, unbuffered=False, **kwargs):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     argv = [sys.executable, "-m", "calcverify.cli", *argv]
-    return subprocess.run(argv, env=env, stderr=subprocess.PIPE, text=True, **kwargs)
+    return subprocess.run(argv, env=env, **{"stderr": subprocess.PIPE, "text": True, **kwargs})
 
 
 @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=[a[0] for a in EVERY_SUBCOMMAND])
@@ -621,3 +621,40 @@ def test_a_stdout_whose_reader_has_gone_is_one_io_error(argv, unbuffered):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (2, "io error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["nodes", "--help"]], ids=["calcverify", "nodes"])
+def test_help_to_a_stdout_whose_reader_has_gone(argv, unbuffered):
+    # buffered, the help waits for main's flush, which fails as a subcommand's would;
+    # unbuffered, argparse drops the failed write itself and exits 0
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_process(argv, unbuffered, stdout=write)
+    finally:
+        os.close(write)
+    io_error = (2, "io error: [Errno 32] Broken pipe\n")
+    assert (proc.returncode, proc.stderr) in ([(0, ""), io_error] if unbuffered else [io_error])
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, code, same_pipe",
+    [
+        (["nodes", "64"], 2, True),
+        (["integrate", "ln(x-2)", "x", "0", "1"], 2, False),
+        (["integrate", "exp(800*x)", "x", "0", "1"], 1, False),
+    ],
+    ids=["io-error", "error", "numeric-error"],
+)
+def test_a_stderr_whose_reader_has_gone_keeps_the_exit_status(argv, code, same_pipe, unbuffered):
+    # the error line goes nowhere, and fd 2 then points at devnull, so the flush at exit cannot fail
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_process(argv, unbuffered, stdout=write if same_pipe else subprocess.PIPE, stderr=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == code
+    assert proc.stdout in (None, "")

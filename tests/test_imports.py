@@ -8,7 +8,7 @@ import pytest
 
 from calcverify import gauss_rule
 from calcverify.cli import main
-from calcverify.tables import dumps_tables
+from calcverify.tables import dumps_tables, load_tables
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 ENV = dict(os.environ, PYTHONPATH=SRC)
@@ -216,3 +216,11 @@ def test_other_argv_is_left_to_argparse(tmp_path, argv, message):
     code, loaded, out, err = run_clean(argv, tmp_path)
     assert (code, out) == (2, "") and err.startswith("usage: calcverify") and err.endswith(message)
     assert "argparse" in loaded
+
+
+def test_a_cache_miss_writes_the_cache_without_tempfile(tmp_path):
+    # the temp file is made with os.open, so a miss loads no tempfile (nor the random and shutil it imports)
+    code, loaded, out, err = run_clean(["integrate", "x^2", "x", "0", "1", "--n", "3"], tmp_path)
+    assert (code, out, err) == (0, "0.3333333333\n", "")
+    assert loaded == set()
+    assert load_tables(tmp_path / "cache.gausstab") == {3: gauss_rule(3)}

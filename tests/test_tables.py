@@ -296,7 +296,7 @@ def test_save_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch)
 def test_a_rewritten_cache_keeps_its_mode(tmp_path, through_link):
     target = tmp_path / "rules.gausstab"
     save_tables([gauss_rule(2)], target)
-    assert stat.S_IMODE(os.stat(target).st_mode) == 0o600  # as mkstemp creates it
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o600  # as save_tables creates a new file
     os.chmod(target, 0o644)
     cache = target
     if through_link:
@@ -407,3 +407,32 @@ def test_a_bad_target_block_is_rebuilt_with_a_warning(tmp_path, capsys, text):
     assert get_or_build(path, n) == gauss_rule(n)
     assert "warning: discarding corrupt rule cache" in capsys.readouterr().err
     assert load_tables(path) == {n: gauss_rule(n)}
+
+
+
+def block(n):
+    # the "N n" line of the n-point rule and its n rows
+    return dumps_tables([gauss_rule(n)]).split("\n", 1)[1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        dumps_tables([gauss_rule(2)]) + "N x\n",
+        dumps_tables([gauss_rule(2)]) + "N 0\n",
+        "GAUSSTAB 1\n" + block(1) + block(1) + block(2),
+        "GAUSSTAB 1\n" + block(3).rsplit("\n", 2)[0] + "\n" + block(2),
+        dumps_tables([gauss_rule(2)]) + "N 5\n0 1\n",
+    ],
+    ids=[
+        "bad-header", "non-positive-header", "repeated-header", "earlier-block-one-row-short", "later-block-truncated"
+    ],
+)
+def test_a_hit_reads_every_header(tmp_path, capsys, text):
+    # the 2-point block holds the Gauss rule, but a header elsewhere is bad, repeated
+    # or out of step with the rows around it: a hit finds it and rebuilds the cache
+    path = tmp_path / "cache.gausstab"
+    path.write_text(text)
+    assert get_or_build(path, 2) == gauss_rule(2)
+    assert "warning: discarding corrupt rule cache" in capsys.readouterr().err
+    assert load_tables(path) == {2: gauss_rule(2)}

@@ -27,7 +27,9 @@ LINEAR_SYSTEM_MAX_POINTS = 20
 # process from bytecode (CPython 3.11, 2-term integrands): the nest costs
 # ~0.44 ms there; it never wins in 1-D (+0.16 ms at n = 64), and 2-D grids
 # break even near 118 points, 3-D near 106.  From source, which compiles the
-# generator module too, 2-D breaks even near 330 points.
+# generator module too, 2-D breaks even near 330 points.  The same grids of a
+# separable tree sum each axis once instead (_separable), and any other
+# grid keeps the per-point loops' bits.
 _NEST_MIN_POINTS = 110
 
 
@@ -246,6 +248,12 @@ def apply_rule_box(rule: QuadratureRule, f: Callable[..., float], box: Box) -> f
     # point.  A smaller grid runs these loops alone: the same bits and errors,
     # without generating (or importing the generator of) code it would run once
     nest = getattr(f, "_nest", None) if len(rule.nodes) ** len(axes) >= _NEST_MIN_POINTS else None
+    # on such a grid, over two axes or more with none rescaled, a separable
+    # tree sums each axis once (_separable); None sends the grid on to the nest
+    product = getattr(f, "_product", None) if nest is not None and len(axes) > 1 and not shift else None
+    value = product(axes) if product is not None else None
+    if value is not None:
+        return value
     terms = nest(axes) if nest is not None else []
     block = len(rule.nodes) ** (len(axes) - 1)  # the points of one outer node
     start = len(terms) // block

@@ -22,7 +22,7 @@ from calcverify import (
     to_string,
     verify_derivative,
 )
-from calcverify import _nest, expr, quadrature
+from calcverify import _nest, _separable, expr, quadrature
 from calcverify.expr import BinOp, Call, Neg, Num, Var
 
 
@@ -427,9 +427,11 @@ def test_alternating_trees_generate_code_once_each(monkeypatch, nest_every_grid)
     switches = sum(a is not b for a, b in zip(trees, trees[1:]))
     assert generated == [] and switches > 4  # point by point, evaluate is the interpreter
     monkeypatch.setattr(expr, "evaluate", evaluate)
-    # a nest is generated once per tree and variable order, however the integrals alternate
+    # a nest is generated once per tree and variable order, however the integrals
+    # alternate; x/y and x^y read two axes, so neither tree is summed axis by axis
     rule, box = quadrature.gauss_rule(4), quadrature.Box((0.5, 1.0), (1.5, 2.0))
-    trees = [parse("x^3 - 2*y", ["x", "y"]), parse("3*x^2 - y", ["x", "y"])]
+    trees = [parse("x^3 - x/y", ["x", "y"]), parse("3*x^y - y", ["x", "y"])]
+    assert not any(map(_is_separable, trees))
     for _ in range(3):
         for tree in trees:
             for names in (["x", "y"], ["y", "x"]):
@@ -693,6 +695,16 @@ def test_a_box_computes_each_one_axis_factor_once_per_node(monkeypatch):
 _VANISHING = ("exp(-({v}*1e300))", "2/({v}*1e300) + 1", "({v}*1e300)^0", "0.5^({v}*1e300)", "1^({v}*1e300)")
 
 
+def _is_separable(tree):
+    # every factor of every term reads one variable at most, so apply_rule_box
+    # sums the tree axis by axis on a grid that would run its nest
+    return all(
+        len({node.name for node in factor._order if type(node) is Var}) <= 1
+        for _, term in _separable._split(tree, "+-")
+        for _, factor in _separable._split(term, "*")
+    )
+
+
 def _box_outcome(call):
     try:
         return float(call()).hex()
@@ -705,7 +717,8 @@ def test_the_loop_nest_gives_the_per_point_loops_bits_and_errors(monkeypatch, ne
     # point, here running the checked interpreter under the default builtins
     # or under custom functions that change none; the nest must give the same
     # bits, or the same error at the same point.  Hand-built rules put
-    # infinite and NaN nodes and weights on the axes.
+    # infinite and NaN nodes and weights on the axes.  A tree over two axes or
+    # more is drawn again until it is not separable, which runs no nest.
     rng = random.Random(2026)
     real = expr.evaluate
     routes = (
@@ -720,10 +733,13 @@ def test_the_loop_nest_gives_the_per_point_loops_bits_and_errors(monkeypatch, ne
     for k in range(360):
         names = "xyz"[: 1 + k % 3]
         if k % 6 == 5:  # a non-finite value that a tested operand alone stops from vanishing
-            text = rng.choice(_VANISHING).format(v=rng.choice(names))
+            text = rng.choice(_VANISHING).format(v="*".join(rng.sample(names, 2)))
         else:
             text = full_parens(_grid_tree(rng, 4, names))
+            while len(names) > 1 and _is_separable(parse(text, list(names))):
+                text = full_parens(_grid_tree(rng, 4, names))
         tree = parse(text, list(names))
+        assert len(names) == 1 or not _is_separable(tree)
         box = quadrature.Box(*zip(*(rng.choice(pairs) for _ in names)))
         rule = quadrature.gauss_rule(rng.randint(1, 4))
         if k % 4 == 0:
@@ -748,14 +764,17 @@ def test_a_stopped_table_gives_the_per_point_loops_bits_and_errors(monkeypatch, 
     # each pattern reads one inner axis alone, so the nest computes it in that
     # axis's table before any loop runs: where the table stops, the nest has
     # finished no term, and the integral must still give the per-point loop's
-    # bits under a wrapped evaluate, or the same error at the same point
+    # bits under a wrapped evaluate, or the same error at the same point.  The
+    # pattern multiplies a sum that reads two axes, so the tree is not separable
     real = expr.evaluate
     errors = values = 0
     for names, v in ((["x", "y"], "y"), (["x", "y", "z"], "y"), (["x", "y", "z"], "z")):
-        others = "*".join(name for name in names if name != v)
+        # (x + y) in 2-D, as x alone would leave the tree separable; (x + z) or (x + y) in 3-D
+        others = "(%s)" % " + ".join(name for name in names if name != v or len(names) == 2)
         for pattern in _VANISHING + ("ln(0.97 - {v})",):
             text = f"{others}*({pattern.format(v=v)})"
             tree = parse(text, names)
+            assert not _is_separable(tree)
             for lo, hi in ((0.0, 1.0), (-1.0, 0.0), (0.0, 1e300), (-1e-300, 1e-300)):
                 box = quadrature.Box(*zip(*((lo, hi) if name == v else (0.0, 1.0) for name in names)))
                 for n in (3, 8):
@@ -777,12 +796,17 @@ def test_a_stopped_table_gives_the_per_point_loops_bits_and_errors(monkeypatch, 
 
 
 def test_finite_tested_values_whose_sum_overflows_pass_the_check():
-    # both divisors are ~1e308, so their sum overflows, yet each is finite
+    # both divisors are ~1e308, so their sum overflows, yet each is finite;
+    # x^y reads two axes, so the tree runs the nest, not the axis sums
     names, n = ["x", "y", "z"], 16
-    f = as_function(parse("1/(z + 1e308) + 2/(z + 1e308) + x*y", names), names)
+    tree = parse("1/(z + 1e308) + 2/(z + 1e308) + x^y", names)
+    f, box = as_function(tree, names), quadrature.Box((0.0,) * 3, (1.0,) * 3)
     served = _served(f)
-    assert quadrature.apply_rule_box(quadrature.gauss_rule(n), f, quadrature.Box((0.0,) * 3, (1.0,) * 3)) == 0.25
-    assert len(served[0]) == n**3
+    value = quadrature.apply_rule_box(quadrature.gauss_rule(n), f, box)
+    assert len(served[0]) == n**3 and not _is_separable(tree)
+    assert value == quadrature.apply_rule_box(quadrature.gauss_rule(n), lambda *v: f(*v), box)
+    # the integral of x^y over the unit square is ln 2; x^y's kink at x = 0 slows Gauss down
+    assert abs(value - math.log(2.0)) < 1e-4
 
 
 def test_a_stopped_nest_reruns_one_outer_node(monkeypatch, nest_every_grid):
@@ -862,6 +886,158 @@ def test_a_wrapped_evaluate_sees_every_point_of_a_box(monkeypatch):
     monkeypatch.setattr(expr, "evaluate", lambda e, bindings, functions=None: points.append(bindings) or real(e, bindings))
     assert quadrature.apply_rule_box(rule, as_function(tree, names), box) == value
     assert len(points) == n**3
+
+
+# --- separable trees: products of one-axis sums -------------------------------
+
+# one-variable factors: those that evaluate everywhere on the boxes below, and
+# those that overflow, leave their domain or divide by zero somewhere
+_SAFE_FACTORS = ("sin({c}*{v})", "cos({v} + {c})", "exp({c}*{v})", "{v}^2", "({v} - {c})", "sqrt({v}^2 + {c})", "{c}")
+_FAILING_FACTORS = (
+    "exp(800*{v})", "exp(700*{v})", "{v}^400", "1e300*{v}", "1e300",
+    "ln({v} - {c})", "sqrt({c} - {v})", "ln({v})", "1/(0*{v})", "{c}/{v}",
+)
+_PLAIN_SIDES = ((0.0, 1.0), (-1.0, 1.0), (0.5, 2.0), (-2.0, 0.5), (1.0, 3.0))
+# (0, 1e100) keeps its weights unscaled while values times weights overflow; the
+# others are rescaled: too wide for the weight product, or a subnormal half-width
+_ODD_SIDES = ((0.0, 1e100), (0.0, 1e300), (-1e308, 1e308), (0.0, 5e-324), (-1e-320, 1e-320))
+
+
+def _separable_terms(rng, names, forms, cancel=False):
+    # the texts of a few terms, each a product of one-variable factors, and their signs
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [
+            rng.choice(forms).format(v=rng.choice(names), c=rng.choice((0.5, 1.5, 2.0, 3.0)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        terms.append((rng.choice("+-"), "*".join(factors)))
+        if cancel:  # the same term in another order, which rounds differently
+            terms.append(("-" if terms[-1][0] == "+" else "+", "*".join(reversed(factors))))
+    return terms
+
+
+def _grid_size(rng):
+    # a grid over two or three axes at the nest's threshold or above
+    names = rng.choice((["x", "y"], ["x", "y", "z"], ["y", "x"]))
+    n = rng.randint(11, 16) if len(names) == 2 else rng.randint(5, 7)
+    assert n ** len(names) >= quadrature._NEST_MIN_POINTS
+    return names, n
+
+
+def _absolute_sum(terms, names, rule, box):
+    # M: the weighted sum over the grid of the sum of |term|, as apply_rule_box weighs it
+    orders = [parse(text, names)._order for _, text in terms]
+    axes = [
+        [((b - a) / 2.0 * x + (b + a) / 2.0, (b - a) / 2.0 * w) for x, w in zip(rule.nodes, rule.weights)]
+        for a, b in zip(box.lo, box.hi)
+    ]
+    return math.fsum(
+        math.prod(w for _, w in point)
+        * sum(abs(expr._interpret(order, dict(zip(names, (x for x, _ in point))), expr._DEFAULT_IMPLS)) for order in orders)
+        for point in itertools.product(*axes)
+    )
+
+
+def _separable_bound(tree, names, terms, rule, box):
+    # _separable's bound on |factorised - point route|: (q + 3d + 2) u M
+    return (len(tree._order) + 3 * len(names) + 2) * 2.0**-53 * _absolute_sum(terms, names, rule, box)
+
+
+def test_separable_trees_sum_each_axis_once_within_the_bound(monkeypatch):
+    # seeded separable integrands, half of them with terms that cancel: the axis
+    # sums run instead of the nest and lie within the stated bound of the point route
+    monkeypatch.setattr(_nest, "_generate", lambda *args: pytest.fail("a separable tree generated a nest"))
+    rng = random.Random(3434)
+    moved = cancelled = 0
+    for k in range(60):
+        names, n = _grid_size(rng)
+        terms = _separable_terms(rng, names, _SAFE_FACTORS, cancel=k % 2 == 1)
+        text = " ".join(f"{sign} {term}" for sign, term in terms).lstrip("+ ")
+        tree, rule = parse(text, names), quadrature.gauss_rule(n)
+        box = quadrature.Box(*zip(*(rng.choice(_PLAIN_SIDES) for _ in names)))
+        f = as_function(tree, names)
+        value = quadrature.apply_rule_box(rule, f, box)
+        point = quadrature.apply_rule_box(rule, lambda *v: f(*v), box)
+        bound = _separable_bound(tree, names, terms, rule, box)
+        assert abs(value - point) <= bound, (text, box, n, value, point, bound)
+        moved += value != point
+        cancelled += abs(point) < 1e-6 * bound / 2.0**-53
+    # a few values move, by rounding alone; cancelling terms leave little of M
+    assert 0 < moved < 60 and cancelled >= 20
+
+
+def test_the_axis_sums_give_the_point_routes_errors(monkeypatch):
+    # factors that overflow, leave their domain or divide by zero, on boxes with
+    # unscaled and rescaled weights: where either route raises, both raise the
+    # same error at the same point; where both give a value, the axis sums
+    # give the point route's bits or a value within the bound
+    rng = random.Random(4545)
+    summed = []
+    integral = _separable.integral
+    monkeypatch.setattr(_separable, "integral", lambda *args: summed.append(integral(*args)) or summed[-1])
+    # first, two trees whose axis sums and their products are finite while the
+    # point route overflows: at the sum of the terms, and at the first product
+    # of factors, which the axis sums multiply in another order
+    fixed = [
+        ([("+", "exp(709.7*x)"), ("+", "exp(709.7*y)")], ["x", "y"], 16, ((0.99, 1.0),) * 2),
+        ([("+", "exp(700*x)*exp(700*y)*exp(-700*z)")], ["z", "x", "y"], 6, ((0.0, 1.0),) * 3),
+    ]
+    errors = values = 0
+    for k in range(150 + len(fixed)):
+        if k < len(fixed):
+            terms, names, n, sides = fixed[k]
+        else:
+            names, n = _grid_size(rng)
+            terms = _separable_terms(rng, names, _SAFE_FACTORS * 4 + _FAILING_FACTORS)
+            sides = [rng.choice(_PLAIN_SIDES * 2 + _ODD_SIDES) for _ in names]
+        text = " ".join(f"{sign} {term}" for sign, term in terms).lstrip("+ ")
+        tree, rule, box = parse(text, names), quadrature.gauss_rule(n), quadrature.Box(*zip(*sides))
+        f, seen = as_function(tree, names), [None]
+
+        def watched(*v, f=f, seen=seen):
+            seen[0] = v
+            return f(*v)
+
+        watched._nest, watched._product = f._nest, f._product
+        del summed[:]
+        fast = _box_outcome(lambda: quadrature.apply_rule_box(rule, watched, box))
+        fast_point, seen[0] = seen[0], None
+        bare = _box_outcome(lambda: quadrature.apply_rule_box(rule, lambda *v: watched(*v), box))
+        if isinstance(fast, str) and isinstance(bare, str):
+            values += 1
+            if summed and summed[0] is not None:
+                bound = _separable_bound(tree, names, terms, rule, box)
+                assert abs(float.fromhex(fast) - float.fromhex(bare)) <= bound, (text, box, n)
+                continue
+        else:
+            errors += 1
+            # the nest's rerun calls the integrand up to the failing point; an
+            # overflowing sum of finished terms fails at no point
+            assert fast_point == seen[0] or (fast_point is None and fast[1].startswith("the sum")), (text, box, n)
+            assert summed in ([None], []), (text, box, n)  # handed back, or not offered
+        assert fast == bare, (text, box, n)
+        assert k >= len(fixed) or fast[0] == "EvalDomainError", text
+    assert errors > 40 and values > 40
+
+
+def test_a_wrapped_evaluate_sees_every_point_of_a_separable_box(monkeypatch):
+    # the traced bench run wraps expr.evaluate and compares its stdout with an
+    # untraced run's: the wrapper is called once per point, and the value keeps its bits
+    names, n = ["x", "y", "z"], 32
+    tree = parse("2*sin(x)*cos(y)*exp(z) - x^2*z + 0.5", names)
+    rule, box = quadrature.gauss_rule(n), quadrature.Box((0.0, -1.0, 0.5), (1.0, 1.0, 2.0))
+    value = quadrature.apply_rule_box(rule, as_function(tree, names), box)
+    assert tree._nests == {}  # summed axis by axis: no nest was generated
+    calls, real = [0], expr.evaluate
+
+    def counting(e, bindings, functions=None):
+        calls[0] += 1
+        return real(e, bindings, functions)
+
+    monkeypatch.setattr(expr, "evaluate", counting)
+    assert quadrature.apply_rule_box(rule, as_function(tree, names), box).hex() == value.hex()
+    assert calls[0] == n**3
 
 
 def test_threads_sharing_a_tree_get_the_interpreters_bits():

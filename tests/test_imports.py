@@ -93,10 +93,16 @@ SUBCOMMAND_MODULES = [
     (["cordic", "1"], {"cordic"}),
     (["nodes", "3"], {"quadrature", "legendre", "tables"}),
     (["integrate", "x^2", "x", "0", "1"], {"expr", "quadrature", "legendre", "tables"}),
-    # a grid of 5^3 points is large enough to run the loop nest, so its generator loads
+    # a grid of 5^3 points is large enough for a nest; x*y*z is a product of
+    # one-axis factors, so it is summed axis by axis and the generator stays unloaded
     (
         ["integrate", "x*y*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
-        {"expr", "_nest", "quadrature", "legendre", "tables"},
+        {"expr", "_separable", "quadrature", "legendre", "tables"},
+    ),
+    # sin(x*y) reads two axes, so the tree is not separable and runs the loop nest
+    (
+        ["integrate", "sin(x*y)*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
+        {"expr", "_separable", "_nest", "quadrature", "legendre", "tables"},
     ),
     (["integrate", "x^", "x", "0", "1"], {"expr"}),  # a parse error builds no rule
     (["diffcheck", "x^2", "2*x", "1"], {"expr", "diffcheck"}),
@@ -131,7 +137,11 @@ WARM_MODULES = [
     (["integrate", "x^2", "x", "0", "1", "--n", "5"], {"expr", "quadrature", "tables"}),
     (
         ["integrate", "x*y*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
-        {"expr", "_nest", "quadrature", "tables"},
+        {"expr", "_separable", "quadrature", "tables"},
+    ),
+    (
+        ["integrate", "sin(x*y)*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
+        {"expr", "_separable", "_nest", "quadrature", "tables"},
     ),
 ]
 
@@ -152,7 +162,11 @@ UNCACHED_MODULES = [
     (["integrate", "x^2", "x", "0", "1", "--n", "5"], {"expr", "quadrature", "legendre"}),
     (
         ["integrate", "x*y*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
-        {"expr", "_nest", "quadrature", "legendre"},
+        {"expr", "_separable", "quadrature", "legendre"},
+    ),
+    (
+        ["integrate", "sin(x*y)*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
+        {"expr", "_separable", "_nest", "quadrature", "legendre"},
     ),
 ]
 

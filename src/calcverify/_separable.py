@@ -20,7 +20,7 @@ that either route forms, so the point route would raise nothing either:
 errors keep their text, offset and point.  While ``expr.evaluate`` is
 wrapped, the integrand is still called once per point, so the wrapper
 sees every point, and the factorised value is returned, so tracing moves
-no bit.
+no bit: the wrapper's exceptions propagate, its return values are unused.
 
 Bound.  Let u = 2^-53 (eps/2), q the tree's node count, d the axes, and
 M the weighted grid sum of the sum over terms of |term|.  Both routes
@@ -71,7 +71,7 @@ def integral(tree: Expr, names: tuple[str, ...], axes: list, f: Callable | None 
     ``names[k]`` and lists (scaled node, scaled weight) pairs, or None.
 
     ``f``, if given, is called once at every grid point, in the point
-    route's order, before the value is returned.
+    route's order, before the value is returned; what it returns is unused.
     """
     position = {name: k for k, name in enumerate(names)}  # a repeated name binds its last axis
     plan = []  # per term: its sign, and its factors' post-orders per axis, then the constant ones

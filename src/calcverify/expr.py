@@ -34,14 +34,16 @@ its cost; smaller grids run the interpreter point by point.  On such a
 grid over two axes or more, a tree whose terms are products of factors
 reading one variable each runs no nest: ``_separable`` multiplies
 one-axis sums, within (q + 3d + 2) 2^-53 times the weighted sum of
-|term| of the point route's value (q nodes, d axes), or hands the grid
-back to the nest where a factor fails or a product might overflow.
+|term| of the point route's value (q nodes, d axes) while no product or
+sum is subnormal, or hands the grid back to the nest where a factor
+fails or a product might overflow.
 The nest tests finiteness only where a non-finite value can vanish;
 when it raises or a test fails it hands back the terms it finished,
 and the integral reruns the outer node it stopped in point by point,
 through the interpreter, for the error.  While ``evaluate`` is wrapped
 no nest runs, and the axis sums' value is returned after a call at
-every point, so the wrapper sees every point and no bit moves.  Custom
+every point, so the wrapper sees every point and no bit moves; on such
+a grid its calls and exceptions count, but not its return values.  Custom
 ``functions``, trees built by hand or unpickled, and trees over
 ``_MAX_COMPILED_NODES`` nodes get no nest, so values and errors are
 exactly the interpreter's.  The cap bounds memory: generating a nest
@@ -466,6 +468,8 @@ def as_function(
             return e._nests[names](axes)
 
         def product(axes: list) -> float | None:
+            if len(axes) != len(names):  # the point loops raise f's TypeError
+                return None
             from . import _separable  # loads on the first grid's integral
 
             return _separable.integral(e, names, axes, None if evaluate is _EVALUATE else f)

@@ -1040,6 +1040,22 @@ def test_a_wrapped_evaluate_sees_every_point_of_a_separable_box(monkeypatch):
     assert calls[0] == n**3
 
 
+@pytest.mark.parametrize("sides, n", [(((0.0, 1.0),) * 3, 5), (((0.0, 1.0),) * 2, 11)])
+def test_a_box_of_another_dimension_than_the_names_raises_on_a_separable_grid(sides, n):
+    # a grid at the nest's threshold, with one axis more or fewer than the
+    # callable's names: the axis sums are not offered, and the point loops
+    # raise the callable's TypeError, as on a small grid or a traced run
+    names = ["x", "y"] if len(sides) == 3 else ["x", "y", "z"]
+    assert n ** len(sides) >= quadrature._NEST_MIN_POINTS
+    f = as_function(parse("x*y", names), names)
+    box = quadrature.Box(*zip(*sides))
+    message = f"expected {len(names)} values, got {len(sides)}"
+    with pytest.raises(TypeError, match=message):
+        quadrature.apply_rule_box(quadrature.gauss_rule(n), f, box)
+    with pytest.raises(TypeError, match=message):
+        quadrature.apply_rule_box(quadrature.gauss_rule(n), lambda *v: f(*v), box)
+
+
 def test_threads_sharing_a_tree_get_the_interpreters_bits():
     # the threads integrate one tree in all six variable orders, so they
     # build and run the nests of its shared _nests dict at once; each integral

@@ -92,14 +92,18 @@ def dumps_tables(rules: Iterable[QuadratureRule]) -> str:
 
 
 def save_tables(rules: Iterable[QuadratureRule], path: str) -> None:
-    """Write rules to ``path`` atomically (temp file + rename).
+    """Write rules to ``path`` atomically (temp file + rename), as ``dumps_tables`` formats them.
 
     A file that is replaced keeps its permission bits; a new one is
     created with mode 0600.  Raises OSError if ``path`` exists and is not
-    a regular file: a symlink, device or FIFO is never replaced.
+    a regular file: a symlink, device or FIFO is never replaced.  The
+    file is replaced whole, whatever it held; ``get_or_build`` is the
+    writer that keeps the rules other writers add.
     """
-    path = os.fspath(path)
-    text = dumps_tables(rules)
+    _write_table(os.fspath(path), dumps_tables(rules))
+
+
+def _write_table(path: str, text: str) -> None:
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
@@ -139,7 +143,7 @@ def load_tables(path: str) -> dict[int, QuadratureRule]:
     return _parse_tables(_read_table(path), path)
 
 
-def _read_table(path: str) -> str:
+def _read_table(path: str) -> list[str]:
     # O_NONBLOCK: opening a FIFO does not wait for a writer; the mode is
     # checked on the open descriptor, so the file read is the file checked
     fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
@@ -150,20 +154,19 @@ def _read_table(path: str) -> str:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         raise OSError(f"{path}: not a regular file")
     # bytes: a text-mode read costs more, and loads an encoding module; the
-    # parse splits lines as text mode would, so "\r\n" and "\r" end lines too
+    # lines split as text mode would, so "\r\n" and "\r" end lines too
     with open(fd, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise TableError(f"{path}: not a text table ({exc})") from None
-    return text
+    return text.splitlines()
 
 
-def _parse_tables(text: str, path: str, only: int | None = None) -> dict[int, QuadratureRule]:
+def _parse_tables(lines: list[str], path: str, only: int | None = None) -> dict[int, QuadratureRule]:
     # with only=n, every 'N k' header is still read and checked, but the rows of
     # any other block are skipped by its count, and block n alone is parsed
-    lines = text.splitlines()
     if not lines:
         raise TableError(f"{path}:1: empty file, expected '{FORMAT_NAME} <version>'")
     header = lines[0].split()
@@ -213,17 +216,34 @@ def _parse_tables(text: str, path: str, only: int | None = None) -> dict[int, Qu
     return rules
 
 
-def get_or_build(cache_path: str, n: int) -> QuadratureRule:
-    """Return the cached n-point rule, building and appending on a miss.
+def _gauss_rule_in(lines: list[str], path: str, n: int, only: int | None = None) -> QuadratureRule | None:
+    # the n-point rule of a table, or None; TableError if a rule parsed is
+    # corrupt, or if the n-point rule is not the Gauss rule
+    rule = _parse_tables(lines, path, only).get(n)
+    if rule is not None and (violation := gauss_violation(rule)) is not None:
+        raise TableError(f"{path}: rule n={n} is not a Gauss rule: {violation}")
+    return rule
 
-    A hit reads the file once: it reads and checks every ``N k`` header,
-    skipping each other block by its count, and parses and checks only the
-    n-point block, against the invariants and the Gauss property
-    (``gauss_violation``), so a warm lookup stays cheap.  A miss parses the
-    same text whole.  A corrupt cache, including one whose n-point rule is
-    not the Gauss rule, is rebuilt from scratch, warning on stderr once the
-    rule is built; the cache is derived data, so this is recovery, not
-    failure.  A bad row in a block for another n is found on a miss.
+
+def get_or_build(cache_path: str, n: int) -> QuadratureRule:
+    """Return the cached n-point rule, building and inserting it on a miss.
+
+    A hit reads the file once and takes no lock: it reads and checks every
+    ``N k`` header, skipping each other block by its count, and parses and
+    checks only the n-point block, against the invariants and the Gauss
+    property (``gauss_violation``), so a warm lookup stays cheap.  A miss
+    builds the rule, takes an exclusive ``flock`` on the cache's directory,
+    and reads the file again, as other writers may have changed it since;
+    it parses and checks it whole, and writes nothing if it now holds the
+    n-point rule.  Otherwise it inserts the rule's block before the first
+    block with a larger n, keeps every other line as read (with LF line
+    ends), and replaces the file atomically, so concurrent writers keep
+    each other's rules.  A directory that can be searched but not read
+    cannot be locked, and is written without the lock.  A corrupt cache,
+    including one whose n-point rule is not the Gauss rule, is rebuilt
+    from scratch, with one warning on stderr once the rule is built; the
+    cache is derived data, so this is recovery, not failure.  A bad row in
+    a block for another n is found on a miss.
     """
     # checked before the file is read: a cached 2 would answer 2.0, and True
     # would find the 1-point rule
@@ -232,25 +252,50 @@ def get_or_build(cache_path: str, n: int) -> QuadratureRule:
     if os.path.islink(cache_path):
         # read and replace what the link names; the link stays a link
         cache_path = os.path.realpath(cache_path)
-    rules: dict[int, QuadratureRule] = {}
     corrupt = None
     try:
-        text = _read_table(cache_path)
-        rule = _parse_tables(text, cache_path, only=n).get(n)
+        rule = _gauss_rule_in(_read_table(cache_path), cache_path, n, only=n)
         if rule is not None:
-            violation = gauss_violation(rule)
-            if violation is None:
-                return rule
-            raise TableError(f"{cache_path}: rule n={n} is not a Gauss rule: {violation}")
-        rules = _parse_tables(text, cache_path)
+            return rule
     except FileNotFoundError:
         pass
     except TableError as exc:
+        # the warning names this fault: the whole-file check below may meet another first
         corrupt = exc
-    # built before the warning: a point count gauss_rule rejects discards nothing
     rule = quadrature.gauss_rule(n)
-    if corrupt is not None:
-        print(f"warning: discarding corrupt rule cache ({corrupt}); rebuilding", file=sys.stderr)
-    rules[n] = rule
-    save_tables(rules.values(), cache_path)
+    import fcntl  # only a miss takes the lock, so a hit loads no fcntl
+
+    directory = os.path.dirname(cache_path) or "."
+    os.makedirs(directory, exist_ok=True)
+    try:
+        lock = os.open(directory, os.O_RDONLY)
+    except PermissionError:
+        # a directory that can be searched but not read is written without the lock
+        lock = None
+    try:
+        if lock is not None:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+        # the file as it stands under the lock, checked whole: another writer
+        # may have added rules, or rule n, since the read above
+        try:
+            lines = _read_table(cache_path)
+            if _gauss_rule_in(lines, cache_path, n) is not None:
+                return rule
+        except FileNotFoundError:
+            lines = []
+        except TableError as exc:
+            # printed once the rule is built: a point count gauss_rule rejects discards nothing
+            lines = []
+            print(f"warning: discarding corrupt rule cache ({corrupt or exc}); rebuilding", file=sys.stderr)
+        head, *block = dumps_tables([rule]).splitlines()
+        lines = lines or [head]
+        at = 1
+        while at < len(lines) and (k := int(lines[at].split()[1])) < n:
+            at += k + 1
+        lines[at:at] = block
+        _write_table(cache_path, "\n".join(lines) + "\n")
+    finally:
+        # closing the descriptor releases the lock
+        if lock is not None:
+            os.close(lock)
     return rule

@@ -183,7 +183,7 @@ def test_an_integral_with_no_cache_builds_its_rule_without_tables(tmp_path, argv
 def run_clean(argv, cwd):
     # one CLI call in a fresh -S process on the cache in cwd; the exit code and
     # which of the watched modules it loaded go to a file, past the CLI's output
-    watched = ("argparse", "tempfile", "typing", "importlib", "re", "json")
+    watched = ("argparse", "tempfile", "fcntl", "typing", "importlib", "re", "json")
     code = (
         "import sys\n"
         "from calcverify.cli import main\n"
@@ -233,8 +233,18 @@ def test_other_argv_is_left_to_argparse(tmp_path, argv, message):
 
 
 def test_a_cache_miss_writes_the_cache_without_tempfile(tmp_path):
-    # the temp file is made with os.open, so a miss loads no tempfile (nor the random and shutil it imports)
+    # the temp file is made with os.open, so a miss loads no tempfile (nor the
+    # random and shutil it imports); it loads fcntl alone, for the writers' lock
+    code, loaded, out, err = run_clean(["integrate", "x^2", "x", "0", "1", "--n", "3"], tmp_path)
+    assert (code, out, err) == (0, "0.3333333333\n", "")
+    assert loaded == {"fcntl"}
+    assert load_tables(tmp_path / "cache.gausstab") == {3: gauss_rule(3)}
+
+
+def test_a_warm_hit_takes_no_lock(tmp_path):
+    # a hit reads the file without locking it, so it loads no fcntl and writes nothing
+    (tmp_path / "cache.gausstab").write_text(dumps_tables([gauss_rule(3)]))
     code, loaded, out, err = run_clean(["integrate", "x^2", "x", "0", "1", "--n", "3"], tmp_path)
     assert (code, out, err) == (0, "0.3333333333\n", "")
     assert loaded == set()
-    assert load_tables(tmp_path / "cache.gausstab") == {3: gauss_rule(3)}
+    assert (tmp_path / "cache.gausstab").read_text() == dumps_tables([gauss_rule(3)])

@@ -1,8 +1,10 @@
 import os
+import random
 import signal
 import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -436,3 +438,187 @@ def test_a_hit_reads_every_header(tmp_path, capsys, text):
     assert get_or_build(path, 2) == gauss_rule(2)
     assert "warning: discarding corrupt rule cache" in capsys.readouterr().err
     assert load_tables(path) == {2: gauss_rule(2)}
+
+
+def hexbits(rules):
+    return {n: [v.hex() for v in rule.nodes + rule.weights] for n, rule in rules.items()}
+
+
+@pytest.mark.parametrize("other", [7, 5], ids=["another-rule", "the-same-rule"])
+def test_a_rule_another_writer_adds_during_a_miss_is_kept(tmp_path, monkeypatch, other):
+    # a second writer renames its file into place after this miss has read the
+    # cache and before it writes: the miss adds to that file, and writes
+    # nothing if it already holds the rule
+    path = tmp_path / "cache.gausstab"
+    save_tables([gauss_rule(2)], path)
+    real = calcverify.quadrature.gauss_rule
+    seen = []
+
+    def racing(n):
+        save_tables([real(2), real(other)], path)
+        seen.append((path.read_bytes(), os.stat(path).st_mtime_ns))
+        return real(n)
+
+    monkeypatch.setattr(calcverify.quadrature, "gauss_rule", racing)
+    assert get_or_build(path, 5) == real(5)
+    assert sorted(load_tables(path)) == sorted({2, 5, other})
+    assert ((path.read_bytes(), os.stat(path).st_mtime_ns) == seen[0]) == (other == 5)
+    assert os.listdir(tmp_path) == ["cache.gausstab"]
+
+
+def test_a_cache_made_corrupt_during_a_miss_is_rebuilt_with_a_warning(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "cache.gausstab"
+    save_tables([gauss_rule(2)], path)
+    real = calcverify.quadrature.gauss_rule
+
+    def racing(n):
+        path.write_text("GAUSSTAB 1\nN 1\n0 3\n")
+        return real(n)
+
+    monkeypatch.setattr(calcverify.quadrature, "gauss_rule", racing)
+    assert get_or_build(path, 5) == real(5)
+    assert "warning: discarding corrupt rule cache" in capsys.readouterr().err
+    assert path.read_text() == dumps_tables([real(5)])
+
+
+def test_concurrent_writers_keep_each_others_rules(tmp_path):
+    # eight processes miss on one empty cache at once, each for its own n; every
+    # child waits on its stdin until all eight have imported, so their reads overlap
+    path = tmp_path / "cache.gausstab"
+    code = "import sys; from calcverify.tables import get_or_build; sys.stdin.read(); get_or_build(sys.argv[1], int(sys.argv[2]))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    orders = range(20, 28)
+    procs = [
+        subprocess.Popen([sys.executable, "-S", "-c", code, str(path), str(n)], env=env, stdin=subprocess.PIPE)
+        for n in orders
+    ]
+    try:
+        for proc in procs:
+            proc.stdin.close()
+        for proc in procs:
+            assert proc.wait(timeout=60) == 0
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    assert hexbits(load_tables(path)) == hexbits({n: gauss_rule(n) for n in orders})
+    assert os.listdir(tmp_path) == ["cache.gausstab"]
+
+
+def test_concurrent_threads_keep_each_others_rules(tmp_path):
+    # each miss opens the directory anew, so threads of one process exclude each
+    # other too; a short switch interval interleaves their reads and writes
+    path = tmp_path / "cache.gausstab"
+    orders = range(30, 38)
+    errors = []
+
+    def write(n):
+        try:
+            get_or_build(path, n)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write, args=(n,)) for n in orders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert hexbits(load_tables(path)) == hexbits({n: gauss_rule(n) for n in orders})
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["bytes", "formats-only-its-own-rule"])
+def test_a_miss_writes_what_dumps_tables_writes(tmp_path, monkeypatch, guarded):
+    # a seeded run of misses on a canonical cache inserts first, in the middle
+    # and last; after each the file is byte for byte dumps_tables of its rules.
+    # Guarded, a miss may neither rewrite the cache through save_tables nor
+    # format any rule but its own
+    path = tmp_path / "cache.gausstab"
+    save_tables([gauss_rule(20), gauss_rule(40)], path)
+    orders = [10, 30, 50] + random.Random(35).sample([n for n in range(1, 65) if n not in (10, 20, 30, 40, 50)], 12)
+    formatted = []
+    if guarded:
+
+        def own_rule_only(rules):
+            rules = list(rules)
+            formatted.append([rule.n for rule in rules])
+            return dumps_tables(rules)
+
+        def refuse(*args):
+            raise AssertionError("a miss rewrote the whole cache")
+
+        monkeypatch.setattr(calcverify.tables, "save_tables", refuse)
+        monkeypatch.setattr(calcverify.tables, "dumps_tables", own_rule_only)
+    for i, n in enumerate(orders, 1):
+        assert get_or_build(path, n) == gauss_rule(n)
+        assert path.read_text() == dumps_tables(load_tables(path).values())
+        if guarded:
+            assert formatted == [[m] for m in orders[:i]]
+    assert sorted(load_tables(path)) == sorted(orders + [20, 40])
+
+
+def test_a_miss_keeps_the_other_blocks_as_written(tmp_path):
+    # a valid hand-written cache: CRLF line ends, an 'N 03' header, shortest-repr
+    # digits and blocks out of order. A miss keeps each block's rows as written,
+    # now with LF line ends, and inserts the new canonical block before the first
+    # block with a larger n
+    def rows(n):
+        rule = gauss_rule(n)
+        return [f"{x!r} {w!r}" for x, w in zip(rule.nodes, rule.weights)]
+
+    lines = ["GAUSSTAB 1", "N 5", *rows(5), "N 03", *rows(3), "N 1", "0 2", "N 2", *rows(2)]
+    path = tmp_path / "cache.gausstab"
+    path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    before = hexbits(load_tables(path))
+    assert get_or_build(path, 4) == gauss_rule(4)
+    new_block = dumps_tables([gauss_rule(4)]).splitlines()[1:]
+    assert path.read_bytes() == "\n".join(lines[:1] + new_block + lines[1:]).encode() + b"\n"
+    after = hexbits(load_tables(path))
+    assert after == {**before, 4: hexbits({4: gauss_rule(4)})[4]}
+
+
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        (dumps_tables([gauss_rule(2)]) + "N 1\n\xc3\xa9 2\n", "not a text table"),
+        ("GAUSSTAB 1\nN 1\n0 3\n" + NOT_GAUSS_2[len("GAUSSTAB 1\n") :], "rule n=2 is not a Gauss rule"),
+    ],
+    ids=["not-ascii", "two-faults"],
+)
+def test_a_corrupt_cache_warns_once(tmp_path, capsys, text, fault):
+    # the miss reads the file again under the lock and finds it corrupt again:
+    # one warning, naming the fault the first read found. With two faults that
+    # is block 2's, though the whole-file check meets block 1's first
+    path = tmp_path / "cache.gausstab"
+    path.write_bytes(text.encode("latin-1"))
+    assert get_or_build(path, 2) == gauss_rule(2)
+    (line,) = capsys.readouterr().err.splitlines(keepends=True)
+    assert line.startswith(f"warning: discarding corrupt rule cache ({path}: {fault}")
+    assert line.endswith("); rebuilding\n")
+    assert path.read_text() == dumps_tables([gauss_rule(2)])
+
+
+def test_a_miss_in_a_directory_it_cannot_read_writes_without_the_lock(tmp_path, monkeypatch, capsys):
+    # a directory that can be written and searched but not read cannot be opened
+    # to take the lock; the miss still inserts its rule, without the lock
+    path = tmp_path / "cache.gausstab"
+    save_tables([gauss_rule(2)], path)
+    real_open = os.open
+
+    def unreadable_directory(file, flags, *args):
+        if os.fspath(file) == str(tmp_path):
+            raise PermissionError(13, "Permission denied", file)
+        return real_open(file, flags, *args)
+
+    monkeypatch.setattr(os, "open", unreadable_directory)
+    assert get_or_build(path, 5) == gauss_rule(5)
+    assert capsys.readouterr().err == ""
+    assert path.read_text() == dumps_tables([gauss_rule(2), gauss_rule(5)])
+    assert os.listdir(tmp_path) == ["cache.gausstab"]

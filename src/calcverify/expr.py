@@ -2,10 +2,9 @@
 
 Grammar (whitespace insignificant):
 
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := '-' factor | power
-    power  := atom ('^' factor)?          -- right-associative, so
+    expr   := factor (op factor)*         -- op is + - * /, * / binding tighter;
+                                             all group left: 8/4/2 = 1, 1-2-3 = -4
+    factor := '-' factor | atom ('^' factor)?  -- ^ groups right, so
                                              2^3^2 = 512 and -x^2 = -(x^2)
     atom   := number | name | name '(' expr ')' | '(' expr ')'
     number := (digits ['.' [digits]] | '.' digits) [('e'|'E') ['+'|'-'] digits]
@@ -13,7 +12,8 @@ Grammar (whitespace insignificant):
 
 A name followed by '(' must be one of the builtins sin, cos, tan, exp,
 ln, sqrt, abs; any other name is a variable and must be declared.
-Implicit multiplication is rejected: write 2*x, not 2x.  Each '(',
+Implicit multiplication is rejected: write 2*x, not 2x.  The parser
+and ``to_string`` read one precedence table, ``_PREC``.  Each '(',
 call, unary '-' and '^' exponent nests one level; past 100 levels the
 parser raises ParseError.  Printing and the checked evaluator use an
 explicit stack, so they work at any depth.
@@ -211,6 +211,11 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
+# binding powers for parsing and printing; unary '-' binds between * and ^
+_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
+_NEG_PREC = 25
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], variables: Sequence[str]):
         self.tokens = tokens
@@ -236,20 +241,14 @@ class _Parser:
             raise ParseError("trailing input", self.cur.offset, "end of input")
         return e
 
-    def _expr(self) -> Expr:
-        left = self._term()
-        while self._at_op("+-"):
-            op = self._advance()
-            right = self._term()
-            left = BinOp(op.text, left, right, op.offset)
-        return left
-
-    def _term(self) -> Expr:
+    def _expr(self, floor: int = 0) -> Expr:
+        # an operator's right operand takes only tighter ones, so equal ones group left
         left = self._factor()
-        while self._at_op("*/"):
-            op = self._advance()
-            right = self._factor()
-            left = BinOp(op.text, left, right, op.offset)
+        op = self.tokens[self.pos]  # never '^': _factor takes it
+        while (prec := _PREC.get(op.text, 0)) > floor:
+            self.pos += 1
+            left = BinOp(op.text, left, self._expr(prec), op.offset)
+            op = self.tokens[self.pos]
         return left
 
     def _factor(self) -> Expr:
@@ -261,17 +260,12 @@ class _Parser:
             tok = self._advance()
             e: Expr = Neg(self._factor(), tok.offset)
         else:
-            e = self._power()
+            e = self._atom()
+            if self._at_op("^"):  # the exponent is a factor, so ^ groups right and -x^2 is -(x^2)
+                op = self._advance()
+                e = BinOp("^", e, self._factor(), op.offset)
         self.depth -= 1
         return e
-
-    def _power(self) -> Expr:
-        base = self._atom()
-        if self._at_op("^"):
-            op = self._advance()
-            exponent = self._factor()
-            return BinOp("^", base, exponent, op.offset)
-        return base
 
     def _atom(self) -> Expr:
         tok = self.cur
@@ -476,10 +470,6 @@ def as_function(
 
         f._nest, f._product = nest, product
     return f
-
-
-_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
-_NEG_PREC = 25
 
 
 def to_string(e: Expr) -> str:

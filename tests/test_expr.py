@@ -241,12 +241,27 @@ def test_precedence_against_brute_force():
     assert checked > 200
 
 
+def shape(node):
+    """The tree without its offsets: a value, a name, ("neg", x), (op, left, right) or (func, arg)."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        return ("neg", shape(node.operand))
+    if isinstance(node, BinOp):
+        return (node.op, shape(node.left), shape(node.right))
+    return (node.func, shape(node.arg))
+
+
 def test_round_trip_printing():
     rng = random.Random(64128)
     binding_sets = 0
     while binding_sets < 100:
         tree = parse(full_parens(random_tree(rng, 4)), ["x", "y"])
         again = parse(to_string(tree), ["x", "y"])
+        # values alone can agree where + or * was re-associated
+        assert shape(again) == shape(tree)
         for _ in range(4):
             bindings = {"x": rng.uniform(-2, 2), "y": rng.uniform(-2, 2)}
             try:
@@ -257,6 +272,29 @@ def test_round_trip_printing():
                 continue
             assert evaluate(again, bindings) == expected
             binding_sets += 1
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1-2-3", ("-", ("-", 1.0, 2.0), 3.0)),
+        ("8/4/2", ("/", ("/", 8.0, 4.0), 2.0)),
+        ("2^3^2", ("^", 2.0, ("^", 3.0, 2.0))),
+        ("-x^2", ("neg", ("^", "x", 2.0))),
+        ("x^-y", ("^", "x", ("neg", "y"))),
+        ("x*-y", ("*", "x", ("neg", "y"))),
+        ("-x*y", ("*", ("neg", "x"), "y")),
+        ("x-(y-1)", ("-", "x", ("-", "y", 1.0))),
+        ("x/(y/2)", ("/", "x", ("/", "y", 2.0))),
+        ("(-x)^2", ("^", ("neg", "x"), 2.0)),
+        ("1+2*x-y/4", ("-", ("+", 1.0, ("*", 2.0, "x")), ("/", "y", 4.0))),
+        ("x*y+1*2^y", ("+", ("*", "x", "y"), ("*", 1.0, ("^", 2.0, "y")))),
+    ],
+)
+def test_parsed_shape(text, expected):
+    tree = parse(text, ["x", "y"])
+    assert shape(tree) == expected
+    assert shape(parse(to_string(tree), ["x", "y"])) == expected
 
 
 # --- depth ----------------------------------------------------------------
@@ -296,11 +334,35 @@ def test_printing_is_linear_in_the_tree_size():
     assert time.process_time() - start < 5.0
 
 
-@pytest.mark.parametrize("prefix, suffix", [("(", ")"), ("-", ""), ("2^", ""), ("sin(", ")")])
-def test_nesting_cap(prefix, suffix):
-    parse(prefix * 100 + "x" + suffix * 100, ["x"])
-    with pytest.raises(ParseError, match="nested too deeply"):
-        parse(prefix * 101 + "x" + suffix * 101, ["x"])
+_NESTING_FORMS = [
+    ("(", ")", 100, 101),
+    ("-", "", 100, 101),
+    ("2^", "", 100, 202),
+    ("sin(", ")", 100, 404),
+    # across a binary operator, which opens no level
+    ("1+(", ")", 100, 303),
+    ("x/(", ")", 100, 303),
+    ("1-(-", ")", 99, 400),
+    # two levels a repeat: a '^' exponent, '-' or '(' each opens one
+    ("x^-", "", 50, 152),
+    ("2^(", ")", 50, 152),
+    ("-(", ")", 50, 101),
+]
+
+
+@pytest.mark.parametrize(
+    "prefix, suffix, deepest, offset", _NESTING_FORMS, ids=[f"{p}-{s}" for p, s, _, _ in _NESTING_FORMS]
+)
+def test_nesting_cap(prefix, suffix, deepest, offset):
+    parse(prefix * deepest + "x" + suffix * deepest, ["x"])
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        parse(prefix * (deepest + 1) + "x" + suffix * (deepest + 1), ["x"])
+    assert err.value.offset == offset  # where the caret points
+
+
+def test_a_flat_product_of_negations_is_not_nesting():
+    e = parse("x*-" * 1000 + "x", ["x"])
+    assert evaluate(e, {"x": 1.0}) == 1.0
 
 
 def test_as_function_takes_exactly_one_value_per_variable():

@@ -1,7 +1,7 @@
-"""The loop-nest generator behind ``expr.as_function``'s ``_nest``.
+"""The loop-nest generator behind ``expr.as_function``'s ``_box_sum``.
 
 It compiles a parsed tree to a box integral's whole loop nest.  Only a
-grid that ``quadrature.apply_rule_box`` hands to the nest runs it, so
+grid that ``_box_sum`` sends to the nest runs it, so
 ``expr`` imports this module when it first generates code for a tree,
 and a call that integrates no such grid never loads it.
 """

@@ -8,9 +8,9 @@ axis k at node i), or sum_i w_i on an axis that no factor reads.  The
 integral is the fsum over terms of sign x constant factors x the product
 of the axis sums, and each factor is evaluated by the checked interpreter
 once per node of its axis: d*n evaluations where the point route makes
-n^d.  ``quadrature.apply_rule_box`` asks for it only where it would run
-an ``as_function`` nest: on a grid of ``_NEST_MIN_POINTS`` points or
-more, over two axes or more, with no axis rescaled (``shift`` 0).
+n^d.  ``expr.as_function``'s ``_box_sum``, which alone picks a grid's
+route, tries it before the nest on a grid of ``_NEST_MIN_POINTS`` points
+or more, over two axes or more, with no axis rescaled (``shift`` 0).
 
 ``integral`` returns None, and the point route runs, unless every factor
 evaluates and the terms' sum of products of max(1, |factor|) at the

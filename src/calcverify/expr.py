@@ -28,9 +28,9 @@ table of that axis's nodes made before the loops.  Over x, y, z,
 ``sin(z)*exp(x)*ln(y)`` computes ``exp(x)`` once per x, ``ln(y)`` once
 per y, ``sin(z)`` once per z, and the two products once per point.
 The generator lives in ``_nest``, imported when a nest is first
-generated, and ``quadrature.apply_rule_box`` asks for a nest only on a
-grid of ``quadrature._NEST_MIN_POINTS`` points or more, where it repays
-its cost; smaller grids run the interpreter point by point.  On such a
+generated.  The callable's ``_box_sum`` alone picks a grid's route,
+and runs a nest only on a grid of ``_NEST_MIN_POINTS`` points or
+more; smaller grids run the interpreter point by point.  On such a
 grid over two axes or more, a tree whose terms are products of factors
 reading one variable each runs no nest: ``_separable`` multiplies
 one-axis sums, within (q + 3d + 2) 2^-53 times the weighted sum of
@@ -66,6 +66,16 @@ _MAX_NESTING = 100
 # a nest runs faster than the interpreter at every tree size, but generating
 # it peaks at ~8x the tree's own memory, so a tree past this size is interpreted
 _MAX_COMPILED_NODES = 1000
+# The fewest grid points (n^d) for which as_function's _box_sum runs the
+# loop nest or the axis sums; below it, importing the generator and
+# generating the nest cost more than they save.  Measured as the first
+# integral in a fresh `python -S` process from bytecode (CPython 3.11, 2-term
+# integrands): the nest costs ~0.44 ms there; it never wins in 1-D (+0.16 ms
+# at n = 64), and 2-D grids break even near 118 points, 3-D near 106.  From
+# source, which compiles the generator module too, 2-D breaks even near 330
+# points.  The same grids of a separable tree sum each axis once instead
+# (_separable), and any other grid keeps the per-point loops' bits.
+_NEST_MIN_POINTS = 110
 # str.isdigit() also accepts '²', which float() rejects, and '١', which it reads as 1
 _DIGITS = "0123456789"
 
@@ -434,13 +444,12 @@ def as_function(
 
     It takes exactly one value per variable; another count raises
     TypeError.  Under the default builtins, a callable over a tree that
-    ``parse`` returned (under the node cap) also carries ``_nest``: the
-    tree compiled to apply_rule_box's whole loop nest, generated on its
-    first call for each variable order (the first of all imports the
-    generator module) and kept on the tree, and ``_product``: the integral
-    of a separable tree as a product of one-axis sums, or None.
-    apply_rule_box calls them only for a grid of ``_NEST_MIN_POINTS``
-    points or more, and ``_product`` first, over two axes or more.
+    ``parse`` returned (under the node cap) also carries ``_box_sum(axes,
+    rescaled)``, which alone picks how apply_rule_box sums its grid.  It
+    returns the integral as a product of one-axis sums, or else the terms
+    the tree's loop nest finished, or none, and the point loops run the
+    rest.  A nest is generated once per variable order (the first of all
+    imports the generator module) and kept on the tree.
     """
     names = tuple(variables)
 
@@ -450,10 +459,21 @@ def as_function(
         return evaluate(e, dict(zip(names, values)), functions)
 
     if functions is None and e._nests is not None and set(e._names) <= set(names):
-        # evaluate is looked up per call, and the nest runs only under evaluate
-        # itself, so a wrapper set on it sees every point
-        def nest(axes: list) -> list[float]:
-            if evaluate is not _EVALUATE or len(axes) != len(names):
+
+        def box_sum(axes: list, rescaled: bool) -> float | list[float]:
+            # the point loops run a small grid, and raise f's TypeError on a box of another dimension
+            if len(axes) != len(names) or len(axes[0]) ** len(axes) < _NEST_MIN_POINTS:
+                return []
+            # evaluate is looked up per call; under a wrapper set on it no nest
+            # runs and the axis sums call f at every point, so it sees each one
+            traced = evaluate is not _EVALUATE
+            if len(axes) > 1 and not rescaled:
+                from . import _separable  # loads on the first grid's integral
+
+                value = _separable.integral(e, names, axes, f if traced else None)
+                if value is not None:
+                    return value
+            if traced:
                 return []
             if names not in e._nests:
                 from . import _nest  # the generator loads on first use
@@ -461,14 +481,7 @@ def as_function(
                 e._nests[names] = _nest._generate(e._order, names)
             return e._nests[names](axes)
 
-        def product(axes: list) -> float | None:
-            if len(axes) != len(names):  # the point loops raise f's TypeError
-                return None
-            from . import _separable  # loads on the first grid's integral
-
-            return _separable.integral(e, names, axes, None if evaluate is _EVALUATE else f)
-
-        f._nest, f._product = nest, product
+        f._box_sum = box_sum
     return f
 
 

@@ -21,16 +21,6 @@ MAX_POINTS = 64
 # The exact moment-system solve slows steeply with the node count (its
 # rationals grow); the closed form is authoritative above this cap.
 LINEAR_SYSTEM_MAX_POINTS = 20
-# The fewest grid points (n^d) for which apply_rule_box runs an integrand's
-# loop nest; below it, importing the generator and generating the nest cost
-# more than they save.  Measured as the first integral in a fresh `python -S`
-# process from bytecode (CPython 3.11, 2-term integrands): the nest costs
-# ~0.44 ms there; it never wins in 1-D (+0.16 ms at n = 64), and 2-D grids
-# break even near 118 points, 3-D near 106.  From source, which compiles the
-# generator module too, 2-D breaks even near 330 points.  The same grids of a
-# separable tree sum each axis once instead (_separable), and any other
-# grid keeps the per-point loops' bits.
-_NEST_MIN_POINTS = 110
 
 
 class QuadratureRule(Record):
@@ -242,19 +232,12 @@ def apply_rule_box(rule: QuadratureRule, f: Callable[..., float], box: Box) -> f
         [(jac * x + mid, scale * w) for x, w in zip(rule.nodes, rule.weights)]
         for jac, mid, scale in zip(jacs, map(_midpoint, box.lo, box.hi), scales)
     ]
-    # an integrand from expr.as_function can run a grid of _NEST_MIN_POINTS
-    # points or more as generated code; it returns the terms it finished, and
-    # these loops rerun the outer node it stopped in, raising the error at its
-    # point.  A smaller grid runs these loops alone: the same bits and errors,
-    # without generating (or importing the generator of) code it would run once
-    nest = getattr(f, "_nest", None) if len(rule.nodes) ** len(axes) >= _NEST_MIN_POINTS else None
-    # on such a grid, over two axes or more with none rescaled, a separable
-    # tree sums each axis once (_separable); None sends the grid on to the nest
-    product = getattr(f, "_product", None) if nest is not None and len(axes) > 1 and not shift else None
-    value = product(axes) if product is not None else None
-    if value is not None:
-        return value
-    terms = nest(axes) if nest is not None else []
+    # an as_function integrand picks its grid's route (_box_sum): the axis sums'
+    # value, which no 2**shift scales, so for shift 0 only, or the terms its nest
+    # finished, maybe none; these loops rerun the outer node it stopped in
+    terms = f._box_sum(axes, shift != 0) if hasattr(f, "_box_sum") else []
+    if isinstance(terms, float):
+        return terms
     block = len(rule.nodes) ** (len(axes) - 1)  # the points of one outer node
     start = len(terms) // block
     del terms[start * block :]

@@ -404,23 +404,24 @@ def _outcome(call):
 
 
 def _served(f):
-    # f's nest with what it returned recorded, copied before apply_rule_box extends it
+    # the terms f's nest returned, recorded, copied before apply_rule_box extends them
     served = []
 
-    def nest(axes, nest=f._nest):
-        terms = nest(axes)
-        served.append(list(terms))
+    def box_sum(axes, rescaled, box_sum=f._box_sum):
+        terms = box_sum(axes, rescaled)
+        if isinstance(terms, list):
+            served.append(list(terms))
         return terms
 
-    f._nest = nest
+    f._box_sum = box_sum
     return served
 
 
 @pytest.fixture
 def nest_every_grid(monkeypatch):
-    # apply_rule_box hands only grids of _NEST_MIN_POINTS points or more to the
+    # _box_sum hands only grids of _NEST_MIN_POINTS points or more to the
     # nest; the tests that take this keep their small grids and run the nest
-    monkeypatch.setattr(quadrature, "_NEST_MIN_POINTS", 1)
+    monkeypatch.setattr(expr, "_NEST_MIN_POINTS", 1)
 
 
 def _number(v):
@@ -447,6 +448,7 @@ def test_compiled_evaluation_matches_the_interpreter():
     for _ in range(1000):
         tree = parse(full_parens(random_tree(rng, 6)), ["x", "y"])
         order = expr._postorder(tree)
+        nest = _nest._generate(order, ("x", "y"))
         for bindings, functions in (
             ({"x": rng.uniform(-3, 3), "y": rng.uniform(-3, 3)}, None),
             ({"x": rng.uniform(-3, 3), "y": rng.uniform(-3, 3)}, swapped),
@@ -467,7 +469,7 @@ def test_compiled_evaluation_matches_the_interpreter():
             values += 1
             # a binding the tree does not read may be missing or not a number
             point = [_number(bindings.get(name)) for name in "xy"]
-            terms = as_function(tree, ["x", "y"])._nest([[(v, 1.0)] for v in point])
+            terms = nest([[(v, 1.0)] for v in point])
             if terms:
                 assert _outcome(lambda: terms[0]) == expected
                 compiled += 1
@@ -525,7 +527,7 @@ def test_only_parsed_trees_under_the_default_builtins_generate_code(monkeypatch,
     rule, box = quadrature.gauss_rule(3), quadrature.Box((0.5, 1.0), (1.5, 2.0))
     for tree, functions in ((built, None), (unpickled, None), (parsed, swapped), (built, swapped)):
         f = as_function(tree, ["x", "y"], functions)
-        assert not hasattr(f, "_nest")
+        assert not hasattr(f, "_box_sum")
         quadrature.apply_rule_box(rule, f, box)
     assert generated == []
     assert evaluate(parsed, {"x": 0.5, "y": 2.0}) == math.sin(0.5) / 2.0 + math.log(1.0)
@@ -624,7 +626,7 @@ def test_a_late_non_finite_temp_fails_the_chunked_check():
     # it; the divisor reads x as well, so it stays in the y loop, not y's table
     text = "+".join(["x/y"] * 70) + " + 1/(x*y*y)"
     tree = parse(text, ["x", "y"])
-    terms = as_function(tree, ["x", "y"])._nest([[(1.0, 1.0)], [(2.0, 1.0), (1e200, 1.0)]])
+    terms = _nest._generate(tree._order, ("x", "y"))([[(1.0, 1.0)], [(2.0, 1.0), (1e200, 1.0)]])
     assert terms == [35.25]  # fewer terms than the grid has points: the nest stopped at y = 1e200
     with pytest.raises(EvalDomainError, match=f"non-finite result at offset {text.rindex('*')}") as info:
         evaluate(tree, {"x": 1.0, "y": 1e200})
@@ -686,7 +688,7 @@ def test_grid_evaluation_matches_the_interpreter_in_every_loop_order():
                 expected.append(_outcome(lambda: expr._interpret(order, bindings, expr._DEFAULT_IMPLS)))
                 assert _outcome(lambda: evaluate(tree, bindings)) == expected[-1], (tree, bindings)
             if k % 3:
-                terms = as_function(tree, loop)._nest([[(v, 1.0) for v in axes[name]] for name in loop])
+                terms = _nest._generate(tree._order, loop)([[(v, 1.0) for v in axes[name]] for name in loop])
                 assert [_outcome(lambda: term) for term in terms] == expected[: len(terms)], (tree, loop)
                 finished += len(terms) == 27
     assert finished > 100
@@ -714,7 +716,7 @@ def test_a_late_non_finite_divisor_fails_the_chunked_outer_loop_check():
     for _ in range(2):
         with pytest.raises(EvalDomainError, match=f"non-finite result at offset {text.index('*')}"):
             evaluate(tree, bindings)
-    terms = as_function(tree, ["x", "z"])._nest([[(1.0, 1.0), (1e200, 1.0)], [(1.0, 1.0), (2.0, 1.0)]])
+    terms = _nest._generate(tree._order, ("x", "z"))([[(1.0, 1.0), (1e200, 1.0)], [(1.0, 1.0), (2.0, 1.0)]])
     assert terms == [72.0, 73.0]
 
 
@@ -883,7 +885,7 @@ def test_a_stopped_nest_reruns_one_outer_node(monkeypatch, nest_every_grid):
         tree = parse(text, names)
         f, calls = as_function(tree, names), []
         counted = lambda *point, f=f: calls.append(point) or f(*point)  # noqa: E731
-        counted._nest = f._nest
+        counted._box_sum = f._box_sum
         served = _served(counted)
         outcome = _box_outcome(lambda: quadrature.apply_rule_box(rule, counted, box))
         assert (n - 1) * n ** (d - 1) <= len(served[0]) < n**d and 0 < len(calls) <= n ** (d - 1), text
@@ -911,14 +913,18 @@ def test_only_a_grid_of_the_threshold_or_more_generates_code(monkeypatch):
     # 2-D grids of T - 1 and T points, at the threshold and at one lowered to
     # 8^2: both give the per-point interpreter's bits, or for ln(0.97 - x)*y,
     # whose last x nodes pass 0.97, its exact error, offset and source; only
-    # the T-point grid generates code
+    # the T-point grid generates code.  The separable sin(x)*exp(y) generates
+    # none: it is summed axis by axis, with one call of the axis sums, only on
+    # the T-point grid, and gives the point loops' bits on the other
     generated, generate, real = [], _nest._generate, expr.evaluate
     monkeypatch.setattr(_nest, "_generate", lambda order, *rest: generated.append(order) or generate(order, *rest))
+    summed, integral = [], _separable.integral
+    monkeypatch.setattr(_separable, "integral", lambda *args: summed.append(args) or integral(*args))
     names, box = ["x", "y"], quadrature.Box((0.0, 0.0), (1.0, 1.0))
-    below = math.isqrt(quadrature._NEST_MIN_POINTS - 1)  # below^2 <= T - 1 < (below + 1)^2
+    below = math.isqrt(expr._NEST_MIN_POINTS - 1)  # below^2 <= T - 1 < (below + 1)^2
     cases = [(below, None, False), (below + 1, None, True), (8, 65, False), (8, 64, True)]
     errors = 0
-    for text in ("sin(x)*exp(y) + x/(1 + y)", "ln(0.97 - x)*y"):
+    for text, nests in (("sin(x)*exp(y) + x/(1 + y)", True), ("ln(0.97 - x)*y", True), ("sin(x)*exp(y)", False)):
         for n, threshold, nested in cases:
             rule = quadrature.gauss_rule(n)
             with monkeypatch.context() as m:
@@ -926,12 +932,13 @@ def test_only_a_grid_of_the_threshold_or_more_generates_code(monkeypatch):
                 expected = _box_outcome(lambda: quadrature.apply_rule_box(rule, as_function(parse(text, names), names), box))
             with monkeypatch.context() as m:
                 if threshold is not None:
-                    m.setattr(quadrature, "_NEST_MIN_POINTS", threshold)
-                assert (n * n >= quadrature._NEST_MIN_POINTS) == nested
-                del generated[:]
+                    m.setattr(expr, "_NEST_MIN_POINTS", threshold)
+                assert (n * n >= expr._NEST_MIN_POINTS) == nested
+                del generated[:], summed[:]
                 f = as_function(parse(text, names), names)
                 assert _box_outcome(lambda: quadrature.apply_rule_box(rule, f, box)) == expected, (text, n)
-                assert len(generated) == nested, (text, n, threshold)
+                assert len(generated) == (nested and nests), (text, n, threshold)
+                assert len(summed) == nested, (text, n, threshold)
             errors += not isinstance(expected, str)
     assert errors == len(cases)
 
@@ -983,7 +990,7 @@ def _grid_size(rng):
     # a grid over two or three axes at the nest's threshold or above
     names = rng.choice((["x", "y"], ["x", "y", "z"], ["y", "x"]))
     n = rng.randint(11, 16) if len(names) == 2 else rng.randint(5, 7)
-    assert n ** len(names) >= quadrature._NEST_MIN_POINTS
+    assert n ** len(names) >= expr._NEST_MIN_POINTS
     return names, n
 
 
@@ -1061,7 +1068,7 @@ def test_the_axis_sums_give_the_point_routes_errors(monkeypatch):
             seen[0] = v
             return f(*v)
 
-        watched._nest, watched._product = f._nest, f._product
+        watched._box_sum = f._box_sum
         del summed[:]
         fast = _box_outcome(lambda: quadrature.apply_rule_box(rule, watched, box))
         fast_point, seen[0] = seen[0], None
@@ -1108,7 +1115,7 @@ def test_a_box_of_another_dimension_than_the_names_raises_on_a_separable_grid(si
     # callable's names: the axis sums are not offered, and the point loops
     # raise the callable's TypeError, as on a small grid or a traced run
     names = ["x", "y"] if len(sides) == 3 else ["x", "y", "z"]
-    assert n ** len(sides) >= quadrature._NEST_MIN_POINTS
+    assert n ** len(sides) >= expr._NEST_MIN_POINTS
     f = as_function(parse("x*y", names), names)
     box = quadrature.Box(*zip(*sides))
     message = f"expected {len(names)} values, got {len(sides)}"
@@ -1155,7 +1162,7 @@ def test_trees_past_the_node_cap_are_interpreted():
     small = parse("+".join(["x"] * 400), ["x"])
     large = parse("+".join(["x"] * 600), ["x"])
     assert small._nests is not None and large._nests is None
-    assert hasattr(as_function(small, ["x"]), "_nest") and not hasattr(as_function(large, ["x"]), "_nest")
+    assert hasattr(as_function(small, ["x"]), "_box_sum") and not hasattr(as_function(large, ["x"]), "_box_sum")
     assert evaluate(small, {"x": 0.5}) == 200.0 and evaluate(large, {"x": 0.5}) == 300.0
 
 

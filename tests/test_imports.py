@@ -93,6 +93,12 @@ SUBCOMMAND_MODULES = [
     (["cordic", "1"], {"cordic"}),
     (["nodes", "3"], {"quadrature", "legendre", "tables"}),
     (["integrate", "x^2", "x", "0", "1"], {"expr", "quadrature", "legendre", "tables"}),
+    # a grid of 4^3 points is below the nest's threshold: the point loops run it
+    # all, so neither the axis sums' module nor the generator loads
+    (
+        ["integrate", "x*y*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "4"],
+        {"expr", "quadrature", "legendre", "tables"},
+    ),
     # a grid of 5^3 points is large enough for a nest; x*y*z is a product of
     # one-axis factors, so it is summed axis by axis and the generator stays unloaded
     (

@@ -7,7 +7,8 @@ usage, parse, or domain error.  Numbers print with 10 significant
 digits in plain mode and 17 in --json mode.
 
 Each subcommand imports the library modules it runs, so a call compiles
-and runs no other; options left out fall back to the library defaults.
+and runs no other (a cache hit no writer, and none the exact routes);
+options left out fall back to the library defaults.
 """
 
 from __future__ import annotations
@@ -155,9 +156,7 @@ def _cmd_nodes(args) -> int:
     if args.json:
         _emit(_record_fields(rule), True)
     else:
-        from . import tables
-
-        print(tables.dumps_tables([rule]), end="")
+        print(quadrature.dumps_tables([rule]), end="")
     return 0
 
 

@@ -1,28 +1,16 @@
-"""Legendre polynomials built by two independent routes.
+"""The Gauss rule builder; the CLI loads it only to build a rule.
 
-The Gram-Schmidt route orthogonalizes the monomials 1, x, x^2, ... under
-the L2 inner product on [-1, 1]; the recurrence route applies the
-three-term recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}.  Each
-route serves as an oracle for the other.  Both are carried out in exact
-rational arithmetic and rounded to floats only at the API boundary, so
-the emitted coefficients are correctly rounded regardless of degree.
-The Gauss rule builder polishes in integer fixed point the roots that
-float Newton finds with ``quadrature``'s float recurrence for P_n.
+Float Newton on ``quadrature``'s recurrence for P_n finds the roots, and
+integer fixed point polishes them; the exact routes are in ``_exact``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from functools import lru_cache
 
-from ._record import Record
-from .errors import CapabilityError, DomainError, NumericError, _integer
+from .errors import NumericError
 from .quadrature import legendre_value_and_derivative
-
-# Monomial Gram-Schmidt is kept within a documented degree cap; the
-# recurrence route is authoritative beyond it.
-GRAM_SCHMIDT_MAX_DEGREE = 64
 
 _NEWTON_MAX_ITERS = 100
 _NEWTON_STEP_TOL = 1e-10
@@ -35,121 +23,6 @@ _NEWTON_ERROR_TOL = 2.0**-56
 _FIXED_BITS = 160
 _GRID_BITS = 120
 _GRID_SHIFT = _FIXED_BITS - _GRID_BITS
-
-
-class Polynomial(Record):
-    """Dense real polynomial; ``coeffs[i]`` multiplies ``x**i``.
-
-    The trailing coefficient is nonzero unless the polynomial is
-    identically zero (represented as a single zero coefficient).
-    """
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        cs = tuple(float(c) for c in self.coeffs)
-        while len(cs) > 1 and cs[-1] == 0.0:
-            cs = cs[:-1]
-        if not cs:
-            cs = (0.0,)
-        object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-class RootSet(namedtuple("RootSet", "roots n")):
-    """Roots of a Legendre polynomial, sorted ascending, all in (-1, 1)."""
-
-    __slots__ = ()
-
-
-def poly_eval(p: Polynomial, x: float) -> float:
-    """Evaluate ``p`` at ``x`` by Horner's scheme."""
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def poly_derivative(p: Polynomial) -> Polynomial:
-    """Termwise derivative of ``p``."""
-    return Polynomial(tuple((i + 1) * c for i, c in enumerate(p.coeffs[1:])))
-
-
-def _gram_schmidt_exact(n: int) -> list[list[Fraction]]:
-    # the exact routes import fractions themselves, so a CLI start never does
-    from fractions import Fraction
-
-    # moment[m] is the integral of x^m over [-1, 1]
-    moment = [Fraction(2, m + 1) if m % 2 == 0 else Fraction(0) for m in range(2 * n + 1)]
-    basis: list[list[Fraction]] = []
-    norms: list[Fraction] = []
-    for k in range(n + 1):
-        v = [Fraction(0)] * (k + 1)
-        v[k] = Fraction(1)
-        # project x^k onto each already-orthogonal predecessor
-        for u, uu in zip(basis, norms):
-            # <x^k, u> under the L2 inner product on [-1, 1]
-            coef = sum((c * moment[i + k] for i, c in enumerate(u)), Fraction(0)) / uu
-            if coef:
-                for i, c in enumerate(u):
-                    v[i] -= coef * c
-        scale = sum(v)  # value at x = 1
-        v = [c / scale for c in v]
-        basis.append(v)
-        norms.append(
-            sum(
-                (a * b * moment[i + j] for i, a in enumerate(v) for j, b in enumerate(v)),
-                Fraction(0),
-            )
-        )
-    return basis
-
-
-def _recurrence_exact(n: int) -> list[list[Fraction]]:
-    from fractions import Fraction
-
-    polys = [[Fraction(1)]]
-    if n >= 1:
-        polys.append([Fraction(0), Fraction(1)])
-    for k in range(1, n):
-        pk, pkm1 = polys[k], polys[k - 1]
-        nxt = [Fraction(0)] * (k + 2)
-        for i, c in enumerate(pk):
-            nxt[i + 1] += Fraction(2 * k + 1, k + 1) * c
-        for i, c in enumerate(pkm1):
-            nxt[i] -= Fraction(k, k + 1) * c
-        polys.append(nxt)
-    return polys[: n + 1]
-
-
-def _to_polynomials(exact: list[list[Fraction]]) -> list[Polynomial]:
-    return [Polynomial(tuple(float(c) for c in p)) for p in exact]
-
-
-def legendre_gram_schmidt(n: int) -> list[Polynomial]:
-    """P_0..P_n via Gram-Schmidt on the monomial basis, P_k(1) = 1.
-
-    Inner products use the exact monomial integrals (2/(m+1) for even m,
-    0 for odd m), never quadrature.
-    """
-    if _integer("degree", n) < 0:
-        raise DomainError("degree must be nonnegative")
-    if n > GRAM_SCHMIDT_MAX_DEGREE:
-        raise CapabilityError(
-            f"Gram-Schmidt route supports degree <= {GRAM_SCHMIDT_MAX_DEGREE} "
-            f"(got {n}); use legendre_recurrence instead"
-        )
-    return _to_polynomials(_gram_schmidt_exact(n))
-
-
-def legendre_recurrence(n: int) -> list[Polynomial]:
-    """P_0..P_n via the three-term recurrence."""
-    if _integer("degree", n) < 0:
-        raise DomainError("degree must be nonnegative")
-    return _to_polynomials(_recurrence_exact(n))
 
 
 def _newton_root(n: int, guess: float) -> float:
@@ -293,19 +166,13 @@ def gauss_nodes_and_weights(n: int) -> tuple[tuple[float, ...], tuple[float, ...
     return tuple(zip(*[(-x, w) for x, w in reversed(pairs)], *middle, *pairs))
 
 
-def legendre_roots(n: int) -> RootSet:
-    """All n roots of P_n, ascending: the nodes of ``gauss_nodes_and_weights``."""
-    if _integer("root count", n) < 1:
-        raise DomainError("root count must be a positive integer")
-    return RootSet(roots=gauss_nodes_and_weights(n)[0], n=n)
+# moved to _exact, which no CLI path loads: old imports and pickles find them here
+_EXACT = ("GRAM_SCHMIDT_MAX_DEGREE", "Polynomial", "RootSet", "poly_eval", "poly_derivative",
+          "_gram_schmidt_exact", "_recurrence_exact", "_to_polynomials", "legendre_gram_schmidt",
+          "legendre_recurrence", "legendre_roots", "analytic_inner_product")
 
 
-def analytic_inner_product(p: Polynomial, q: Polynomial) -> float:
-    """Integral of p*q over [-1, 1] from coefficients (exact moments)."""
-    terms = []
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
-            if (i + j) % 2 == 0:
-                terms.append(a * b * (2.0 / (i + j + 1)))
-    return math.fsum(terms)
-
+def __getattr__(name: str):
+    if name not in _EXACT:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(f"{__package__}._exact", fromlist=["__name__"]), name)

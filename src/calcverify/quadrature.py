@@ -1,11 +1,11 @@
-"""Gauss-Legendre rules and their application on intervals and boxes.
+"""Gauss-Legendre rules, their text form, and their application on intervals and boxes.
 
-Weights come from two independent routes: the closed form
-w_i = 2 / ((1 - x_i^2) P_n'(x_i)^2), evaluated in integer fixed point,
-and the Vandermonde moment system (rows of node powers, right-hand side
-the monomial moments), solved exactly over the rationals.  The float
+Weights come from the closed form w_i = 2 / ((1 - x_i^2) P_n'(x_i)^2),
+evaluated in integer fixed point by ``legendre``, the builder.  The float
 recurrence for P_n and P_n' is here, for the cache's Gauss check, so a
-cached rule loads no ``legendre``, the builder, until a rule is built.
+cached rule loads no builder, and so is ``dumps_tables``, so ``nodes``
+loads no ``tables``.  The moment-system oracle for the weights is in
+``_exact``, which no CLI path loads; its names resolve here too.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from ._record import Record
 from .errors import CapabilityError, DomainError, NumericError, _finite, _finite_result, _integer, _interval
 
 MAX_POINTS = 64
-# The exact moment-system solve slows steeply with the node count (its
-# rationals grow); the closed form is authoritative above this cap.
-LINEAR_SYSTEM_MAX_POINTS = 20
+FORMAT_NAME = "GAUSSTAB"
+FORMAT_VERSION = 1
 
 
 class QuadratureRule(Record):
@@ -29,6 +28,19 @@ class QuadratureRule(Record):
     n: int
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
+
+
+def dumps_tables(rules: Iterable[QuadratureRule]) -> str:
+    """Serialize rules (deduplicated by n, ascending); DomainError unless each has n nodes and n weights."""
+    by_n = {rule.n: rule for rule in rules}
+    lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
+    for n in sorted(by_n):
+        rule = by_n[n]
+        if not len(rule.nodes) == len(rule.weights) == n:
+            raise DomainError(f"rule n={n} has {len(rule.nodes)} nodes and {len(rule.weights)} weights")
+        lines.append(f"N {n}")
+        lines.extend(f"{x:.17g} {w:.17g}" for x, w in zip(rule.nodes, rule.weights))
+    return "\n".join(lines) + "\n"
 
 
 class Box(Record):
@@ -95,49 +107,6 @@ def gauss_rule(n: int) -> QuadratureRule:
     from .legendre import gauss_nodes_and_weights  # here: a rule read from a cache file loads no legendre
 
     return QuadratureRule(n, *gauss_nodes_and_weights(n))
-
-
-def gauss_weights_linear_system(nodes: RootSet | Sequence[float]) -> tuple[float, ...]:
-    """Weights from the moment system V w = m, V[i][j] = nodes[j]^i.
-
-    The right-hand side is the monomial moments 2/(i+1) for even i and 0
-    for odd i.  The system is solved exactly over the rationals the
-    float nodes stand for, by the Bjorck-Pereyra elimination for
-    Vandermonde systems (Math. Comp. 24 (1970) 893-903), and each weight
-    is rounded once, so the Vandermonde conditioning costs no accuracy.
-    """
-    from .legendre import RootSet
-
-    xs = nodes.roots if isinstance(nodes, RootSet) else tuple(float(x) for x in nodes)
-    n = len(xs)
-    if n == 0:
-        raise DomainError("at least one node is required")
-    if n > LINEAR_SYSTEM_MAX_POINTS:
-        raise CapabilityError(
-            f"linear-system route supports at most {LINEAR_SYSTEM_MAX_POINTS} nodes "
-            f"(got {n}); use gauss_rule instead"
-        )
-    if not all(math.isfinite(x) for x in xs):
-        raise DomainError("nodes must be finite")
-    if len(set(xs)) != n:
-        raise NumericError("nodes must be distinct (singular moment system)")
-    from fractions import Fraction  # the exact oracle alone needs it
-
-    x = [Fraction(v) for v in xs]
-    w = [Fraction(2, i + 1) if i % 2 == 0 else Fraction(0) for i in range(n)]
-    # the two sweeps apply the lower, then the upper bidiagonal factors of V^-1
-    for k in range(n - 1):
-        for i in range(n - 1, k, -1):
-            w[i] -= x[k] * w[i - 1]
-    for k in range(n - 2, -1, -1):
-        for i in range(k + 1, n):
-            w[i] /= x[i] - x[i - k - 1]
-        for i in range(k, n - 1):
-            w[i] -= w[i + 1]
-    try:
-        return tuple(float(v) for v in w)
-    except OverflowError:  # nodes very close together make the exact weights huge
-        raise NumericError("an exact weight of the moment system overflows a double") from None
 
 
 def _term_error(v: float, point: tuple[float, ...]) -> NumericError:
@@ -310,3 +279,13 @@ def convergence_table(
         error = _finite_result(abs(value - reference), f"abs error of order {n}")
         rows.append((n, value, error))
     return rows
+
+
+# moved to _exact, which no CLI path loads: old imports and pickles find them here
+_EXACT = ("LINEAR_SYSTEM_MAX_POINTS", "gauss_weights_linear_system")
+
+
+def __getattr__(name: str):
+    if name not in _EXACT:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(f"{__package__}._exact", fromlist=["__name__"]), name)

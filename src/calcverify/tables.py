@@ -1,11 +1,11 @@
 """Persist and reload quadrature rules as plain text tables.
 
-Format (version 1): a header line ``GAUSSTAB 1``, then for each rule a
-line ``N <n>`` followed by n lines ``<node> <weight>`` with 17
-significant digits, nodes ascending.  17 digits round-trip doubles
-bit-exactly, writes go through a temp file plus rename so a crash never
-leaves a torn table, and every rule read is re-validated: a cache is
-derived data and must never be trusted blindly.
+Format (version 1, written by ``quadrature.dumps_tables``): a header
+line ``GAUSSTAB 1``, then for each rule a line ``N <n>`` followed by n
+lines ``<node> <weight>`` with 17 significant digits, nodes ascending.
+17 digits round-trip doubles bit-exactly, writes (``_tablewrite``) go
+through a temp file plus rename so a crash never leaves a torn table, and
+every rule read is re-validated: a cache is derived data, never trusted.
 """
 
 from __future__ import annotations
@@ -17,11 +17,8 @@ import stat
 import sys
 
 from . import quadrature
-from .errors import DomainError, TableError, _integer
-from .quadrature import QuadratureRule, legendre_value_and_derivative
-
-FORMAT_NAME = "GAUSSTAB"
-FORMAT_VERSION = 1
+from .errors import TableError, _integer
+from .quadrature import FORMAT_NAME, FORMAT_VERSION, QuadratureRule, dumps_tables, legendre_value_and_derivative
 
 _SUM_TOL = 1e-12
 # Gauss-property tolerance, in units of n * eps: correct rules reach at
@@ -78,19 +75,6 @@ def gauss_violation(rule: QuadratureRule) -> str | None:
     return None
 
 
-def dumps_tables(rules: Iterable[QuadratureRule]) -> str:
-    """Serialize rules (deduplicated by n, ascending); DomainError unless each has n nodes and n weights."""
-    by_n = {rule.n: rule for rule in rules}
-    lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
-    for n in sorted(by_n):
-        rule = by_n[n]
-        if not len(rule.nodes) == len(rule.weights) == n:
-            raise DomainError(f"rule n={n} has {len(rule.nodes)} nodes and {len(rule.weights)} weights")
-        lines.append(f"N {n}")
-        lines.extend(f"{x:.17g} {w:.17g}" for x, w in zip(rule.nodes, rule.weights))
-    return "\n".join(lines) + "\n"
-
-
 def save_tables(rules: Iterable[QuadratureRule], path: str) -> None:
     """Write rules to ``path`` atomically (temp file + rename), as ``dumps_tables`` formats them.
 
@@ -100,35 +84,9 @@ def save_tables(rules: Iterable[QuadratureRule], path: str) -> None:
     file is replaced whole, whatever it held; ``get_or_build`` is the
     writer that keeps the rules other writers add.
     """
+    from ._tablewrite import _write_table  # here: a cache hit compiles no writer
+
     _write_table(os.fspath(path), dumps_tables(rules))
-
-
-def _write_table(path: str, text: str) -> None:
-    try:
-        mode = os.lstat(path).st_mode
-    except FileNotFoundError:
-        mode = None
-    else:
-        # the rename would replace a link, device or FIFO with a regular file
-        if not stat.S_ISREG(mode):
-            raise OSError(f"{path}: not a regular file")
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".gausstab.{os.getpid()}.{os.urandom(6).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            if mode is not None:
-                # os.open made the temp file 0600
-                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def load_tables(path: str) -> dict[int, QuadratureRule]:
@@ -260,42 +218,9 @@ def get_or_build(cache_path: str, n: int) -> QuadratureRule:
     except FileNotFoundError:
         pass
     except TableError as exc:
-        # the warning names this fault: the whole-file check below may meet another first
+        # the warning names this fault: the whole-file check under the lock may meet another first
         corrupt = exc
     rule = quadrature.gauss_rule(n)
-    import fcntl  # only a miss takes the lock, so a hit loads no fcntl
+    from ._tablewrite import insert_rule  # here: a cache hit compiles no writer
 
-    directory = os.path.dirname(cache_path) or "."
-    os.makedirs(directory, exist_ok=True)
-    try:
-        lock = os.open(directory, os.O_RDONLY)
-    except PermissionError:
-        # a directory that can be searched but not read is written without the lock
-        lock = None
-    try:
-        if lock is not None:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-        # the file as it stands under the lock, checked whole: another writer
-        # may have added rules, or rule n, since the read above
-        try:
-            lines = _read_table(cache_path)
-            if _gauss_rule_in(lines, cache_path, n) is not None:
-                return rule
-        except FileNotFoundError:
-            lines = []
-        except TableError as exc:
-            # printed once the rule is built: a point count gauss_rule rejects discards nothing
-            lines = []
-            print(f"warning: discarding corrupt rule cache ({corrupt or exc}); rebuilding", file=sys.stderr)
-        head, *block = dumps_tables([rule]).splitlines()
-        lines = lines or [head]
-        at = 1
-        while at < len(lines) and (k := int(lines[at].split()[1])) < n:
-            at += k + 1
-        lines[at:at] = block
-        _write_table(cache_path, "\n".join(lines) + "\n")
-    finally:
-        # closing the descriptor releases the lock
-        if lock is not None:
-            os.close(lock)
-    return rule
+    return insert_rule(cache_path, n, rule, corrupt)

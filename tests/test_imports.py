@@ -91,24 +91,27 @@ def test_cli_import_loads_no_library_module():
 # argv -> the modules it loads besides cli, errors and _record
 SUBCOMMAND_MODULES = [
     (["cordic", "1"], {"cordic"}),
-    (["nodes", "3"], {"quadrature", "legendre", "tables"}),
-    (["integrate", "x^2", "x", "0", "1"], {"expr", "quadrature", "legendre", "tables"}),
+    # nodes prints through quadrature's text form: neither the cache's reader nor its writer
+    (["nodes", "3"], {"quadrature", "legendre"}),
+    (["nodes", "3", "--json"], {"quadrature", "legendre"}),
+    # each integrate below misses on an empty cache, so it loads the writer
+    (["integrate", "x^2", "x", "0", "1"], {"expr", "quadrature", "legendre", "tables", "_tablewrite"}),
     # a grid of 4^3 points is below the nest's threshold: the point loops run it
     # all, so neither the axis sums' module nor the generator loads
     (
         ["integrate", "x*y*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "4"],
-        {"expr", "quadrature", "legendre", "tables"},
+        {"expr", "quadrature", "legendre", "tables", "_tablewrite"},
     ),
     # a grid of 5^3 points is large enough for a nest; x*y*z is a product of
     # one-axis factors, so it is summed axis by axis and the generator stays unloaded
     (
         ["integrate", "x*y*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
-        {"expr", "_separable", "quadrature", "legendre", "tables"},
+        {"expr", "_separable", "quadrature", "legendre", "tables", "_tablewrite"},
     ),
     # sin(x*y) reads two axes, so the tree is not separable and runs the loop nest
     (
         ["integrate", "sin(x*y)*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
-        {"expr", "_separable", "_nest", "quadrature", "legendre", "tables"},
+        {"expr", "_separable", "_nest", "quadrature", "legendre", "tables", "_tablewrite"},
     ),
     (["integrate", "x^", "x", "0", "1"], {"expr"}),  # a parse error builds no rule
     (["diffcheck", "x^2", "2*x", "1"], {"expr", "diffcheck"}),
@@ -184,6 +187,15 @@ def test_an_integral_with_no_cache_builds_its_rule_without_tables(tmp_path, argv
     loaded = loaded_modules(uncached, *argv, cwd=tmp_path)
     assert loaded - CLI_MODULES == {f"calcverify.{m}" for m in modules}
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_no_cli_path_compiles_the_exact_routes():
+    # every row above pins its whole module set, and none holds _exact, the
+    # module that the exact routes' old paths load
+    rows = SUBCOMMAND_MODULES + WARM_MODULES + UNCACHED_MODULES
+    assert not [argv for argv, modules in rows if "_exact" in modules]
+    loaded = loaded_modules("from calcverify.legendre import Polynomial")
+    assert loaded == {f"calcverify.{m}" for m in ("_exact", "legendre", "quadrature", "errors", "_record")}
 
 
 def run_clean(argv, cwd):

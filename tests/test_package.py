@@ -116,3 +116,36 @@ def test_records_from_a_lazily_loaded_module_pickle():
     records = pickle.loads(proc.stdout)
     assert records[0] == calcverify.gauss_rule(3)
     assert records[3] == calcverify.cordic_table(4)
+
+
+# [Polynomial((-0.5, 0.0, 1.5)), RootSet((-0.5, 0.5), 2)], pickled with protocol 2
+# while both classes were defined in calcverify.legendre: the class paths name it
+LEGENDRE_PICKLE = (
+    b"\x80\x02]q\x00(ccalcverify.legendre\nPolynomial\nq\x01)\x81q\x02}q\x03X\x06\x00\x00\x00coeffsq\x04"
+    b"G\xbf\xe0\x00\x00\x00\x00\x00\x00G\x00\x00\x00\x00\x00\x00\x00\x00G?\xf8\x00\x00\x00\x00\x00\x00"
+    b"\x87q\x05sbccalcverify.legendre\nRootSet\nq\x06G\xbf\xe0\x00\x00\x00\x00\x00\x00"
+    b"G?\xe0\x00\x00\x00\x00\x00\x00\x86q\x07K\x02\x86q\x08\x81q\te."
+)
+
+
+def test_the_exact_routes_resolve_under_their_old_module_paths():
+    # in a fresh -S process: the old pickle is read first, before any import
+    # of the moved names, which then come back as _exact's own objects
+    check = (
+        "import pickle\n"
+        f"old = pickle.loads({LEGENDRE_PICKLE!r})\n"
+        "from calcverify.legendre import Polynomial, RootSet, _recurrence_exact, analytic_inner_product\n"
+        "from calcverify.quadrature import gauss_weights_linear_system\n"
+        "from calcverify import _exact, legendre\n"
+        "moved = (Polynomial, RootSet, _recurrence_exact, analytic_inner_product, gauss_weights_linear_system)\n"
+        "assert all(obj is getattr(_exact, obj.__name__) for obj in moved)\n"
+        "assert old == [Polynomial((-0.5, 0.0, 1.5)), RootSet((-0.5, 0.5), 2)]\n"
+        "assert [type(record) for record in old] == [Polynomial, RootSet]\n"
+        "try:\n"
+        "    legendre.nope\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", check], env=ENV, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "module 'calcverify.legendre' has no attribute 'nope'\n"

@@ -82,8 +82,10 @@ def _cmd_integrate(args) -> int:
 
     from . import quadrature
 
-    # the bounds are checked before the rule is fetched, so a rejected call builds and caches none
-    domain = _interval(lo[0], hi[0]) if len(names) == 1 else quadrature.Box(tuple(lo), tuple(hi))
+    # the bounds before the rule: a rejected call builds and caches none; an interval's error names no axis
+    if len(names) == 1:
+        _interval(lo[0], hi[0])
+    box = quadrature.Box(tuple(lo), tuple(hi))
     cache = environ.get("CALCVERIFY_CACHE")
     if cache:
         from . import tables
@@ -91,10 +93,7 @@ def _cmd_integrate(args) -> int:
         rule = tables.get_or_build(cache, args.n)
     else:
         rule = quadrature.gauss_rule(args.n)
-    if len(names) == 1:
-        value = quadrature.apply_rule(rule, f, *domain)
-    else:
-        value = quadrature.apply_rule_box(rule, f, domain)
+    value = quadrature.apply_rule_box(rule, f, box)
     if args.json:
         _emit({"value": value, "n": args.n, "dims": len(names)}, True)
     else:

@@ -5,7 +5,9 @@ evaluated in integer fixed point by ``legendre``, the builder.  The float
 recurrence for P_n and P_n' is here, for the cache's Gauss check, so a
 cached rule loads no builder, and so is ``dumps_tables``, so ``nodes``
 loads no ``tables``.  The moment-system oracle for the weights is in
-``_exact``, which no CLI path loads; its names resolve here too.
+``_exact``, which no CLI path loads; its names resolve here too.  An interval
+is the one-axis box: the CLI and ``integrate_1d`` hand ``apply_rule_box`` a
+one-axis ``Box``, and ``apply_rule`` is the library's interval entry.
 """
 
 from __future__ import annotations
@@ -154,10 +156,13 @@ def _half_width(a: float, b: float) -> tuple[float, int]:
 
 
 def apply_rule(rule: QuadratureRule, f: Callable[..., float], a: float, b: float) -> float:
-    """Apply an existing rule to the integral of f over [a, b]."""
+    """Apply an existing rule to the integral of f over [a, b].
+
+    The library's interval entry: ``apply_rule_box`` over the one-axis box
+    ``Box((a,), (b,))``, which the CLI and ``integrate_1d`` build themselves.
+    """
     _interval(a, b)
-    # an interval is the one-axis box
-    return _tensor_sum(rule, f, Box((a,), (b,)))
+    return apply_rule_box(rule, f, Box((a,), (b,)))
 
 
 def integrate_1d(f: Callable[..., float], a: float, b: float, n: int) -> float:
@@ -166,8 +171,8 @@ def integrate_1d(f: Callable[..., float], a: float, b: float, n: int) -> float:
     Exact (to rounding) for polynomials of degree up to 2n - 1.  The
     endpoints are never evaluated: all nodes are interior.
     """
-    _interval(a, b)  # before the rule, so a rejected interval builds none
-    return apply_rule(gauss_rule(n), f, a, b)
+    _interval(a, b)  # first: a rejected interval builds no rule, and its error names no axis
+    return apply_rule_box(gauss_rule(n), f, Box((a,), (b,)))
 
 
 def apply_rule_box(rule: QuadratureRule, f: Callable[..., float], box: Box) -> float:
@@ -245,11 +250,6 @@ def apply_rule_box(rule: QuadratureRule, f: Callable[..., float], box: Box) -> f
         return math.ldexp(total, shift)
     except OverflowError:
         raise NumericError("the sum of the weighted integrand values overflows") from None
-
-
-# apply_rule's name for the loop: a wrapper set on apply_rule_box (the
-# bench tracer) leaves a traced interval one apply_rule span
-_tensor_sum = apply_rule_box
 
 
 def integrate_box(f: Callable[..., float], box: Box, n_per_axis: int) -> float:

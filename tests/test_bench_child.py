@@ -1,7 +1,7 @@
 """The traced benchmark child still finds every name it wraps.
 
 ``bench/child.py`` wraps module attributes by name (``expr.evaluate``,
-``quadrature.apply_rule``, ``tables.get_or_build``, ...), so deleting or
+``quadrature.apply_rule_box``, ``tables.get_or_build``, ...), so deleting or
 renaming one of them would break ``bench/run.py --trace 1``.  Its
 per-point rows also count one ``expr.evaluate`` span per integrand point.
 """
@@ -34,12 +34,12 @@ def test_traced_integrate_evaluates_once_per_point(tmp_path):
     assert spans["quadrature.apply_rule_box"][3] == 9
 
 
-def test_traced_interval_is_one_apply_rule_span(tmp_path):
+def test_traced_interval_is_one_apply_rule_box_span(tmp_path):
     trace = _traced(tmp_path, "integrate", "x", "x", "0", "1", "--n", "3")
     assert trace["counts"]["quadrature.points"] == 3
     spans = trace["spans"]
-    # the one-axis box runs inside apply_rule, not through the traced attribute
-    calls, _, _, inside = spans["quadrature.apply_rule"]
+    # the CLI hands apply_rule_box the one-axis box, so each point is counted once
+    calls, _, _, inside = spans["quadrature.apply_rule_box"]
     assert (calls, inside) == (1, 3)
-    assert spans["quadrature.apply_rule_box"][0] == 0
+    assert spans["quadrature.apply_rule"][0] == 0
     assert spans["expr.evaluate"][0] == 3

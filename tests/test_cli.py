@@ -316,7 +316,7 @@ def test_library_gets_the_callable_as_function_returned(capsys, monkeypatch):
         made.clear()
         passed.clear()
         assert run(capsys, *argv)[0] == 0, argv
-        # antideriv's quadrature reaches apply_rule too, with the same f
+        # antideriv's quadrature reaches apply_rule_box too, with the same f
         assert made and {id(f) for f in passed} == {id(f) for f in made}, argv
 
 

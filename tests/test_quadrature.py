@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import sys
@@ -30,7 +31,8 @@ from calcverify import (
     secant_solve,
     verify_antiderivative,
 )
-from calcverify import legendre
+from calcverify import legendre, quadrature
+from calcverify.cli import main
 from calcverify.quadrature import _fsum, _half_width, _midpoint, _term_error, apply_rule
 
 
@@ -440,6 +442,47 @@ def test_apply_rule_is_the_one_axis_box():
         rule, f = gauss_rule(rng.randint(1, 64)), rng.choice(integrands)
         expected = _outcome(lambda: apply_rule_box(rule, f, Box((a,), (b,))))
         assert _outcome(lambda: apply_rule(rule, f, a, b)) == expected, (a, b, rule.n)
+
+
+def test_no_internal_path_calls_apply_rule(capsys, monkeypatch):
+    # the CLI and integrate_1d hand apply_rule_box the one-axis box; each
+    # literal was computed while these paths still called apply_rule
+    def stub(*args):
+        raise AssertionError("apply_rule called")
+
+    monkeypatch.setattr(quadrature, "apply_rule", stub)
+    monkeypatch.delenv("CALCVERIFY_CACHE", raising=False)
+
+    def cli(*argv):
+        assert main([*argv, "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert cli("integrate", "exp(x)*sin(3*x)", "x", "0", "2", "--n", "64")["value"].hex() == "-0x1.04772ffdf2044p+1"
+    report = cli("antideriv", "x^2", "x^3/3", "0", "1")
+    assert (report["quad_value"].hex(), report["abs_diff"].hex()) == ("0x1.5555555555556p-2", "0x1.0000000000000p-54")
+    wave = as_function(parse("exp(x)*sin(3*x)", ["x"]), ["x"])
+    assert integrate_1d(wave, 0.0, 2.0, 64).hex() == "-0x1.04772ffdf2044p+1"
+    assert integrate_1d(lambda x: 1e-300, -1e308, 1.7e308, 3).hex() == "0x1.017df80000000p+28"  # rescaled
+    assert integrate_1d(lambda x: 1.0, 0.0, 5e-324, 2).hex() == "0x0.0000000000001p-1022"
+    rows = convergence_table(math.exp, 0.0, 1.0, [1, 2, 4, 8], math.e - 1)
+    assert [(n, v.hex(), e.hex()) for n, v, e in rows] == [
+        (1, "0x1.a61298e1e069cp+0", "0x1.1ceb880aa8360p-4"),
+        (2, "0x1.b7c80e9975868p+0", "0x1.942c91566a000p-12"),
+        (4, "0x1.b7e1515e891e2p+0", "0x1.0073c00000000p-30"),
+        (8, "0x1.b7e151628aed3p+0", "0x1.0000000000000p-52"),
+    ]
+    report = verify_antiderivative(math.cos, math.sin, 0.0, 1.0, n=5)
+    assert (report.quad_value.hex(), report.abs_diff.hex()) == ("0x1.aed548f09190cp-1", "0x1.83c0000000000p-42")
+    monkeypatch.undo()
+    # the library's interval entry is still the one-axis box, and its bounds errors name no axis
+    for a, b in ((0.0, 2.0), (-1e308, 1.7e308), (0.0, 5e-324), (0.0, math.nan), (1.0, 0.0)):
+        for rule, f in ((gauss_rule(64), wave), (gauss_rule(3), lambda x: 1e-300)):
+            expected = _outcome(lambda: apply_rule_box(rule, f, Box((a,), (b,))))
+            if a < b:
+                assert _outcome(lambda: apply_rule(rule, f, a, b)) == expected
+            else:
+                assert expected.startswith("DomainError: axis 0: ")
+                assert _outcome(lambda: apply_rule(rule, f, a, b)) == expected.replace("axis 0: ", "")
 
 
 def test_apply_rule_moved_within_the_stated_bound():

@@ -8,7 +8,7 @@ import sys
 
 from . import tables
 from .errors import TableError
-from .tables import _gauss_rule_in, _read_table
+from .tables import _gauss_rule, _parse_tables, _read_table
 
 
 def insert_rule(cache_path: str, n: int, rule: QuadratureRule, corrupt: TableError | None) -> QuadratureRule:
@@ -29,12 +29,12 @@ def insert_rule(cache_path: str, n: int, rule: QuadratureRule, corrupt: TableErr
         # may have added rules, or rule n, since get_or_build's read
         try:
             lines = _read_table(cache_path)
-            if _gauss_rule_in(lines, cache_path, n) is not None:
+            if (cached := _parse_tables(lines, cache_path).get(n)) is not None:
+                _gauss_rule(cached, cache_path)
                 return rule
         except FileNotFoundError:
             lines = []
         except TableError as exc:
-            # printed once the rule is built: a point count gauss_rule rejects discards nothing
             lines = []
             print(f"warning: discarding corrupt rule cache ({corrupt or exc}); rebuilding", file=sys.stderr)
         head, *block = tables.dumps_tables([rule]).splitlines()

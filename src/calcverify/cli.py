@@ -17,7 +17,7 @@ import math
 import sys
 import types
 
-from .errors import CalcVerifyError, DomainError, NumericError, _interval
+from .errors import CalcVerifyError, DomainError, NumericError
 
 
 def _compile(text: str, variables: Sequence[str]) -> Callable[..., float]:
@@ -82,10 +82,7 @@ def _cmd_integrate(args) -> int:
 
     from . import quadrature
 
-    # the bounds before the rule: a rejected call builds and caches none; an interval's error names no axis
-    if len(names) == 1:
-        _interval(lo[0], hi[0])
-    box = quadrature.Box(tuple(lo), tuple(hi))
+    box = quadrature.Box(tuple(lo), tuple(hi))  # the bounds before the rule: a rejected call builds and caches none
     cache = environ.get("CALCVERIFY_CACHE")
     if cache:
         from . import tables

@@ -14,7 +14,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from ._record import Record
-from .errors import CapabilityError, DomainError, _finite, _integer
+from .errors import DomainError, _count, _finite
 
 MAX_ITERATIONS = 60
 DEFAULT_ITERATIONS = 40
@@ -45,9 +45,7 @@ def cordic_table(iters: int = DEFAULT_ITERATIONS) -> CordicTable:
     multiplies.  Built tables are cached.
     """
     # checked before the cache, which hashes iters and takes 2.0 for 2
-    if not 1 <= _integer("iteration count", iters) <= MAX_ITERATIONS:
-        raise CapabilityError(f"iteration count must be in 1..{MAX_ITERATIONS}, got {iters}")
-    return _cordic_table(iters)
+    return _cordic_table(_count("iteration count", iters, MAX_ITERATIONS))
 
 
 @lru_cache(maxsize=None)

@@ -38,6 +38,13 @@ def _integer(name: str, value: int) -> int:
     return value
 
 
+def _count(name: str, value: int, most: int) -> int:
+    # a count past its cap is a request beyond the supported range, not a domain error
+    if not 1 <= _integer(name, value) <= most:
+        raise CapabilityError(f"{name} must be in 1..{most}, got {value}")
+    return value
+
+
 def _positive(name: str, value: float) -> float:
     if not value > 0:
         raise DomainError(f"{name} must be positive, got {value!r}")

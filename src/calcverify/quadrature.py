@@ -17,7 +17,7 @@ import sys
 from functools import lru_cache
 
 from ._record import Record
-from .errors import CapabilityError, DomainError, NumericError, _finite, _finite_result, _integer, _interval
+from .errors import DomainError, NumericError, _count, _finite, _finite_result, _integer, _interval
 
 MAX_POINTS = 64
 FORMAT_NAME = "GAUSSTAB"
@@ -60,11 +60,12 @@ class Box(Record):
             raise DomainError("lo and hi must have the same length")
         if not 1 <= len(lo) <= 3:
             raise DomainError(f"box dimension must be 1..3, got {len(lo)}")
+        # the one bounds check of every box and interval; only a box's error names the axis
         for k, (a, b) in enumerate(zip(lo, hi)):
             try:
                 _interval(a, b)
             except DomainError as exc:
-                raise DomainError(f"axis {k}: {exc}") from None
+                raise DomainError(f"axis {k}: {exc}" if len(lo) > 1 else str(exc)) from None
 
     @property
     def dims(self) -> int:
@@ -104,8 +105,7 @@ def gauss_rule(n: int) -> QuadratureRule:
     ``legendre.gauss_nodes_and_weights``; each call returns an equal, new
     ``QuadratureRule``.
     """
-    if not 1 <= _integer("point count", n) <= MAX_POINTS:
-        raise CapabilityError(f"point count must be in 1..{MAX_POINTS}, got {n}")
+    _count("point count", n, MAX_POINTS)
     from .legendre import gauss_nodes_and_weights  # here: a rule read from a cache file loads no legendre
 
     return QuadratureRule(n, *gauss_nodes_and_weights(n))
@@ -161,7 +161,6 @@ def apply_rule(rule: QuadratureRule, f: Callable[..., float], a: float, b: float
     The library's interval entry: ``apply_rule_box`` over the one-axis box
     ``Box((a,), (b,))``, which the CLI and ``integrate_1d`` build themselves.
     """
-    _interval(a, b)
     return apply_rule_box(rule, f, Box((a,), (b,)))
 
 
@@ -171,8 +170,7 @@ def integrate_1d(f: Callable[..., float], a: float, b: float, n: int) -> float:
     Exact (to rounding) for polynomials of degree up to 2n - 1.  The
     endpoints are never evaluated: all nodes are interior.
     """
-    _interval(a, b)  # first: a rejected interval builds no rule, and its error names no axis
-    return apply_rule_box(gauss_rule(n), f, Box((a,), (b,)))
+    return integrate_box(f, Box((a,), (b,)), n)  # the box first: a rejected interval builds no rule
 
 
 def apply_rule_box(rule: QuadratureRule, f: Callable[..., float], box: Box) -> float:

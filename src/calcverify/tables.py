@@ -17,7 +17,7 @@ import stat
 import sys
 
 from . import quadrature
-from .errors import TableError, _integer
+from .errors import TableError, _count
 from .quadrature import FORMAT_NAME, FORMAT_VERSION, QuadratureRule, dumps_tables, legendre_value_and_derivative
 
 _SUM_TOL = 1e-12
@@ -93,12 +93,13 @@ def load_tables(path: str) -> dict[int, QuadratureRule]:
     """Load and validate every rule in the file, keyed by point count.
 
     Raises TableError for a bad header, version mismatch, malformed or
-    truncated lines (with the line number), or any invariant violation;
+    truncated lines (with the line number), any invariant violation, or a
+    rule that is not the Gauss rule (``gauss_violation``);
     FileNotFoundError passes through for a missing file, and OSError is
     raised for a path that names no regular file (a FIFO is never waited on).
     """
     path = os.fspath(path)
-    return _parse_tables(_read_table(path), path)
+    return {n: _gauss_rule(rule, path) for n, rule in _parse_tables(_read_table(path), path).items()}
 
 
 def _read_table(path: str) -> list[str]:
@@ -174,18 +175,19 @@ def _parse_tables(lines: list[str], path: str, only: int | None = None) -> dict[
     return rules
 
 
-def _gauss_rule_in(lines: list[str], path: str, n: int, only: int | None = None) -> QuadratureRule | None:
-    # the n-point rule of a table, or None; TableError if a rule parsed is
-    # corrupt, or if the n-point rule is not the Gauss rule
-    rule = _parse_tables(lines, path, only).get(n)
-    if rule is not None and (violation := gauss_violation(rule)) is not None:
-        raise TableError(f"{path}: rule n={n} is not a Gauss rule: {violation}")
+def _gauss_rule(rule: QuadratureRule, path: str) -> QuadratureRule:
+    # the one Gauss check of a rule read from a table, on every path that returns one
+    if (violation := gauss_violation(rule)) is not None:
+        raise TableError(f"{path}: rule n={rule.n} is not a Gauss rule: {violation}")
     return rule
 
 
 def get_or_build(cache_path: str, n: int) -> QuadratureRule:
     """Return the cached n-point rule, building and inserting it on a miss.
 
+    A point count outside 1..64 (``quadrature.MAX_POINTS``) is rejected
+    before the file is read, with ``gauss_rule``'s error, even if the file
+    holds a block for it.
     A hit reads the file once and takes no lock: it reads and checks every
     ``N k`` header, skipping each other block by its count, and parses and
     checks only the n-point block, against the invariants and the Gauss
@@ -203,18 +205,19 @@ def get_or_build(cache_path: str, n: int) -> QuadratureRule:
     cache is derived data, so this is recovery, not failure.  A bad row in
     a block for another n is found on a miss.
     """
-    # checked before the file is read: a cached 2 would answer 2.0, and True
-    # would find the 1-point rule
-    _integer("point count", n)
+    # checked before the file is read: a cached 2 would answer 2.0, True
+    # would find the 1-point rule, and a cached 65 would answer where
+    # gauss_rule refuses it
+    _count("point count", n, quadrature.MAX_POINTS)
     cache_path = os.fspath(cache_path)
     if os.path.islink(cache_path):
         # read and replace what the link names; the link stays a link
         cache_path = os.path.realpath(cache_path)
     corrupt = None
     try:
-        rule = _gauss_rule_in(_read_table(cache_path), cache_path, n, only=n)
+        rule = _parse_tables(_read_table(cache_path), cache_path, only=n).get(n)
         if rule is not None:
-            return rule
+            return _gauss_rule(rule, cache_path)
     except FileNotFoundError:
         pass
     except TableError as exc:

@@ -242,7 +242,7 @@ def test_integrate_rebuilds_cache_whose_weights_are_not_symmetric(capsys, tmp_pa
     assert load_tables(cache)[3] == gauss_rule(3)
 
 
-def test_one_closure_between_tensor_sum_and_evaluate(capsys, monkeypatch):
+def test_one_closure_between_apply_rule_box_and_evaluate(capsys, monkeypatch):
     # the CLI's integrand calls expr.evaluate directly, so evaluate's
     # caller is called straight from the tensor-product loop
     real = expr.evaluate

@@ -182,10 +182,8 @@ def test_gauss_violation_accepts_every_built_rule():
         assert gauss_violation(gauss_rule(n)) is None
 
 
-def test_gauss_violation_rejects_wrong_nodes_and_weights(tmp_path):
-    path = tmp_path / "rules.gausstab"
-    path.write_text(NOT_GAUSS_2)
-    rule = load_tables(path)[2]
+def test_gauss_violation_rejects_wrong_nodes_and_weights():
+    rule = QuadratureRule(n=2, nodes=(-0.5, 0.5), weights=(1.0, 1.0))  # NOT_GAUSS_2's rule
     assert rule_violation(rule) is None
     assert "not a root of P_2" in gauss_violation(rule)
     # shift weight between the two symmetric pairs of the 4-point rule:
@@ -196,6 +194,14 @@ def test_gauss_violation_rejects_wrong_nodes_and_weights(tmp_path):
     bad = QuadratureRule(n=4, nodes=good.nodes, weights=weights)
     assert rule_violation(bad) is None
     assert "is not 2 / ((1 - x^2) P_4'(x)^2)" in gauss_violation(bad)
+
+
+def test_load_tables_rejects_a_rule_that_is_not_gauss(tmp_path):
+    path = tmp_path / "rules.gausstab"
+    path.write_text(NOT_GAUSS_2)
+    with pytest.raises(TableError) as info:
+        load_tables(path)
+    assert str(info.value).endswith("rule n=2 is not a Gauss rule: node -0.5 is not a root of P_2")
 
 
 def test_get_or_build_rebuilds_a_cached_rule_that_is_not_gauss(tmp_path, capsys):

@@ -6,18 +6,26 @@ Exit status 0 means success or a passing verdict, 1 a numeric failure
 usage, parse, or domain error.  Numbers print with 10 significant
 digits in plain mode and 17 in --json mode.
 
-Each subcommand imports the library modules it runs, so a call compiles
-and runs no other (a cache hit no writer, and none the exact routes);
-options left out fall back to the library defaults.
+Each subcommand's handler, ``run(args, cli)``, is its own module,
+``_cmd_<subcommand>``, that ``main`` imports alone.  ``cli`` is this
+module, passed in for the output helpers: under ``python -m
+calcverify.cli`` it is ``__main__``, and a handler that imported
+``calcverify.cli`` would compile it a second time.  Each handler imports
+the library modules it runs, so a call compiles and runs no other: a
+cache hit no writer, no call the exact routes or the library-only
+``_printing`` and ``_differences``, and only an integral the box code of
+``_box``.  ``_COMMANDS`` is the one argument table: ``_read_argv`` reads
+a plain argv by it, and ``build_parser``, the argparse fallback, hands
+it to argparse; neither loads a handler.  Options left out fall back to
+the library defaults.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 import types
 
-from .errors import CalcVerifyError, DomainError, NumericError
+from .errors import CalcVerifyError, NumericError
 
 
 def _compile(text: str, variables: Sequence[str]) -> Callable[..., float]:
@@ -65,142 +73,30 @@ def _emit(fields: dict, as_json: bool) -> None:
             print(f"{k} {v}")
 
 
-def _cmd_integrate(args) -> int:
-    triplets = args.axes
-    if len(triplets) % 3 != 0 or not 1 <= len(triplets) // 3 <= 3:
-        raise DomainError("expected 1 to 3 axis triplets: VAR LO HI")
-    names, lo, hi = [], [], []
-    for k in range(0, len(triplets), 3):
-        names.append(triplets[k])
-        try:
-            lo.append(float(triplets[k + 1]))
-            hi.append(float(triplets[k + 2]))
-        except ValueError:
-            raise DomainError(f"bounds for {triplets[k]!r} are not numbers") from None
-    f = _compile(args.expression, names)
-    from os import environ  # here, so importing the CLI loads no os
-
-    from . import quadrature
-
-    box = quadrature.Box(tuple(lo), tuple(hi))  # the bounds before the rule: a rejected call builds and caches none
-    cache = environ.get("CALCVERIFY_CACHE")
-    if cache:
-        from . import tables
-
-        rule = tables.get_or_build(cache, args.n)
-    else:
-        rule = quadrature.gauss_rule(args.n)
-    value = quadrature.apply_rule_box(rule, f, box)
-    if args.json:
-        _emit({"value": value, "n": args.n, "dims": len(names)}, True)
-    else:
-        print(f"{value:.10g}")
-    return 0
-
-
-def _cmd_diffcheck(args) -> int:
-    f = _compile(args.function, [args.var])
-    fprime = _compile(args.derivative, [args.var])
-    from . import diffcheck
-
-    report = diffcheck.verify_derivative(
-        f, fprime, args.point, **_given(args, "h", "tol_abs", "tol_rel")
-    )
-    _emit(_record_fields(report), args.json)
-    return 0 if report.verdict == "pass" else 1
-
-
-def _cmd_antideriv(args) -> int:
-    f = _compile(args.function, [args.var])
-    antideriv = _compile(args.antiderivative, [args.var])
-    from . import diffcheck
-
-    report = diffcheck.verify_antiderivative(
-        f, antideriv, args.a, args.b, **_given(args, "n", "tol")
-    )
-    _emit(_record_fields(report), args.json)
-    return 0 if report.verdict == "pass" else 1
-
-
-def _cmd_solve(args) -> int:
-    f = _compile(args.function, [args.var])
-    from . import solvers
-
-    options = _given(args, "tol", "max_iters")
-    if args.method == "newton":
-        fprime = _compile(args.fprime, [args.var]) if args.fprime else None
-        result = solvers.newton_solve(f, args.c, args.x0, fprime=fprime, **options)
-    else:
-        if args.x1 is None:
-            raise DomainError("the secant method requires --x1")
-        result = solvers.secant_solve(f, args.c, args.x0, args.x1, **options)
-    _emit(_record_fields(result), args.json)
-    if not result.converged:
-        print(
-            f"did not converge in {result.iterations} iterations; "
-            f"last iterate {result.root:.10g}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_nodes(args) -> int:
-    from . import quadrature
-
-    rule = quadrature.gauss_rule(args.n)
-    if args.json:
-        _emit(_record_fields(rule), True)
-    else:
-        print(quadrature.dumps_tables([rule]), end="")
-    return 0
-
-
-def _cmd_cordic(args) -> int:
-    from . import cordic
-
-    table = cordic.cordic_table(**_given(args, "iters"))
-    result = cordic.cordic_sincos(args.theta, table)
-    ref_sin, ref_cos = math.sin(args.theta), math.cos(args.theta)
-    _emit(
-        {
-            "theta": args.theta,
-            "iters": table.iters,
-            "sin": result.sin,
-            "cos": result.cos,
-            "ref_sin": ref_sin,
-            "ref_cos": ref_cos,
-            "sin_abs_diff": abs(result.sin - ref_sin),
-            "cos_abs_diff": abs(result.cos - ref_cos),
-        },
-        args.json,
-    )
-    return 0
-
-
 _FLAG = {"action": "store_true", "default": False}
 _FLOAT, _INT, _VAR = {"type": float}, {"type": int}, {"default": "x"}
 
-# The one description of the CLI: subcommand -> (handler, help, arguments),
-# each argument a name and the keywords of its add_argument call.
-# build_parser() hands it to argparse, and _read_argv() reads a plain argv by it.
+# The one description of the CLI: subcommand -> (help, arguments), each
+# argument a name and the keywords of its add_argument call; the handler of
+# subcommand c is _cmd_c.run.  build_parser() hands it to argparse, and
+# _read_argv() reads a plain argv by it.
 _COMMANDS = {
-    "integrate": (_cmd_integrate, "integrate an expression over an interval or box", [
+    "integrate": ("integrate an expression over an interval or box", [
         ("expression", {}),
         ("axes", {"nargs": "+", "metavar": "VAR LO HI",
                   "help": "1 to 3 axis triplets, e.g. x 0 1 y 0 1"}),
         ("--n", {"type": int, "default": 20, "help": "points per axis (default 20)"}),
         ("--json", _FLAG),
     ]),
-    "diffcheck": (_cmd_diffcheck, "verify an analytic derivative at a point", [
+    "diffcheck": ("verify an analytic derivative at a point", [
         ("function", {}), ("derivative", {}), ("point", _FLOAT), ("--var", _VAR),
         ("--h", _FLOAT), ("--tol-abs", _FLOAT), ("--tol-rel", _FLOAT), ("--json", _FLAG),
     ]),
-    "antideriv": (_cmd_antideriv, "verify an antiderivative on an interval", [
+    "antideriv": ("verify an antiderivative on an interval", [
         ("function", {}), ("antiderivative", {}), ("a", _FLOAT), ("b", _FLOAT), ("--var", _VAR),
         ("--n", _INT), ("--tol", _FLOAT), ("--json", _FLAG),
     ]),
-    "solve": (_cmd_solve, "solve f(x) = c by Newton or secant iteration", [
+    "solve": ("solve f(x) = c by Newton or secant iteration", [
         ("function", {}),
         ("--c", {"type": float, "default": 0.0}),
         ("--method", {"choices": ("newton", "secant"), "default": "newton"}),
@@ -209,10 +105,10 @@ _COMMANDS = {
         ("--fprime", {"help": "analytic derivative expression (newton only)"}),
         ("--var", _VAR), ("--tol", _FLOAT), ("--max-iters", _INT), ("--json", _FLAG),
     ]),
-    "nodes": (_cmd_nodes, "print an n-point rule in the table file format", [
+    "nodes": ("print an n-point rule in the table file format", [
         ("n", _INT), ("--json", _FLAG),
     ]),
-    "cordic": (_cmd_cordic, "CORDIC sine/cosine with a reference comparison", [
+    "cordic": ("CORDIC sine/cosine with a reference comparison", [
         ("theta", _FLOAT), ("--iters", _INT), ("--json", _FLAG),
     ]),
 }
@@ -227,11 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
         "verification, root solving, and CORDIC trig.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, help_, arguments) in _COMMANDS.items():
+    for command, (help_, arguments) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_)
         for name, spec in arguments:
             p.add_argument(name, **spec)
-        p.set_defaults(func=func)
     return parser
 
 
@@ -254,7 +149,7 @@ def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
     most once and followed by one value (none for --json) that converts."""
     if not argv or argv[0] not in _COMMANDS:
         return None
-    func, _, arguments = _COMMANDS[argv[0]]
+    _, arguments = _COMMANDS[argv[0]]
     options = {name: spec for name, spec in arguments if name.startswith("-")}
     positionals = [(name, spec) for name, spec in arguments if not name.startswith("-")]
     split = next((k for k, token in enumerate(argv) if token in options), len(argv))
@@ -262,7 +157,7 @@ def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
     if positionals[last][1].get("nargs") == "+" and len(given) > last:  # integrate's axes
         given[last:] = [given[last:]]
     values = {name[2:].replace("-", "_"): spec.get("default") for name, spec in options.items()}
-    values.update(command=argv[0], func=func)
+    values["command"] = argv[0]
     try:
         for (name, spec), token in zip(positionals, given, strict=True):
             one = isinstance(token, str)
@@ -297,7 +192,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exit_:  # argparse exits 2 on usage errors, 0 on --help
             code = int(exit_.code) if exit_.code else 0
         else:
-            code = args.func(args)
+            handler = __import__(f"{__package__}._cmd_{args.command}", fromlist=["run"])
+            code = handler.run(args, sys.modules[__name__])
         if sys.stdout is not None:  # closed stdout: print wrote nothing
             sys.stdout.flush()  # here, so a write that fails is an io error like any other
         return code

@@ -4,7 +4,9 @@ Central differences verify analytic derivatives; the fundamental-theorem
 check F(b) - F(a) against a quadrature value verifies antiderivatives.
 The default step h = 1e-4 trades truncation against roundoff well for
 smooth functions near unit scale; below h ~ cbrt(eps) the roundoff term
-grows again, so h is fixed rather than auto-tuned.
+grows again, so h is fixed rather than auto-tuned.  The differences no
+CLI path takes (``one_sided_diff``, ``gradient``, ``directional_derivative``)
+are in ``_differences``; their names resolve here too.
 """
 
 from __future__ import annotations
@@ -66,16 +68,6 @@ def central_diff(f: Callable[[float], float], a: float, h: float) -> float:
     return _finite_result((_eval_finite(f, right) - _eval_finite(f, left)) / (2.0 * h), "central difference")
 
 
-def one_sided_diff(f: Callable[[float], float], a: float, h: float) -> float:
-    """Secant slope (f(a+h) - f(a)) / h; negative h gives the left secant."""
-    _finite("point a", a)
-    if h == 0:
-        raise DomainError("step h must be nonzero")
-    _finite("step h", h)
-    right = _moved(a, a + h, h, a)
-    return _finite_result((_eval_finite(f, right) - _eval_finite(f, a)) / h, "one-sided difference")
-
-
 def _check_tolerance(name: str, tol: float) -> None:
     # a negative (or NaN) tolerance would make every verdict "fail", an infinite one "pass"
     if not tol >= 0:
@@ -127,7 +119,7 @@ def verify_antiderivative(
     _check_tolerance("tol", tol)
     _interval(a, b)  # F at an infinite bound is not an integral
     # imported here: derivative checks and the solvers never integrate
-    from .quadrature import integrate_1d
+    from ._box import integrate_1d
 
     fb = _eval_finite(antiderivative, b)
     fa = _eval_finite(antiderivative, a)
@@ -146,54 +138,11 @@ def verify_antiderivative(
     )
 
 
-def gradient(
-    f: Callable[..., float],
-    point: Sequence[float],
-    h: float,
-) -> tuple[float, ...]:
-    """Forward-difference gradient using exactly d+1 function evaluations.
-
-    All components share one base evaluation f(point); component k uses
-    f with only coordinate k bumped by +h.
-    """
-    _positive("step h", h)
-    p = tuple(float(v) for v in point)
-    if len(p) < 1:
-        raise DomainError("point must have at least one coordinate")
-    if not all(map(math.isfinite, p)):
-        raise DomainError(f"point must be finite, got {p!r}")
-    bumps = [_moved(v, v + h, h, p) for v in p]
-    base = f(*p)
-    if not math.isfinite(base):
-        raise NumericError(f"function returned non-finite value {base!r} at {p!r}")
-    out = []
-    for k in range(len(p)):
-        bumped = p[:k] + (bumps[k],) + p[k + 1 :]
-        v = f(*bumped)
-        if not math.isfinite(v):
-            raise NumericError(
-                f"function returned non-finite value {v!r} bumping coordinate {k}"
-            )
-        out.append(_finite_result((v - base) / h, f"difference quotient of coordinate {k}"))
-    return tuple(out)
+# moved to _differences, which no CLI path loads: old imports find them here
+_DIFFERENCES = ("directional_derivative", "gradient", "one_sided_diff")
 
 
-def directional_derivative(
-    f: Callable[..., float],
-    point: Sequence[float],
-    direction: Sequence[float],
-    h: float,
-) -> float:
-    """Gradient estimate dotted with the unit vector along ``direction``."""
-    d = tuple(float(v) for v in direction)
-    norm = math.hypot(*d)
-    if norm == 0.0 or not math.isfinite(norm):
-        raise DomainError("direction must have a nonzero finite norm")
-    if len(point) != len(d):
-        raise DomainError("direction and point dimensions differ")
-    grad = gradient(f, point, h)
-    from .quadrature import _fsum
-
-    # each term is finite and no larger than its gradient component, so the
-    # sum is finite unless the exact sum overflows
-    return _fsum([g * (v / norm) for g, v in zip(grad, d)], "directional derivative")
+def __getattr__(name: str):
+    if name not in _DIFFERENCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(__import__(f"{__package__}._differences", fromlist=["__name__"]), name)

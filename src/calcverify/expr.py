@@ -13,7 +13,8 @@ Grammar (whitespace insignificant):
 A name followed by '(' must be one of the builtins sin, cos, tan, exp,
 ln, sqrt, abs; any other name is a variable and must be declared.
 Implicit multiplication is rejected: write 2*x, not 2x.  The parser
-and ``to_string`` read one precedence table, ``_PREC``.  Each '(',
+and ``to_string`` (in ``_printing``, which no CLI path loads; the name
+resolves here too) read one precedence table, ``_PREC``.  Each '(',
 call, unary '-' and '^' exponent nests one level; past 100 levels the
 parser raises ParseError.  Printing and the checked evaluator use an
 explicit stack, so they work at any depth.
@@ -221,9 +222,8 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
-# binding powers for parsing and printing; unary '-' binds between * and ^
+# binding powers for parsing and printing
 _PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
-_NEG_PREC = 25
 
 
 class _Parser:
@@ -485,36 +485,8 @@ def as_function(
     return f
 
 
-def to_string(e: Expr) -> str:
-    """Render with the fewest parentheses that reparse to the same tree.
-
-    One top-down pass without recursion: the stack holds literal text
-    and (node, outer precedence, parenthesize on a tie) items, and each
-    piece of output is appended once, so the time is linear in the size.
-    """
-    out: list[str] = []
-    todo: list = [(e, 0, False)]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        node, outer, tie = item
-        prec = _PREC[node.op] if isinstance(node, BinOp) else _NEG_PREC if isinstance(node, Neg) else 100
-        if prec < outer or (prec == outer and tie):
-            out.append("(")
-            todo.append(")")
-        if isinstance(node, Num):
-            out.append(repr(node.value) if node.value >= 0 else f"({node.value!r})")
-        elif isinstance(node, Var):
-            out.append(node.name)
-        elif isinstance(node, Neg):
-            out.append("-")
-            todo.append((node.operand, _NEG_PREC, False))
-        elif isinstance(node, BinOp):
-            groups_right = node.op == "^"  # the others group left
-            todo += ((node.right, prec, not groups_right), node.op, (node.left, prec, groups_right))
-        else:
-            out.append(node.func + "(")
-            todo += (")", (node.arg, 0, False))
-    return "".join(out)
+def __getattr__(name: str):
+    # to_string moved to _printing, which no CLI path loads: old imports find it here
+    if name != "to_string":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return __import__(f"{__package__}._printing", fromlist=["__name__"]).to_string

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -204,6 +205,33 @@ def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["integrate"]) == 2
+
+
+# each subcommand in --help order -> its help string and its option strings
+HELP = {
+    "integrate": ("integrate an expression over an interval or box", "-h --help --n --json"),
+    "diffcheck": ("verify an analytic derivative at a point", "-h --help --var --h --tol-abs --tol-rel --json"),
+    "antideriv": ("verify an antiderivative on an interval", "-h --help --var --n --tol --json"),
+    "solve": (
+        "solve f(x) = c by Newton or secant iteration",
+        "-h --help --c --method --x0 --x1 --fprime --var --tol --max-iters --json",
+    ),
+    "nodes": ("print an n-point rule in the table file format", "-h --help --json"),
+    "cordic": ("CORDIC sine/cosine with a reference comparison", "-h --help --iters --json"),
+}
+
+
+def test_help_lists_every_subcommand_and_option(capsys, monkeypatch):
+    # names, not layout, which differs across argparse versions; wide, so no help string wraps
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    listed = re.findall(r"^ +(\w+) +(\S.*?) *$", out, re.M)
+    assert [(name, text) for name, text in listed if name in HELP] == [(name, text) for name, (text, _) in HELP.items()]
+    for name, (_, options) in HELP.items():
+        code, out, err = run(capsys, name, "--help")
+        assert (code, err) == (0, "")
+        assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", out)) == set(options.split()), name
 
 
 def test_integrate_rebuilds_cached_rule_that_is_not_gauss(capsys, tmp_path, monkeypatch):

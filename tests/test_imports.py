@@ -90,35 +90,38 @@ def test_cli_import_loads_no_library_module():
 
 # argv -> the modules it loads besides cli, errors and _record
 SUBCOMMAND_MODULES = [
-    (["cordic", "1"], {"cordic"}),
+    (["cordic", "1"], {"_cmd_cordic", "cordic"}),
     # nodes prints through quadrature's text form: neither the cache's reader nor its writer
-    (["nodes", "3"], {"quadrature", "legendre"}),
-    (["nodes", "3", "--json"], {"quadrature", "legendre"}),
+    (["nodes", "3"], {"_cmd_nodes", "quadrature", "legendre"}),
+    (["nodes", "3", "--json"], {"_cmd_nodes", "quadrature", "legendre"}),
     # each integrate below misses on an empty cache, so it loads the writer
-    (["integrate", "x^2", "x", "0", "1"], {"expr", "quadrature", "legendre", "tables", "_tablewrite"}),
+    (["integrate", "x^2", "x", "0", "1"], {"_cmd_integrate", "expr", "_box", "quadrature", "legendre", "tables", "_tablewrite"}),
     # a grid of 4^3 points is below the nest's threshold: the point loops run it
     # all, so neither the axis sums' module nor the generator loads
     (
         ["integrate", "x*y*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "4"],
-        {"expr", "quadrature", "legendre", "tables", "_tablewrite"},
+        {"_cmd_integrate", "expr", "_box", "quadrature", "legendre", "tables", "_tablewrite"},
     ),
     # a grid of 5^3 points is large enough for a nest; x*y*z is a product of
     # one-axis factors, so it is summed axis by axis and the generator stays unloaded
     (
         ["integrate", "x*y*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
-        {"expr", "_separable", "quadrature", "legendre", "tables", "_tablewrite"},
+        {"_cmd_integrate", "expr", "_separable", "_box", "quadrature", "legendre", "tables", "_tablewrite"},
     ),
     # sin(x*y) reads two axes, so the tree is not separable and runs the loop nest
     (
         ["integrate", "sin(x*y)*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
-        {"expr", "_separable", "_nest", "quadrature", "legendre", "tables", "_tablewrite"},
+        {"_cmd_integrate", "expr", "_separable", "_nest", "_box", "quadrature", "legendre", "tables", "_tablewrite"},
     ),
-    (["integrate", "x^", "x", "0", "1"], {"expr"}),  # a parse error builds no rule
-    (["diffcheck", "x^2", "2*x", "1"], {"expr", "diffcheck"}),
-    (["antideriv", "2*x", "x^2", "0", "1"], {"expr", "diffcheck", "quadrature", "legendre"}),
-    (["solve", "x^2 - 2", "--x0", "1"], {"expr", "diffcheck", "solvers"}),
-    (["solve", "x^2 - 2", "--x0", "1", "--fprime", "2*x"], {"expr", "solvers"}),
-    (["solve", "x^2 - 2", "--method", "secant", "--x0", "1", "--x1", "2"], {"expr", "solvers"}),
+    (["integrate", "x^", "x", "0", "1"], {"_cmd_integrate", "expr"}),  # a parse error builds no rule
+    (["diffcheck", "x^2", "2*x", "1"], {"_cmd_diffcheck", "expr", "diffcheck"}),
+    (["antideriv", "2*x", "x^2", "0", "1"], {"_cmd_antideriv", "expr", "diffcheck", "_box", "quadrature", "legendre"}),
+    (["solve", "x^2 - 2", "--x0", "1"], {"_cmd_solve", "expr", "diffcheck", "solvers"}),
+    (["solve", "x^2 - 2", "--x0", "1", "--fprime", "2*x"], {"_cmd_solve", "expr", "solvers"}),
+    (["solve", "x^2 - 2", "--method", "secant", "--x0", "1", "--x1", "2"], {"_cmd_solve", "expr", "solvers"}),
+    # help is argparse's answer, which runs no handler
+    (["--help"], set()),
+    (["nodes", "--help"], set()),
 ]
 
 
@@ -143,14 +146,14 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, modules)
 
 # argv on a cache that holds its rule -> the modules it loads besides cli, errors and _record
 WARM_MODULES = [
-    (["integrate", "x^2", "x", "0", "1", "--n", "5"], {"expr", "quadrature", "tables"}),
+    (["integrate", "x^2", "x", "0", "1", "--n", "5"], {"_cmd_integrate", "expr", "_box", "quadrature", "tables"}),
     (
         ["integrate", "x*y*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
-        {"expr", "_separable", "quadrature", "tables"},
+        {"_cmd_integrate", "expr", "_separable", "_box", "quadrature", "tables"},
     ),
     (
         ["integrate", "sin(x*y)*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
-        {"expr", "_separable", "_nest", "quadrature", "tables"},
+        {"_cmd_integrate", "expr", "_separable", "_nest", "_box", "quadrature", "tables"},
     ),
 ]
 
@@ -168,14 +171,14 @@ def test_an_integral_on_a_warm_cache_loads_no_rule_builder(tmp_path, argv, modul
 
 # argv with no cache named -> the modules it loads besides cli, errors and _record
 UNCACHED_MODULES = [
-    (["integrate", "x^2", "x", "0", "1", "--n", "5"], {"expr", "quadrature", "legendre"}),
+    (["integrate", "x^2", "x", "0", "1", "--n", "5"], {"_cmd_integrate", "expr", "_box", "quadrature", "legendre"}),
     (
         ["integrate", "x*y*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
-        {"expr", "_separable", "quadrature", "legendre"},
+        {"_cmd_integrate", "expr", "_separable", "_box", "quadrature", "legendre"},
     ),
     (
         ["integrate", "sin(x*y)*z", "x", "0", "1", "y", "0", "1", "z", "0", "1", "--n", "5"],
-        {"expr", "_separable", "_nest", "quadrature", "legendre"},
+        {"_cmd_integrate", "expr", "_separable", "_nest", "_box", "quadrature", "legendre"},
     ),
 ]
 
@@ -189,13 +192,35 @@ def test_an_integral_with_no_cache_builds_its_rule_without_tables(tmp_path, argv
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+ROWS = SUBCOMMAND_MODULES + WARM_MODULES + UNCACHED_MODULES
+
+
 def test_no_cli_path_compiles_the_exact_routes():
     # every row above pins its whole module set, and none holds _exact, the
-    # module that the exact routes' old paths load
-    rows = SUBCOMMAND_MODULES + WARM_MODULES + UNCACHED_MODULES
-    assert not [argv for argv, modules in rows if "_exact" in modules]
-    loaded = loaded_modules("from calcverify.legendre import Polynomial")
-    assert loaded == {f"calcverify.{m}" for m in ("_exact", "legendre", "quadrature", "errors", "_record")}
+    # module that the exact routes' old paths load, or the library-only
+    # printer and differences, which their old paths load
+    assert not [argv for argv, modules in ROWS if modules & {"_exact", "_printing", "_differences"}]
+    for old_path, modules in (
+        ("from calcverify.legendre import Polynomial", {"_exact", "legendre", "quadrature"}),
+        ("from calcverify.expr import to_string", {"_printing", "expr"}),
+        ("from calcverify.diffcheck import gradient", {"_differences", "diffcheck"}),
+    ):
+        assert loaded_modules(old_path) == {f"calcverify.{m}" for m in (*modules, "errors", "_record")}, old_path
+
+
+def test_each_cli_path_loads_one_handler_its_own():
+    for argv, modules in ROWS:
+        own = set() if "--help" in argv else {f"_cmd_{argv[0]}"}
+        assert {m for m in modules if m.startswith("_cmd_")} == own, argv
+
+
+def test_building_or_printing_a_rule_loads_no_box_code(tmp_path):
+    # nodes builds and prints a rule, and cordic runs none
+    assert not [argv for argv, modules in ROWS if argv[0] in ("nodes", "cordic") and "_box" in modules]
+    # nor does building and saving rules, as the benchmark's set-up does
+    build = "from calcverify import quadrature, tables\ntables.save_tables(map(quadrature.gauss_rule, (1, 2)), 'c.gausstab')"
+    modules = {"quadrature", "legendre", "tables", "_tablewrite", "errors", "_record"}
+    assert loaded_modules(build, cwd=tmp_path) == {f"calcverify.{m}" for m in modules}
 
 
 def run_clean(argv, cwd):

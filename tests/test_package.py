@@ -126,21 +126,54 @@ LEGENDRE_PICKLE = (
     b"\x87q\x05sbccalcverify.legendre\nRootSet\nq\x06G\xbf\xe0\x00\x00\x00\x00\x00\x00"
     b"G?\xe0\x00\x00\x00\x00\x00\x00\x86q\x07K\x02\x86q\x08\x81q\te."
 )
+# [Box((0.0,), (1.0,)), QuadratureRule(1, (0.0,), (2.0,))], pickled with protocol 2
+# while both classes were defined in calcverify.quadrature
+QUADRATURE_PICKLE = (
+    b"\x80\x02]q\x00(ccalcverify.quadrature\nBox\nq\x01)\x81q\x02}q\x03(X\x02\x00\x00\x00loq\x04"
+    b"G\x00\x00\x00\x00\x00\x00\x00\x00\x85q\x05X\x02\x00\x00\x00hiq\x06G?\xf0\x00\x00\x00\x00\x00\x00"
+    b"\x85q\x07ubccalcverify.quadrature\nQuadratureRule\nq\x08)\x81q\t}q\n(X\x01\x00\x00\x00nq\x0bK\x01"
+    b"X\x05\x00\x00\x00nodesq\x0cG\x00\x00\x00\x00\x00\x00\x00\x00\x85q\rX\x07\x00\x00\x00weightsq\x0e"
+    b"G@\x00\x00\x00\x00\x00\x00\x00\x85q\x0fube."
+)
+# old module -> new module -> the names that moved between them
+MOVED = {
+    "legendre": {
+        "_exact": "GRAM_SCHMIDT_MAX_DEGREE Polynomial RootSet _gram_schmidt_exact _recurrence_exact "
+        "_to_polynomials analytic_inner_product legendre_gram_schmidt legendre_recurrence legendre_roots "
+        "poly_derivative poly_eval",
+    },
+    "quadrature": {
+        "_exact": "LINEAR_SYSTEM_MAX_POINTS gauss_weights_linear_system",
+        "_box": "Box apply_rule apply_rule_box convergence_table integrate_1d integrate_box",
+    },
+    "expr": {"_printing": "to_string"},
+    "diffcheck": {"_differences": "directional_derivative gradient one_sided_diff"},
+}
 
 
 def test_the_exact_routes_resolve_under_their_old_module_paths():
-    # in a fresh -S process: the old pickle is read first, before any import
-    # of the moved names, which then come back as _exact's own objects
+    # in a fresh -S process: the old pickles are read first, before any import
+    # of the moved names, which then come back as their new modules' own
+    # objects, from the old module and from the package alike
     check = (
         "import pickle\n"
         f"old = pickle.loads({LEGENDRE_PICKLE!r})\n"
-        "from calcverify.legendre import Polynomial, RootSet, _recurrence_exact, analytic_inner_product\n"
-        "from calcverify.quadrature import gauss_weights_linear_system\n"
-        "from calcverify import _exact, legendre\n"
-        "moved = (Polynomial, RootSet, _recurrence_exact, analytic_inner_product, gauss_weights_linear_system)\n"
-        "assert all(obj is getattr(_exact, obj.__name__) for obj in moved)\n"
+        f"old_box = pickle.loads({QUADRATURE_PICKLE!r})\n"
+        "import calcverify, importlib\n"
+        f"for old_module, moves in {MOVED!r}.items():\n"
+        "    for new_module, names in moves.items():\n"
+        "        for name in names.split():\n"
+        "            obj = getattr(importlib.import_module('calcverify.' + new_module), name)\n"
+        "            exec(f'from calcverify.{old_module} import {name} as imported')\n"
+        "            assert imported is obj, (old_module, name)\n"
+        "            assert getattr(calcverify, name, obj) is obj, name\n"
+        "from calcverify.legendre import Polynomial, RootSet\n"
+        "from calcverify.quadrature import Box, QuadratureRule\n"
+        "from calcverify import legendre\n"
         "assert old == [Polynomial((-0.5, 0.0, 1.5)), RootSet((-0.5, 0.5), 2)]\n"
         "assert [type(record) for record in old] == [Polynomial, RootSet]\n"
+        "assert old_box == [Box((0.0,), (1.0,)), QuadratureRule(1, (0.0,), (2.0,))]\n"
+        "assert [type(record) for record in old_box] == [Box, QuadratureRule]\n"
         "try:\n"
         "    legendre.nope\n"
         "except AttributeError as exc:\n"

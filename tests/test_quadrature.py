@@ -33,7 +33,8 @@ from calcverify import (
 )
 from calcverify import legendre, quadrature
 from calcverify.cli import main
-from calcverify.quadrature import _fsum, _half_width, _midpoint, _term_error, apply_rule
+from calcverify._box import _fsum, _half_width, _midpoint, _term_error
+from calcverify.quadrature import apply_rule
 
 
 def test_rule_examples():

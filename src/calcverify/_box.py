@@ -1,13 +1,13 @@
 """A rule applied on intervals and boxes: the tensor-product sum and its entries.
 
 ``quadrature`` builds and prints the rules; this module applies them, so a
-call that only builds or prints one compiles none of this.  Every public
-name here still resolves under ``quadrature``, where it was defined, and
-the calls into ``apply_rule_box`` and ``gauss_rule`` are made through that
-module's attributes, as when the code lived there, so a wrapper set on
-them (``bench/child.py`` sets both) still sees every call.  An interval
-is the one-axis box: the CLI and ``integrate_1d`` hand ``apply_rule_box`` a
-one-axis ``Box``, and ``apply_rule`` is the library's interval entry.
+call that only builds or prints one compiles none of this.  The calls into
+``apply_rule_box`` and ``gauss_rule`` are made through ``quadrature``'s
+attributes, so a wrapper set on them (``bench/child.py`` sets both) still
+sees every call.  An interval is the one-axis box: the CLI and
+``integrate_1d`` hand ``apply_rule_box`` a one-axis ``Box``, and
+``apply_rule`` is the library's interval entry.  Where each name here is
+imported from: ``calcverify._NAMES``.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Finite differences that only the library offers: one-sided, gradient, directional.
 
-No CLI path calls them, so none compiles them; each name still resolves
-under ``diffcheck``, where it was defined.
+No CLI path calls them, so none compiles them.  Where each name here is
+imported from: ``calcverify._NAMES``.
 """
 
 from __future__ import annotations

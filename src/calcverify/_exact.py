@@ -2,8 +2,8 @@
 
 Legendre polynomials by Gram-Schmidt and by the three-term recurrence,
 each the other's oracle, and Gauss weights by the moment system, the
-closed form's; exact rationals, rounded once to floats.  Each name also
-resolves under its old module, ``legendre`` or ``quadrature``.
+closed form's; exact rationals, rounded once to floats.  Where each name
+here is imported from: ``calcverify._NAMES``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from collections import namedtuple
 
 from ._record import Record
 from .errors import CapabilityError, DomainError, NumericError, _integer
-from .legendre import gauss_nodes_and_weights
 
 # Monomial Gram-Schmidt is kept within a documented degree cap; the
 # recurrence route is authoritative beyond it.
@@ -136,13 +135,6 @@ def legendre_recurrence(n: int) -> list[Polynomial]:
     if _integer("degree", n) < 0:
         raise DomainError("degree must be nonnegative")
     return _to_polynomials(_recurrence_exact(n))
-
-
-def legendre_roots(n: int) -> RootSet:
-    """All n roots of P_n, ascending: the nodes of ``gauss_nodes_and_weights``."""
-    if _integer("root count", n) < 1:
-        raise DomainError("root count must be a positive integer")
-    return RootSet(roots=gauss_nodes_and_weights(n)[0], n=n)
 
 
 def analytic_inner_product(p: Polynomial, q: Polynomial) -> float:

@@ -1,7 +1,7 @@
 """Printing an expression tree: ``to_string``, which only the library offers.
 
-No CLI path prints a tree, so none compiles this; the name still resolves
-under ``expr``, where it was defined.
+No CLI path prints a tree, so none compiles this.  Where the name is
+imported from: ``calcverify._NAMES``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ The default step h = 1e-4 trades truncation against roundoff well for
 smooth functions near unit scale; below h ~ cbrt(eps) the roundoff term
 grows again, so h is fixed rather than auto-tuned.  The differences no
 CLI path takes (``one_sided_diff``, ``gradient``, ``directional_derivative``)
-are in ``_differences``; their names resolve here too.
+are in ``_differences`` (their names here: ``calcverify._NAMES``).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 
+from . import _elsewhere
 from ._record import Record
 from .errors import DomainError, NumericError, _finite, _finite_result, _interval, _positive
 
@@ -138,11 +139,5 @@ def verify_antiderivative(
     )
 
 
-# moved to _differences, which no CLI path loads: old imports find them here
-_DIFFERENCES = ("directional_derivative", "gradient", "one_sided_diff")
-
-
 def __getattr__(name: str):
-    if name not in _DIFFERENCES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(__import__(f"{__package__}._differences", fromlist=["__name__"]), name)
+    return _elsewhere(__name__, name)

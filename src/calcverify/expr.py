@@ -13,10 +13,10 @@ Grammar (whitespace insignificant):
 A name followed by '(' must be one of the builtins sin, cos, tan, exp,
 ln, sqrt, abs; any other name is a variable and must be declared.
 Implicit multiplication is rejected: write 2*x, not 2x.  The parser
-and ``to_string`` (in ``_printing``, which no CLI path loads; the name
-resolves here too) read one precedence table, ``_PREC``.  Each '(',
-call, unary '-' and '^' exponent nests one level; past 100 levels the
-parser raises ParseError.  Printing and the checked evaluator use an
+and ``to_string`` (in ``_printing``, which no CLI path loads; its name
+here: ``calcverify._NAMES``) read one precedence table, ``_PREC``.  Each
+'(', call, unary '-' and '^' exponent nests one level; past 100 levels
+the parser raises ParseError.  Printing and the checked evaluator use an
 explicit stack, so they work at any depth.
 
 ``evaluate`` runs the checked interpreter: one stack loop over the
@@ -58,6 +58,7 @@ import operator
 from collections import namedtuple
 from functools import cached_property
 
+from . import _elsewhere
 from ._record import Record
 from .errors import CalcVerifyError, DomainError
 
@@ -486,7 +487,4 @@ def as_function(
 
 
 def __getattr__(name: str):
-    # to_string moved to _printing, which no CLI path loads: old imports find it here
-    if name != "to_string":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return __import__(f"{__package__}._printing", fromlist=["__name__"]).to_string
+    return _elsewhere(__name__, name)

@@ -1,7 +1,8 @@
 """The Gauss rule builder; the CLI loads it only to build a rule.
 
 Float Newton on ``quadrature``'s recurrence for P_n finds the roots, and
-integer fixed point polishes them; the exact routes are in ``_exact``.
+integer fixed point polishes them; the exact routes are in ``_exact``,
+which no CLI path loads (its names here: ``calcverify._NAMES``).
 """
 
 from __future__ import annotations
@@ -9,7 +10,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import NumericError
+from . import _elsewhere
+from .errors import DomainError, NumericError, _integer
 from .quadrature import legendre_value_and_derivative
 
 _NEWTON_MAX_ITERS = 100
@@ -166,13 +168,14 @@ def gauss_nodes_and_weights(n: int) -> tuple[tuple[float, ...], tuple[float, ...
     return tuple(zip(*[(-x, w) for x, w in reversed(pairs)], *middle, *pairs))
 
 
-# moved to _exact, which no CLI path loads: old imports and pickles find them here
-_EXACT = ("GRAM_SCHMIDT_MAX_DEGREE", "Polynomial", "RootSet", "poly_eval", "poly_derivative",
-          "_gram_schmidt_exact", "_recurrence_exact", "_to_polynomials", "legendre_gram_schmidt",
-          "legendre_recurrence", "legendre_roots", "analytic_inner_product")
+def legendre_roots(n: int) -> RootSet:
+    """All n roots of P_n, ascending: the nodes of ``gauss_nodes_and_weights``."""
+    if _integer("root count", n) < 1:
+        raise DomainError("root count must be a positive integer")
+    from ._exact import RootSet  # here: reading this name compiles no exact routes
+
+    return RootSet(roots=gauss_nodes_and_weights(n)[0], n=n)
 
 
 def __getattr__(name: str):
-    if name not in _EXACT:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(__import__(f"{__package__}._exact", fromlist=["__name__"]), name)
+    return _elsewhere(__name__, name)

@@ -8,13 +8,15 @@ loads no ``tables``.  A rule's application on intervals and boxes
 (``Box``, ``apply_rule``, ``apply_rule_box``, ``integrate_1d``,
 ``integrate_box``, ``convergence_table``) is in ``_box``, which only the
 calls that integrate load, and the moment-system oracle for the weights
-is in ``_exact``, which no CLI path loads; their names resolve here too.
+is in ``_exact``, which no CLI path loads (their names here:
+``calcverify._NAMES``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from . import _elsewhere
 from ._record import Record
 from .errors import DomainError, _count
 
@@ -83,18 +85,5 @@ def gauss_rule(n: int) -> QuadratureRule:
     return QuadratureRule(n, *gauss_nodes_and_weights(n))
 
 
-# moved out, so a call that builds or prints a rule compiles neither module:
-# old imports and pickles find them here
-_MOVED = {
-    **dict.fromkeys(
-        ("Box", "apply_rule", "apply_rule_box", "convergence_table", "integrate_1d", "integrate_box"), "_box"
-    ),
-    **dict.fromkeys(("LINEAR_SYSTEM_MAX_POINTS", "gauss_weights_linear_system"), "_exact"),
-}
-
-
 def __getattr__(name: str):
-    module = _MOVED.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(__import__(f"{__package__}.{module}", fromlist=["__name__"]), name)
+    return _elsewhere(__name__, name)

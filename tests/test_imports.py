@@ -202,6 +202,8 @@ def test_no_cli_path_compiles_the_exact_routes():
     assert not [argv for argv, modules in ROWS if modules & {"_exact", "_printing", "_differences"}]
     for old_path, modules in (
         ("from calcverify.legendre import Polynomial", {"_exact", "legendre", "quadrature"}),
+        # legendre_roots is legendre's own, read in every traced child by bench/child.py
+        ("from calcverify.legendre import legendre_roots", {"legendre", "quadrature"}),
         ("from calcverify.expr import to_string", {"_printing", "expr"}),
         ("from calcverify.diffcheck import gradient", {"_differences", "diffcheck"}),
     ):

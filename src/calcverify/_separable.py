@@ -17,10 +17,7 @@ evaluates and the terms' sum of products of max(1, |factor|) at the
 worst node of each axis, times the product over the axes of
 max(1, sum |w|), is below 2^1000.  That bounds every product and sum
 that either route forms, so the point route would raise nothing either:
-errors keep their text, offset and point.  While ``expr.evaluate`` is
-wrapped, the integrand is still called once per point, so the wrapper
-sees every point, and the factorised value is returned, so tracing moves
-no bit: the wrapper's exceptions propagate, its return values are unused.
+errors keep their text, offset and point.
 
 Bound.  Let u = 2^-53 (eps/2), q the tree's node count, d the axes, and
 M the weighted grid sum of the sum over terms of |term|.  Both routes
@@ -45,7 +42,6 @@ sum of the rounded factor values.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .expr import _DEFAULT_IMPLS, BinOp, EvalDomainError, Neg, Var, _interpret
@@ -66,13 +62,9 @@ def _split(node: Expr, ops: str) -> list[tuple[float, Expr]]:
     return leaves
 
 
-def integral(tree: Expr, names: tuple[str, ...], axes: list, f: Callable | None = None) -> float | None:
+def integral(tree: Expr, names: tuple[str, ...], axes: list) -> float | None:
     """The tensor-product sum of tree over ``axes``, whose axis k binds
-    ``names[k]`` and lists (scaled node, scaled weight) pairs, or None.
-
-    ``f``, if given, is called once at every grid point, in the point
-    route's order, before the value is returned; what it returns is unused.
-    """
+    ``names[k]`` and lists (scaled node, scaled weight) pairs, or None."""
     position = {name: k for k, name in enumerate(names)}  # a repeated name binds its last axis
     plan = []  # per term: its sign, and its factors' post-orders per axis, then the constant ones
     for sign, term in _split(tree, "+-"):
@@ -105,7 +97,4 @@ def integral(tree: Expr, names: tuple[str, ...], axes: list, f: Callable | None 
         return None
     if not bound * scale < 2.0**1000:  # which also holds every sum here finite
         return None
-    if f is not None:  # a wrapped evaluate sees every point, as on the point route
-        for point in itertools.product(*([x for x, _ in axis] for axis in axes)):
-            f(*point)
     return math.fsum(products)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import stat
 import sys
@@ -29,19 +30,19 @@ def insert_rule(cache_path: str, n: int, rule: QuadratureRule, corrupt: TableErr
         # may have added rules, or rule n, since get_or_build's read
         try:
             lines = _read_table(cache_path)
-            if (cached := _parse_tables(lines, cache_path).get(n)) is not None:
+            blocks = _parse_tables(lines, cache_path)
+            if (cached := blocks.get(n)) is not None:
                 _gauss_rule(cached, cache_path)
                 return rule
         except FileNotFoundError:
-            lines = []
+            lines, blocks = [], {}
         except TableError as exc:
-            lines = []
+            lines, blocks = [], {}
             print(f"warning: discarding corrupt rule cache ({corrupt or exc}); rebuilding", file=sys.stderr)
         head, *block = tables.dumps_tables([rule]).splitlines()
         lines = lines or [head]
-        at = 1
-        while at < len(lines) and (k := int(lines[at].split()[1])) < n:
-            at += k + 1
+        # past each block, in file order, its 'N k' line and k rows, up to the first larger k
+        at = 1 + sum(k + 1 for k in itertools.takewhile(lambda k: k < n, blocks))
         lines[at:at] = block
         _write_table(cache_path, "\n".join(lines) + "\n")
     finally:

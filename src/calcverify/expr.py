@@ -41,14 +41,15 @@ fails or a product might overflow.
 The nest tests finiteness only where a non-finite value can vanish;
 when it raises or a test fails it hands back the terms it finished,
 and the integral reruns the outer node it stopped in point by point,
-through the interpreter, for the error.  While ``evaluate`` is wrapped
-no nest runs, and the axis sums' value is returned after a call at
-every point, so the wrapper sees every point and no bit moves; on such
-a grid its calls and exceptions count, but not its return values.  Custom
-``functions``, trees built by hand or unpickled, and trees over
-``_MAX_COMPILED_NODES`` nodes get no nest, so values and errors are
-exactly the interpreter's.  The cap bounds memory: generating a nest
-peaks at ~8 times the tree's own, though the nest outruns the interpreter.
+through the interpreter, for the error.  While ``evaluate`` is wrapped,
+``_box_sum`` runs no nest, and returns the axis sums' value only after
+a call at every point, so the wrapper sees every point and no bit
+moves; on such a grid its calls and exceptions count, but not its
+return values.  Custom ``functions``, trees built by hand or
+unpickled, and trees over ``_MAX_COMPILED_NODES`` nodes get no nest,
+so values and errors are exactly the interpreter's.  The cap bounds
+memory: generating a nest peaks at ~8 times the tree's own, though the
+nest outruns the interpreter.
 """
 
 from __future__ import annotations
@@ -450,7 +451,10 @@ def as_function(
     returns the integral as a product of one-axis sums, or else the terms
     the tree's loop nest finished, or none, and the point loops run the
     rest.  A nest is generated once per variable order (the first of all
-    imports the generator module) and kept on the tree.
+    imports the generator module) and kept on the tree.  While
+    ``evaluate`` is wrapped, no nest runs, and the callable is called at
+    every point before the axis sums' value is returned, so the wrapper
+    sees every point (its return values unused) and no bit moves.
     """
     names = tuple(variables)
 
@@ -465,16 +469,20 @@ def as_function(
             # the point loops run a small grid, and raise f's TypeError on a box of another dimension
             if len(axes) != len(names) or len(axes[0]) ** len(axes) < _NEST_MIN_POINTS:
                 return []
-            # evaluate is looked up per call; under a wrapper set on it no nest
-            # runs and the axis sums call f at every point, so it sees each one
+            # evaluate is looked up per call; a wrapper set on it sees every point
             traced = evaluate is not _EVALUATE
             if len(axes) > 1 and not rescaled:
                 from . import _separable  # loads on the first grid's integral
 
-                value = _separable.integral(e, names, axes, f if traced else None)
+                value = _separable.integral(e, names, axes)
                 if value is not None:
+                    if traced:  # f at every point, in the point loops' order; its values are unused
+                        import itertools
+
+                        for point in itertools.product(*([x for x, _ in axis] for axis in axes)):
+                            f(*point)
                     return value
-            if traced:
+            if traced:  # no nest runs, so the point loops call f
                 return []
             if names not in e._nests:
                 from . import _nest  # the generator loads on first use

@@ -1109,6 +1109,40 @@ def test_a_wrapped_evaluate_sees_every_point_of_a_separable_box(monkeypatch):
     assert calls[0] == n**3
 
 
+@pytest.mark.parametrize("text", ["exp(350*x)*exp(350*y)", "ln(x - 0.5)*y", "ln(0.5 - x)*y"])
+def test_a_wrapped_evaluate_sees_the_point_loops_calls_where_the_axis_sums_are_refused(monkeypatch, text):
+    # the overflow gate refuses the first tree, which the point loops integrate,
+    # and a factor of the others fails on the grid: the axis sums give no value,
+    # so no per-point pass runs, and a wrapper on evaluate sees exactly the
+    # calls that the point loops make over a bare callable, n^d or up to the
+    # failing point, while the outcome keeps the unwrapped call's bits or error
+    names, n = ["x", "y"], 16
+    assert n**2 >= expr._NEST_MIN_POINTS
+    tree, rule, box = parse(text, names), quadrature.gauss_rule(n), quadrature.Box((0.0, 0.0), (1.0, 1.0))
+    summed, integral = [], _separable.integral
+    monkeypatch.setattr(_separable, "integral", lambda *args: summed.append(integral(*args)) or summed[-1])
+    f, bare_points = as_function(tree, names), []
+    expected = _box_outcome(lambda: quadrature.apply_rule_box(rule, f, box))
+    assert summed == [None]
+    bare = _box_outcome(lambda: quadrature.apply_rule_box(rule, lambda *v: bare_points.append(v) or f(*v), box))
+    assert bare == expected
+    points, real = [], expr.evaluate
+
+    def counting(e, bindings, functions=None):
+        points.append(tuple(bindings.values()))
+        return real(e, bindings, functions)
+
+    monkeypatch.setattr(expr, "evaluate", counting)
+    del summed[:]
+    assert _box_outcome(lambda: quadrature.apply_rule_box(rule, as_function(tree, names), box)) == expected
+    assert summed == [None]
+    assert points == bare_points
+    if isinstance(expected, str):
+        assert len(points) == n**2
+    else:
+        assert expected[0] == "EvalDomainError" and 0 < len(points) < n**2
+
+
 @pytest.mark.parametrize("sides, n", [(((0.0, 1.0),) * 3, 5), (((0.0, 1.0),) * 2, 11)])
 def test_a_box_of_another_dimension_than_the_names_raises_on_a_separable_grid(sides, n):
     # a grid at the nest's threshold, with one axis more or fewer than the

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import signal
@@ -588,6 +589,20 @@ def test_a_miss_keeps_the_other_blocks_as_written(tmp_path):
     assert path.read_bytes() == "\n".join(lines[:1] + new_block + lines[1:]).encode() + b"\n"
     after = hexbits(load_tables(path))
     assert after == {**before, 4: hexbits({4: gauss_rule(4)})[4]}
+
+
+@pytest.mark.parametrize("n, at", [(4, 1), (6, 3), (1, 0), (7, 4)])
+def test_a_miss_goes_before_the_first_larger_block_in_file_order(tmp_path, n, at):
+    # blocks out of order: the walk through them in file order stops at the
+    # first block of more points than n, or reaches the end, though a smaller
+    # block may follow the one it stopped at
+    order = [2, 5, 3, 6 if n != 6 else 8]
+    blocks = [dumps_tables([gauss_rule(k)]).splitlines()[1:] for k in order]
+    path = tmp_path / "cache.gausstab"
+    path.write_text("\n".join(["GAUSSTAB 1", *itertools.chain(*blocks)]) + "\n")
+    assert get_or_build(path, n) == gauss_rule(n)
+    blocks.insert(at, dumps_tables([gauss_rule(n)]).splitlines()[1:])
+    assert path.read_text() == "\n".join(["GAUSSTAB 1", *itertools.chain(*blocks)]) + "\n"
 
 
 @pytest.mark.parametrize(
